@@ -286,7 +286,8 @@ def _cmd_simulate(args) -> int:
         "spike": simlab.run_spike_experiment,
         "robustness": simlab.run_robustness_experiment,
     }[args.experiment]
-    report = runner(cfg)
+    # the runner would write the CSVs itself when given the prefix; write once here
+    report = runner(dataclasses.replace(cfg, out_prefix=""))
     files = report.write(cfg.out_prefix) if cfg.out_prefix else ()
     summary = {
         "kind": report.kind,

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "SYM_TOL",
@@ -120,10 +121,15 @@ def svd_full(a: np.ndarray) -> SvdTriplet:
     Singular values come back descending. For each triplet the entry of u
     with the largest magnitude is made positive (ties broken by lowest row
     index, which argmax already does), flipping u and v together so
-    ``u s v^T`` still reconstructs the input.
+    ``u s v^T`` still reconstructs the input.  When LAPACK's default
+    divide-and-conquer driver (gesdd) does not converge, the SVD is retried
+    once with the QR-iteration driver (gesvd).
     """
     a = _as_square(a, "matrix")
-    u, s, vh = np.linalg.svd(a)
+    try:
+        u, s, vh = np.linalg.svd(a)
+    except np.linalg.LinAlgError:
+        u, s, vh = scipy.linalg.svd(a, lapack_driver="gesvd")
     v = vh.T.copy()
     u = u.copy()
     for j in range(s.size):

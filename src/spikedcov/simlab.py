@@ -47,7 +47,6 @@ __all__ = [
     "run_robustness_experiment",
     "write_csv",
     "load_report",
-    "cli_main",
 ]
 
 MODELS = ("gaussian", "student_t")
@@ -597,10 +596,3 @@ def run_robustness_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.out_prefix:
         report.write(cfg.out_prefix)
     return report
-
-
-def cli_main(argv=None) -> int:
-    """Command-line entry point (see the cli module for the interface)."""
-    from . import cli
-
-    return cli.main(argv)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from spikedcov import cli, estimators, rmt
+from spikedcov import cli, estimators, rmt, simlab
 from spikedcov.numkernel import RngStream
 
 
@@ -274,6 +274,33 @@ class TestSimulate:
         assert summary["seed"] == 5
         assert set(summary["aggregates"]) >= {"ks_ppca", "ks_pca"}
         assert prefix + "_records.csv" in summary["files"]
+
+    def test_writes_each_csv_once(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CONFIG)
+        written = []
+        write_csv = simlab.write_csv
+
+        def counting(path, columns, rows):
+            written.append(path)
+            return write_csv(path, columns, rows)
+
+        monkeypatch.setattr(simlab, "write_csv", counting)
+        code, out, _ = run_cli(
+            capsys,
+            "simulate",
+            "spectrum",
+            "--config",
+            str(cfg),
+            "--seed",
+            "5",
+            "--out-prefix",
+            str(tmp_path / "run"),
+        )
+        assert code == 0
+        files = json.loads(out)["files"]
+        assert len(files) == 4
+        assert written == files
 
     def test_replicates_override(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"

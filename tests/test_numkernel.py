@@ -110,6 +110,28 @@ class TestSvdFull:
         with pytest.raises(ValueError):
             numkernel.svd_full(np.ones((2, 3)))
 
+    def test_retries_with_gesvd_when_gesdd_does_not_converge(self, monkeypatch):
+        a = np.random.default_rng(4).standard_normal((6, 6))
+        normal = numkernel.svd_full(a)
+        gesdd = np.linalg.svd
+        failures = []
+
+        def fails_once(*args, **kwargs):
+            if not failures:
+                failures.append(args[0].shape)
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return gesdd(*args, **kwargs)
+
+        monkeypatch.setattr(numkernel.np.linalg, "svd", fails_once)
+        retried = numkernel.svd_full(a)
+        assert failures == [(6, 6)]
+        assert np.allclose(retried.s, normal.s, rtol=1e-12, atol=0.0)
+        assert np.allclose((retried.u * retried.s) @ retried.v.T, a, atol=1e-12)
+        assert np.allclose(retried.u, normal.u, atol=1e-12)
+        assert np.allclose(retried.v, normal.v, atol=1e-12)
+        for j in range(6):
+            assert retried.u[int(np.argmax(np.abs(retried.u[:, j]))), j] > 0.0
+
 
 class TestHaarOrthogonal:
     def test_orthogonal_and_deterministic(self):

@@ -1,9 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy import integrate
 
 from spikedcov import rmt, spectra
-from conftest import mp_density_oracle, mp_stieltjes_oracle
+from conftest import mp_cdf_oracle, mp_density_oracle, mp_stieltjes_oracle, ssm_g_cdf_oracle
 
 FLAT = spectra.make_spectrum(atoms=[(1.0, 1.0)])
 
@@ -348,6 +350,55 @@ class TestSingleAtomConstants:
             rmt.SsmParams(c=0.0, sigma2=1.0)
         with pytest.raises(ValueError):
             rmt.SsmParams(c=0.4, sigma2=-1.0)
+
+
+# law -> (closed-form cdf, independent oracle, lower edge, upper edge, zero
+# mass), the last three as SsmConstants field names
+CLOSED_FORM_CDFS = {
+    "ppca": (rmt.ssm_g_cdf, ssm_g_cdf_oracle, "a", "b", "mass0_ppca"),
+    "pca": (rmt.ssm_f_cdf, mp_cdf_oracle, "a_prime", "b_prime", "mass0_pca"),
+}
+ORACLE_SIGMA2 = (0.5, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("c", [0.01, 0.1, 0.4, 0.5, 0.7, 1.0, 2.0, 5.0, 50.0])
+@pytest.mark.parametrize("law", sorted(CLOSED_FORM_CDFS))
+class TestClosedFormCdfs:
+    @staticmethod
+    def cases(law, c):
+        cdf, oracle, lo, hi, mass0 = CLOSED_FORM_CDFS[law]
+        for sigma2 in ORACLE_SIGMA2:
+            params = rmt.SsmParams(c=c, sigma2=sigma2)
+            cf = rmt.ssm_closed_forms(params)
+            yield (
+                params,
+                functools.partial(cdf, params),
+                oracle,
+                getattr(cf, lo),
+                getattr(cf, hi),
+                getattr(cf, mass0),
+            )
+
+    def test_matches_independent_oracle(self, law, c):
+        offsets = np.array([1e-12, 1e-9, 1e-6, 1e-3])
+        for params, cdf, oracle, lo, hi, _ in self.cases(law, c):
+            grid = np.concatenate(
+                [np.linspace(lo, hi, 17), lo + (hi - lo) * offsets, hi - (hi - lo) * offsets]
+            )
+            want = np.array([oracle(c, params.sigma2, t) for t in grid])
+            assert np.max(np.abs(cdf(grid) - want)) <= 1e-12
+
+    def test_nondecreasing_with_exact_end_values(self, law, c):
+        for _, cdf, _, lo, hi, mass0 in self.cases(law, c):
+            assert np.all(np.diff(cdf(np.linspace(0.0, 1.1 * hi, 4001))) >= 0.0)
+            assert np.all(cdf(np.array([0.0, 0.5 * lo, lo])) == mass0)
+            assert np.all(cdf(np.array([hi, 1.5 * hi])) == 1.0)
+
+    def test_scalar_input_gives_float(self, law, c):
+        for _, cdf, _, lo, hi, _ in self.cases(law, c):
+            mid = 0.5 * (lo + hi)
+            assert isinstance(cdf(mid), float)
+            assert cdf(mid) == cdf(np.array([mid]))[0]
 
 
 class TestBiasReport:

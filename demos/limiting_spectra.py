@@ -23,11 +23,7 @@ def describe_regime(c: float) -> None:
 
 def simulate_regime(c: float, n: int, seed: int, out_prefix: str) -> None:
     p = int(round(c * n))
-    cfg = simlab.parse_config(
-        f"n={n}\np={p}\nmodel=gaussian\nreplicates=1\n",
-        seed=seed,
-        out_prefix=out_prefix,
-    )
+    cfg = simlab.parse_config(f"n={n}\np={p}\nmodel=gaussian\nreplicates=1\n", seed=seed)
     report = simlab.run_spectrum_experiment(cfg)
     row = dict(zip(report.columns, report.records[0]))
     print(f"  one replicate at n={n}, p={p}:")

@@ -82,11 +82,8 @@ def _load_bulk(args) -> spectra.PopulationSpectrum:
 def _emit_csv(path: str | None, columns, rows) -> None:
     if path and path != "-":
         simlab.write_csv(path, columns, rows)
-        return
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([simlab._format_cell(v) for v in row])
+    else:
+        simlab._write_rows(sys.stdout, columns, rows)
 
 
 def _emit_json(path: str | None, payload) -> None:
@@ -199,6 +196,19 @@ def _cmd_rho(args) -> int:
     return 0
 
 
+def _analytic_block(scenario, method: str, spectrum, assignment) -> dict:
+    """Perturbed spectrum and outlier predicates of one method."""
+    ks = range(1, scenario.k + 1)
+    return {
+        "spectrum": dataclasses.asdict(spectrum),
+        "noise_spiked": [robustness.noise_is_spiked(scenario, k, method, assignment) for k in ks],
+        "ordering_breaks": [
+            robustness.ordering_breaks(scenario, k, method, assignment) for k in ks
+        ],
+        "target_rank": robustness.target_rank(scenario, method, assignment),
+    }
+
+
 def _cmd_robust_analytic(args) -> int:
     with open(args.scenario, encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -214,6 +224,7 @@ def _cmd_robust_analytic(args) -> int:
         assignment = tuple(range(1, scenario.k1 + 1))
     pca_spec = robustness.pca_perturbed_spectrum(scenario)
     ppca_spec = robustness.ppca_perturbed_spectrum(scenario, assignment)
+    # the classical predicates ignore the assignment
     payload = {
         "scenario": {
             "epsilon": scenario.epsilon,
@@ -224,30 +235,8 @@ def _cmd_robust_analytic(args) -> int:
             "c": scenario.c,
             "assignment": list(assignment),
         },
-        "pca": {
-            "spectrum": dataclasses.asdict(pca_spec),
-            "noise_spiked": [
-                robustness.noise_is_spiked(scenario, k, "pca")
-                for k in range(1, scenario.k + 1)
-            ],
-            "ordering_breaks": [
-                robustness.ordering_breaks(scenario, k, "pca")
-                for k in range(1, scenario.k + 1)
-            ],
-            "target_rank": robustness.target_rank(scenario, "pca"),
-        },
-        "ppca": {
-            "spectrum": dataclasses.asdict(ppca_spec),
-            "noise_spiked": [
-                robustness.noise_is_spiked(scenario, k, "ppca", assignment)
-                for k in range(1, scenario.k + 1)
-            ],
-            "ordering_breaks": [
-                robustness.ordering_breaks(scenario, k, "ppca", assignment)
-                for k in range(1, scenario.k + 1)
-            ],
-            "target_rank": robustness.target_rank(scenario, "ppca", assignment),
-        },
+        "pca": _analytic_block(scenario, "pca", pca_spec, assignment),
+        "ppca": _analytic_block(scenario, "ppca", ppca_spec, assignment),
         "comparative": robustness.comparative_conditions(scenario, assignment),
     }
     _emit_json(args.out, payload)
@@ -278,7 +267,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_simulate(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
-        cfg = simlab.parse_config(fh.read(), seed=args.seed, out_prefix=args.out_prefix)
+        cfg = simlab.parse_config(fh.read(), seed=args.seed)
     if args.replicates is not None:
         cfg = dataclasses.replace(cfg, replicates=args.replicates)
     runner = {
@@ -286,14 +275,17 @@ def _cmd_simulate(args) -> int:
         "spike": simlab.run_spike_experiment,
         "robustness": simlab.run_robustness_experiment,
     }[args.experiment]
-    # the runner would write the CSVs itself when given the prefix; write once here
-    report = runner(dataclasses.replace(cfg, out_prefix=""))
-    files = report.write(cfg.out_prefix) if cfg.out_prefix else ()
+    report = runner(cfg)
+    files = report.write(args.out_prefix) if args.out_prefix else ()
+    # at the precision of the aggregates CSV, so the summary matches the file
+    rounded = lambda v: float(simlab._format_cell(v))
     summary = {
         "kind": report.kind,
         "replicates": cfg.replicates,
         "seed": cfg.master_seed,
-        "aggregates": {name: {"mean": mean, "sd": sd} for name, mean, sd in report.aggregates},
+        "aggregates": {
+            name: {"mean": rounded(mean), "sd": rounded(sd)} for name, mean, sd in report.aggregates
+        },
         "files": list(files),
         "flags": list(report.flags),
     }
@@ -372,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("experiment", choices=("spectrum", "spike", "robustness"))
     p.add_argument("--config", required=True, help="experiment config file")
     p.add_argument("--seed", type=int, required=True, help="master seed")
-    p.add_argument("--out-prefix", help="output path prefix (overrides config)")
+    p.add_argument("--out-prefix", help="output CSV path prefix")
     p.add_argument("--replicates", type=int, help="override the configured replicate count")
     p.set_defaults(func=_cmd_simulate)
 

@@ -193,6 +193,19 @@ def _check_spike_args(values: np.ndarray, c: float, j: int) -> tuple[np.ndarray,
     return values, p
 
 
+def _tail_companion(spike: float, z: float, tail: np.ndarray, ratio: float, noun: str) -> float:
+    """Plug-in companion value ratio * mean(1/(tail - z)) + (ratio - 1)/z.
+
+    The trailing values ``tail`` stand in for the limiting law; ``noun``
+    names them in the pole error.
+    """
+    if np.any(tail == z):
+        raise ValueError(f"spike coincides with a trailing {noun} (pole)")
+    if spike <= 0.0:
+        raise ValueError("spike must be positive")
+    return ratio * float(np.mean(1.0 / (tail - z))) + (ratio - 1.0) / z
+
+
 def debias_ppca(singular_values: np.ndarray, c: float, j: int) -> float:
     """Bias-corrected j-th product-PCA spike (1-based index).
 
@@ -204,14 +217,7 @@ def debias_ppca(singular_values: np.ndarray, c: float, j: int) -> float:
     """
     values, _ = _check_spike_args(singular_values, c, j)
     top = values[j - 1]
-    z = top * top
-    tail = values[j:] ** 2
-    if np.any(tail == z):
-        raise ValueError("spike coincides with a trailing singular value (pole)")
-    if top <= 0.0:
-        raise ValueError("spike must be positive")
-    s_tail = float(np.mean(1.0 / (tail - z)))
-    companion = 2.0 * c * s_tail + (2.0 * c - 1.0) / z
+    companion = _tail_companion(top, top * top, values[j:] ** 2, 2.0 * c, "singular value")
     return -1.0 / (companion * top)
 
 
@@ -224,14 +230,7 @@ def debias_pca(eigenvalues: np.ndarray, c: float, j: int) -> float:
     """
     values, _ = _check_spike_args(eigenvalues, c, j)
     z = values[j - 1]
-    tail = values[j:]
-    if np.any(tail == z):
-        raise ValueError("spike coincides with a trailing eigenvalue (pole)")
-    if z <= 0.0:
-        raise ValueError("spike must be positive")
-    m_tail = float(np.mean(1.0 / (tail - z)))
-    companion = c * m_tail + (c - 1.0) / z
-    return -1.0 / companion
+    return -1.0 / _tail_companion(z, z, values[j:], c, "eigenvalue")
 
 
 def estimate_rank(eigenvalues: np.ndarray, edge: float) -> int:

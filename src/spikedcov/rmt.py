@@ -221,6 +221,23 @@ def _check_ratio(c: float) -> float:
     return c
 
 
+def _root(f, lo: float, hi: float) -> float:
+    """Root of f on the sign-changing bracket [lo, hi] at the engine tolerances."""
+    return brentq(f, lo, hi, xtol=_XTOL, rtol=_RTOL)
+
+
+def _grow(f, end: float, message: str) -> float:
+    """Double a bracket end (away from zero) until f is negative there.
+
+    Raises SolverError(message) when 300 doublings do not get there.
+    """
+    for _ in range(300):
+        if f(end) < 0.0:
+            return end
+        end *= 2.0
+    raise SolverError(message)
+
+
 # ---------------------------------------------------------------------------
 # psi / q machinery on real branches (lam = -1/m_comp coordinates)
 # ---------------------------------------------------------------------------
@@ -249,15 +266,10 @@ def _upper_critical(c: float, t: np.ndarray, w: np.ndarray) -> float:
     u = float(t[-1])
     if u <= 0.0:
         raise SolverError("bulk law has no positive atoms")
+    q_minus_one = lambda x: _q_raw(c, t, w, x) - 1.0
     lo = u * (1.0 + 1e-12)
-    hi = u * (1.0 + np.sqrt(c)) * 10.0
-    for _ in range(300):
-        if _q_raw(c, t, w, hi) < 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise SolverError(f"no upper critical point in ({lo:.3e}, {hi:.3e}]")
-    return brentq(lambda x: _q_raw(c, t, w, x) - 1.0, lo, hi, xtol=_XTOL, rtol=_RTOL)
+    hi = _grow(q_minus_one, u * (1.0 + np.sqrt(c)) * 10.0, f"no critical point above {lo:.3e}")
+    return _root(q_minus_one, lo, hi)
 
 
 def _lower_critical(c: float, t: np.ndarray, w: np.ndarray) -> float | None:
@@ -273,20 +285,13 @@ def _lower_critical(c: float, t: np.ndarray, w: np.ndarray) -> float | None:
     if pos.size == 0:
         return None
     tmin = float(pos[0])
+    q_minus_one = lambda x: _q_raw(c, t, w, x) - 1.0
     if c_pos < 1.0 - 1e-12:
-        lo = tmin * 1e-12
-        hi = tmin * (1.0 - 1e-12)
-        return brentq(lambda x: _q_raw(c, t, w, x) - 1.0, lo, hi, xtol=_XTOL, rtol=_RTOL)
+        return _root(q_minus_one, tmin * 1e-12, tmin * (1.0 - 1e-12))
     if c_pos > 1.0 + 1e-12:
         hi = -tmin * 1e-12
-        lo = -max(float(t[-1]), 1.0)
-        for _ in range(300):
-            if _q_raw(c, t, w, lo) < 1.0:
-                break
-            lo *= 2.0
-        else:
-            raise SolverError(f"no lower critical point in [{lo:.3e}, {hi:.3e})")
-        return brentq(lambda x: _q_raw(c, t, w, x) - 1.0, lo, hi, xtol=_XTOL, rtol=_RTOL)
+        lo = _grow(q_minus_one, -max(float(t[-1]), 1.0), f"no critical point below {hi:.3e}")
+        return _root(q_minus_one, lo, hi)
     return None
 
 
@@ -294,8 +299,8 @@ class _BulkLaw:
     """Real-branch solver for one (c, bulk) pair.
 
     Precomputes the critical points and support edges, then inverts
-    psi(lam) = x on the monotone branch matching x's position relative to
-    the support, yielding the real transforms and their derivatives.
+    psi(lam) = x on the monotone branch above or below the support,
+    yielding the real transforms and their derivatives.
     """
 
     def __init__(self, c: float, t: np.ndarray, w: np.ndarray):
@@ -323,14 +328,9 @@ class _BulkLaw:
         if x <= self.upper_edge:
             raise ValueError(f"x={x!r} is not above the support edge {self.upper_edge!r}")
         lo = self.upper_critical
-        hi = max(2.0 * lo, 2.0 * x)
-        for _ in range(300):
-            if self.psi_at(hi) > x:
-                break
-            hi *= 2.0
-        else:
-            raise SolverError(f"cannot bracket psi = {x!r} above the bulk")
-        return brentq(lambda y: self.psi_at(y) - x, lo, hi, xtol=_XTOL, rtol=_RTOL)
+        message = f"cannot bracket psi = {x!r} above the bulk"
+        hi = _grow(lambda y: x - self.psi_at(y), max(2.0 * lo, 2.0 * x), message)
+        return _root(lambda y: self.psi_at(y) - x, lo, hi)
 
     def lam_below(self, x: float) -> float:
         """Invert psi on the increasing branch below the support.
@@ -340,13 +340,14 @@ class _BulkLaw:
         """
         if x == 0.0 or x >= self.lower_edge:
             raise ValueError(f"x={x!r} is not below the support (edge {self.lower_edge!r})")
+        psi_minus_x = lambda y: self.psi_at(y) - x
         lc = self.lower_critical
         if lc is not None and lc > 0.0:
             # gap (0, lower_edge) reached from lam in (0, lc); no branch for x<0
             # exists on this side, but with an effective ratio below one the
             # negative axis is free of critical points and handles x < 0.
             if x > 0.0:
-                return brentq(lambda y: self.psi_at(y) - x, 0.0, lc, xtol=_XTOL, rtol=_RTOL)
+                return _root(psi_minus_x, 0.0, lc)
             hi = -abs(x) * 1e-12
         elif lc is not None:
             # effective ratio above one: one increasing branch on (-inf, lc)
@@ -354,29 +355,34 @@ class _BulkLaw:
             hi = lc
         else:
             hi = -min(abs(x), 1.0) * 1e-12
-        lo = min(hi * 2.0, -max(float(self.t[-1]), 1.0, abs(x)))
-        for _ in range(300):
-            if self.psi_at(lo) < x:
-                break
-            lo *= 2.0
-        else:
-            raise SolverError(f"cannot bracket psi = {x!r} below the bulk")
-        return brentq(lambda y: self.psi_at(y) - x, lo, hi, xtol=_XTOL, rtol=_RTOL)
+        start = min(hi * 2.0, -max(float(self.t[-1]), 1.0, abs(x)))
+        lo = _grow(psi_minus_x, start, f"cannot bracket psi = {x!r} below the bulk")
+        return _root(psi_minus_x, lo, hi)
 
-    def real_transforms(self, x: float) -> tuple[float, float, float, float]:
-        """(m, m', m_comp, m_comp') at real x outside the support.
+    def real_transforms(self, x: float, above: bool) -> tuple[float, float, float, float]:
+        """(m, m', m_comp, m_comp') at real x above (or below) the support.
 
         m_comp comes from lam; its derivative from implicit differentiation,
         m_comp' = 1/(lam^2 (1 - q(lam))); m and m' via the exact companion
         relations, arranged to avoid cancellation in m (see _m_from_comp).
+        The branch inversion rejects an x on the wrong side of the support.
         """
-        lam = self.lam_above(x) if x > self.upper_edge else self.lam_below(x)
+        lam = self.lam_above(x) if above else self.lam_below(x)
         m_comp = -1.0 / lam
         q = self.q_at(lam)
         m_comp_prime = 1.0 / (lam * lam * (1.0 - q))
         m = _m_from_comp(self.c, self.t, self.w, x, m_comp)
         m_prime = (m_comp_prime + (self.c - 1.0) / x**2) / self.c
         return float(m), float(m_prime), float(m_comp), float(m_comp_prime)
+
+    def q_outer(self, x: float) -> float:
+        """q at x of the outer law with ratio c whose bulk is this law.
+
+        q_outer(x) = c * int (s/(s-x))^2 dF(s) = c (1 + 2 x m(x) + x^2 m'(x)),
+        through the real transforms on either side of the support.
+        """
+        m, m_prime, _, _ = self.real_transforms(x, x > self.upper_edge)
+        return self.c * (1.0 + 2.0 * x * m + x * x * m_prime)
 
 
 def _m_from_comp(c: float, t: np.ndarray, w: np.ndarray, z, m_comp):
@@ -548,21 +554,10 @@ def stieltjes_real(
     Derivatives come from implicit differentiation of the fixed point.
     """
     c = _check_ratio(c)
-    x = float(x)
     law = _BulkLaw(c, *_bulk(h))
-    if side == "above":
-        if x <= law.upper_edge:
-            raise ValueError(
-                f"x={x!r} is inside or below the support (upper edge {law.upper_edge!r})"
-            )
-    elif side == "below":
-        if x >= law.lower_edge or x == 0.0:
-            raise ValueError(
-                f"x={x!r} is not below the support (lower edge {law.lower_edge!r})"
-            )
-    else:
+    if side not in ("above", "below"):
         raise ValueError(f"unknown side {side!r}")
-    m, m_prime, _, _ = law.real_transforms(x)
+    m, m_prime, _, _ = law.real_transforms(float(x), side == "above")
     return m, m_prime
 
 
@@ -608,13 +603,19 @@ def support_edges(c: float, h: PopulationSpectrum) -> tuple[float, float]:
     return law.lower_edge, law.upper_edge
 
 
-def psi(c: float, h: PopulationSpectrum, lam) -> float | np.ndarray:
-    """Spike-forward map of the classical law at lam above the bulk."""
+def _check_spike_map(name: str, c: float, h: PopulationSpectrum, lam) -> np.ndarray:
+    """Validate a spike-forward map's arguments; lam as a 1-d array."""
     if c < 0.0 or not np.isfinite(c):
         raise ValueError("aspect ratio c must be nonnegative and finite")
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
     if np.any(lam_arr <= h.bulk_upper):
-        raise ValueError(f"psi requires lam above the bulk upper edge {h.bulk_upper!r}")
+        raise ValueError(f"{name} requires lam above the bulk upper edge {h.bulk_upper!r}")
+    return lam_arr
+
+
+def psi(c: float, h: PopulationSpectrum, lam) -> float | np.ndarray:
+    """Spike-forward map of the classical law at lam above the bulk."""
+    lam_arr = _check_spike_map("psi", c, h, lam)
     out = _psi_raw(c, *_bulk(h), lam_arr)
     return float(out[0]) if np.ndim(lam) == 0 else out
 
@@ -624,11 +625,7 @@ def ppca_psi(c: float, h: PopulationSpectrum, lam) -> float | np.ndarray:
 
     Equals psi_{2c, H^2}(lam^2)/lam, defined for lam above the bulk.
     """
-    if c < 0.0 or not np.isfinite(c):
-        raise ValueError("aspect ratio c must be nonnegative and finite")
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    if np.any(lam_arr <= h.bulk_upper):
-        raise ValueError(f"ppca_psi requires lam above the bulk upper edge {h.bulk_upper!r}")
+    lam_arr = _check_spike_map("ppca_psi", c, h, lam)
     h2 = square_spectrum(h)
     out = _psi_raw(2.0 * c, *_bulk(h2), lam_arr**2) / lam_arr
     return float(out[0]) if np.ndim(lam) == 0 else out
@@ -649,25 +646,14 @@ def _ppca_threshold_parts(c: float, h: PopulationSpectrum):
     lambda_star^2 is the inner-spike threshold and x_star its image under
     the inner spike-forward map; the derivative criterion for the outer law
     (aspect ratio 2c, bulk = inner law) is evaluated through the inner real
-    transforms via q_outer(x) = 2c (1 + 2 x m(x) + x^2 m'(x)).
+    transforms (:meth:`_BulkLaw.q_outer`).
     """
     c = _check_ratio(c)
-    c2 = 2.0 * c
-    inner = _BulkLaw(c2, *_bulk(square_spectrum(h)))
-
-    def q_outer(x: float) -> float:
-        m, m_prime, _, _ = inner.real_transforms(x)
-        return c2 * (1.0 + 2.0 * x * m + x * x * m_prime)
-
-    lo = inner.upper_edge * (1.0 + 1e-9)
-    hi = max(2.0 * inner.upper_edge, inner.upper_edge + 1.0)
-    for _ in range(300):
-        if q_outer(hi) < 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise SolverError(f"no outer critical point above {inner.upper_edge!r}")
-    x_star = brentq(lambda x: q_outer(x) - 1.0, lo, hi, xtol=_XTOL, rtol=_RTOL)
+    inner = _BulkLaw(2.0 * c, *_bulk(square_spectrum(h)))
+    q_minus_one = lambda x: inner.q_outer(x) - 1.0
+    edge = inner.upper_edge
+    hi = _grow(q_minus_one, max(2.0 * edge, edge + 1.0), f"no outer critical point above {edge!r}")
+    x_star = _root(q_minus_one, edge * (1.0 + 1e-9), hi)
     y_star = inner.lam_above(x_star)
     return float(np.sqrt(y_star)), y_star, x_star, inner
 
@@ -678,34 +664,30 @@ def ppca_threshold(c: float, h: PopulationSpectrum) -> Threshold:
     return Threshold(threshold=lambda_star, bulk_edge=float(x_star / lambda_star))
 
 
-def pca_limit(c: float, h: PopulationSpectrum, lam: float) -> SpikedLimit:
-    """Limit of the sample eigenvalue for a population spike lam (classical)."""
+def _spike_limit(threshold, forward, c: float, h: PopulationSpectrum, lam: float) -> SpikedLimit:
+    """Distant value forward(c, h, lam) above threshold(c, h), else the stuck edge."""
     lam = float(lam)
     if lam <= h.bulk_upper:
         raise ValueError("spike must exceed the bulk upper edge")
-    thr = pca_threshold(c, h)
+    thr = threshold(c, h)
     if lam > thr.threshold:
-        return SpikedLimit.distant(psi(c, h, lam))
+        return SpikedLimit.distant(forward(c, h, lam))
     return SpikedLimit.stuck(thr.bulk_edge)
+
+
+def pca_limit(c: float, h: PopulationSpectrum, lam: float) -> SpikedLimit:
+    """Limit of the sample eigenvalue for a population spike lam (classical)."""
+    return _spike_limit(pca_threshold, psi, c, h, lam)
 
 
 def ppca_limit(c: float, h: PopulationSpectrum, lam: float) -> SpikedLimit:
     """Limit of the sample singular value for a population spike lam (product)."""
-    lam = float(lam)
-    if lam <= h.bulk_upper:
-        raise ValueError("spike must exceed the bulk upper edge")
-    thr = ppca_threshold(c, h)
-    if lam > thr.threshold:
-        return SpikedLimit.distant(ppca_psi(c, h, lam))
-    return SpikedLimit.stuck(thr.bulk_edge)
+    return _spike_limit(ppca_threshold, ppca_psi, c, h, lam)
 
 
 def ppca_mass_at_zero(c: float, h: PopulationSpectrum) -> float:
     """Point mass at zero of the product law: max(1 - 1/(2c), H({0}), 0)."""
-    c = _check_ratio(c)
-    t, w = _bulk(h)
-    w0 = float(w[t == 0.0].sum())
-    return max(1.0 - 1.0 / (2.0 * c), w0, 0.0)
+    return mass_at_zero(2.0 * c, h)
 
 
 def ppca_support_edges(c: float, h: PopulationSpectrum) -> tuple[float, float]:
@@ -717,22 +699,14 @@ def ppca_support_edges(c: float, h: PopulationSpectrum) -> tuple[float, float]:
     when 2c < 1; for 2c >= 1 the outer q tends to 1 at zero from below, so
     the continuous support reaches zero exactly.
     """
-    c = _check_ratio(c)
-    c2 = 2.0 * c
     _, y_star, x_star, inner = _ppca_threshold_parts(c, h)
+    c2 = inner.c
     upper = float(np.sqrt(x_star * x_star / y_star))
     if c2 >= 1.0 - 1e-12:
         return 0.0, upper
-
-    def q_outer(x: float) -> float:
-        m, m_prime, _, _ = inner.real_transforms(x)
-        return c2 * (1.0 + 2.0 * x * m + x * x * m_prime)
-
     a_in = inner.lower_edge
-    lo = a_in * 1e-8
-    hi = a_in * (1.0 - 1e-12)
-    x_left = brentq(lambda x: q_outer(x) - 1.0, lo, hi, xtol=_XTOL, rtol=_RTOL)
-    m_left, _, _, _ = inner.real_transforms(x_left)
+    x_left = _root(lambda x: inner.q_outer(x) - 1.0, a_in * 1e-8, a_in * (1.0 - 1e-12))
+    m_left, _, _, _ = inner.real_transforms(x_left, False)
     a_out = x_left * (1.0 - c2 * (1.0 + x_left * m_left))
     return float(np.sqrt(max(a_out, 0.0))), upper
 
@@ -742,13 +716,29 @@ def ppca_support_edges(c: float, h: PopulationSpectrum) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+def _midpoint_cdf(density, lower: float, upper: float, panels: int, mass: float, what: str):
+    """Cumulative midpoint-rule integral of density on equal panels.
+
+    Returns the panel nodes and the integral at each node, rescaled so the
+    last value is exactly ``mass``; ``what`` names the law in the error
+    raised when the density integrates to zero.
+    """
+    nodes = np.linspace(lower, upper, panels + 1)
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    cum = np.concatenate([[0.0], np.cumsum(density(mids)) * (nodes[1] - nodes[0])])
+    if cum[-1] <= 0.0:
+        raise SolverError(f"{what} law density integrated to zero")
+    cum *= mass / cum[-1]
+    return nodes, cum
+
+
 @functools.lru_cache(maxsize=16)
 def _inner_quantile_bulk(c: float, atoms: tuple, n_atoms: int):
     """Discretize the inner squared-scale law into quantile atoms.
 
     The continuous part of F_{2c,H^2} becomes n_atoms equal-weight atoms at
-    quantile midpoints (computed from a dense trapezoid CDF of the solver
-    density); a zero atom carries the point mass when present.
+    quantile midpoints (computed from a dense midpoint-rule CDF of the
+    solver density); a zero atom carries the point mass when present.
     """
     c2 = 2.0 * c
     h2 = square_spectrum(PopulationSpectrum(atoms=atoms))
@@ -756,14 +746,8 @@ def _inner_quantile_bulk(c: float, atoms: tuple, n_atoms: int):
     law = _BulkLaw(c2, t2, w2)
     mass0 = mass_at_zero(c2, h2)
     cont = 1.0 - mass0
-    grid = np.linspace(law.lower_edge, law.upper_edge, 4 * n_atoms + 1)
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    dens = _density_atoms(c2, t2, w2, mids)
-    spacing = grid[1] - grid[0]
-    cum = np.concatenate([[0.0], np.cumsum(dens) * spacing])
-    if cum[-1] <= 0.0:
-        raise SolverError("inner law density integrated to zero")
-    cum *= cont / cum[-1]
+    density = lambda x: _density_atoms(c2, t2, w2, x)
+    grid, cum = _midpoint_cdf(density, law.lower_edge, law.upper_edge, 4 * n_atoms, cont, "inner")
     levels = (np.arange(n_atoms) + 0.5) / n_atoms * cont
     pos = np.interp(levels, cum, grid)
     wq = np.full(n_atoms, cont / n_atoms)
@@ -786,14 +770,8 @@ def _ppca_cdf_table(c: float, atoms: tuple, n_atoms: int):
     tq, wq = _inner_quantile_bulk(c, atoms, n_atoms)
     lower, upper = ppca_support_edges(c, h)
     mass0 = ppca_mass_at_zero(c, h)
-    nodes = np.linspace(lower, upper, _CDF_PANELS + 1)
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    dens = 2.0 * mids * _density_atoms(2.0 * c, tq, wq, mids * mids)
-    spacing = nodes[1] - nodes[0]
-    cum = np.concatenate([[0.0], np.cumsum(dens) * spacing])
-    if cum[-1] <= 0.0:
-        raise SolverError("outer law density integrated to zero")
-    cum *= (1.0 - mass0) / cum[-1]
+    density = lambda t: 2.0 * t * _density_atoms(2.0 * c, tq, wq, t * t)
+    nodes, cum = _midpoint_cdf(density, lower, upper, _CDF_PANELS, 1.0 - mass0, "outer")
     interp = PchipInterpolator(nodes, mass0 + cum, extrapolate=False)
     return interp, lower, upper, mass0
 

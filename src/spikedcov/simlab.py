@@ -68,7 +68,6 @@ _CONFIG_KEYS = (
     "spikes",
     "replicates",
     "seed",
-    "out_prefix",
 )
 
 
@@ -89,7 +88,6 @@ class ExperimentConfig:
     spikes: tuple[float, ...] = ()
     replicates: int = 1
     master_seed: int = 0
-    out_prefix: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "spikes", tuple(float(v) for v in self.spikes))
@@ -173,16 +171,21 @@ def _format_cell(value) -> str:
     return "%.10g" % float(value)
 
 
+def _write_rows(fh, columns, rows) -> None:
+    """Write a header and rows to an open text file: LF line endings, %.10g numbers."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_format_cell(v) for v in row])
+
+
 def write_csv(path: str, columns, rows) -> str:
     """Write one CSV table: UTF-8, LF line endings, %.10g numbers."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
+        _write_rows(fh, columns, rows)
     return path
 
 
@@ -250,19 +253,15 @@ def _parse_spikes(raw: str, n: int, p: int, sigma2: float) -> tuple[float, ...]:
     return tuple(float(part) for part in raw.split(","))
 
 
-def parse_config(
-    text: str,
-    seed: int | None = None,
-    out_prefix: str | None = None,
-) -> ExperimentConfig:
+def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
     """Parse a key-value experiment config.
 
     One ``key = value`` pair per line, ``#`` comments allowed.  Keys: n, p,
-    model, nu, c, sigma2, spikes, replicates, seed, out_prefix.  ``spikes``
-    is a comma list of positive reals, ``none``, or ``design`` for the
-    two-spike layout (10x and 5x the product-PCA spike threshold).  A ``c``
-    key is a consistency check only: it must equal p/n.  ``seed`` and
-    ``out_prefix`` arguments override the file values.
+    model, nu, c, sigma2, spikes, replicates, seed.  ``spikes`` is a comma
+    list of positive reals, ``none``, or ``design`` for the two-spike layout
+    (10x and 5x the product-PCA spike threshold).  A ``c`` key is a
+    consistency check only: it must equal p/n.  A ``seed`` argument
+    overrides the file value.
     """
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -291,8 +290,6 @@ def parse_config(
         if "seed" not in pairs:
             raise ValueError("no seed: pass one explicitly or add a seed key")
         seed = int(pairs["seed"])
-    if out_prefix is None:
-        out_prefix = pairs.get("out_prefix", "")
     return ExperimentConfig(
         n=n,
         p=p,
@@ -302,7 +299,6 @@ def parse_config(
         spikes=_parse_spikes(pairs.get("spikes", ""), n, p, sigma2),
         replicates=int(pairs.get("replicates", "1")),
         master_seed=seed,
-        out_prefix=out_prefix,
     )
 
 
@@ -397,7 +393,7 @@ def run_spectrum_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     limit and of the PCA eigenvalue ESD to its limit (full law and
     zero-conditioned), plus the exact zero fractions.  Tables: pooled
     histograms of the positive spectra and a grid of both limiting pdfs and
-    cdfs.  Writes CSVs when the config carries an output prefix.
+    cdfs.
     """
     params = rmt.SsmParams(c=cfg.c, sigma2=cfg.sigma2)
     consts = rmt.ssm_closed_forms(params)
@@ -437,10 +433,7 @@ def run_spectrum_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         _histogram_table(cfg, pooled, consts),
         _overlay_table(params, consts, pooled),
     ]
-    report = _build_report("spectrum", columns, records, tables, cfg.flags)
-    if cfg.out_prefix:
-        report.write(cfg.out_prefix)
-    return report
+    return _build_report("spectrum", columns, records, tables, cfg.flags)
 
 
 def _histogram_table(cfg, pooled, consts):
@@ -545,10 +538,7 @@ def run_spike_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             row += [float(values[r]), float(values[-1])]
         records.append(tuple(row))
     tables = [_spike_theory_table(cfg)]
-    report = _build_report("spike", columns, records, tables, cfg.flags)
-    if cfg.out_prefix:
-        report.write(cfg.out_prefix)
-    return report
+    return _build_report("spike", columns, records, tables, cfg.flags)
 
 
 def _orthonormal_leading(matrix: np.ndarray, q: int) -> np.ndarray:
@@ -592,7 +582,4 @@ def run_robustness_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             similarity_xi(cfit.eigenvectors[:, :q], signal) for q in q_values
         ]
         records.append(tuple(row))
-    report = _build_report("robustness", columns, records, flags=cfg.flags)
-    if cfg.out_prefix:
-        report.write(cfg.out_prefix)
-    return report
+    return _build_report("robustness", columns, records, flags=cfg.flags)

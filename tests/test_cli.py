@@ -275,6 +275,28 @@ class TestSimulate:
         assert set(summary["aggregates"]) >= {"ks_ppca", "ks_pca"}
         assert prefix + "_records.csv" in summary["files"]
 
+    def test_summary_matches_aggregates_csv(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CONFIG)
+        prefix = str(tmp_path / "run")
+        code, out, _ = run_cli(
+            capsys,
+            "simulate",
+            "spectrum",
+            "--config",
+            str(cfg),
+            "--seed",
+            "5",
+            "--out-prefix",
+            prefix,
+        )
+        assert code == 0
+        with open(prefix + "_aggregates.csv", encoding="utf-8") as fh:
+            header, rows = parse_csv(fh.read())
+        assert header == ["column", "mean", "sd"]
+        stored = {name: {"mean": float(mean), "sd": float(sd)} for name, mean, sd in rows}
+        assert json.loads(out)["aggregates"] == stored
+
     def test_writes_each_csv_once(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(self.CONFIG)

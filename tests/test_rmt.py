@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from spikedcov import rmt, spectra
@@ -451,3 +452,83 @@ class TestRho:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             rmt.rho(-0.1)
+
+
+# Property sweep of the generic engine: random two-atom bulks (a zero atom
+# half the time, near-coincident atoms included) and log-uniform c in
+# [1e-3, 50], plus the exact switch points c = 1/2, c = 1, c (1 - w0) = 1 and
+# 2c (1 - w0) = 1, and c just below 1/2, where the product law's lower edge
+# leaves zero.
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+LOG_RATIOS = st.floats(np.log(1e-3), np.log(50.0))
+RATIOS = LOG_RATIOS.map(lambda v: float(np.clip(np.exp(v), 1e-3, 50.0)))
+TWO_ATOM = spectra.make_spectrum(atoms=[(0.5, 0.4), (1.5, 0.6)])
+HALF_ZERO = spectra.make_spectrum(atoms=[(0.0, 0.5), (1.0, 0.5)])
+LAWS = ((rmt.pca_threshold, rmt.pca_limit), (rmt.ppca_threshold, rmt.ppca_limit))
+
+
+@st.composite
+def two_atom_bulks(draw):
+    low = draw(st.one_of(st.just(0.0), st.floats(0.05, 3.0)))
+    gap = draw(st.floats(1e-3, 3.0))
+    weight = draw(st.floats(0.05, 0.95))
+    return spectra.make_spectrum(atoms=[(low, weight), (low + gap, 1.0 - weight)])
+
+
+def switch_points(test):
+    for c, h in ((0.5, TWO_ATOM), (1.0, TWO_ATOM), (2.0, HALF_ZERO), (1.0, HALF_ZERO)):
+        test = example(c=c, h=h)(test)
+    return test
+
+
+class TestEngineProperties:
+    @PROPERTY
+    @given(c=RATIOS, h=two_atom_bulks())
+    @switch_points
+    def test_product_threshold_dominates_classical(self, c, h):
+        assert rmt.ppca_threshold(c, h).threshold >= rmt.pca_threshold(c, h).threshold
+
+    @PROPERTY
+    @given(c=RATIOS, h=two_atom_bulks())
+    @switch_points
+    def test_limits_continuous_at_threshold(self, c, h):
+        for threshold, limit in LAWS:
+            thr = threshold(c, h)
+            at = limit(c, h, thr.threshold)
+            assert not at.is_distant and at.value == thr.bulk_edge
+            just_above = limit(c, h, thr.threshold * (1.0 + 1e-9))
+            assert just_above.is_distant
+            assert just_above.value == pytest.approx(thr.bulk_edge, rel=1e-6)
+
+    @PROPERTY
+    @given(
+        c=RATIOS,
+        h=two_atom_bulks(),
+        u=st.floats(1e-3, 10.0),
+        v=st.floats(1e-3, 1.0),
+    )
+    def test_distant_limits_increase_with_spike(self, c, h, u, v):
+        for threshold, limit in LAWS:
+            lam = threshold(c, h).threshold * (1.0 + u)
+            lower, upper = limit(c, h, lam), limit(c, h, lam * (1.0 + v))
+            assert lower.is_distant and upper.is_distant
+            assert lower.value < upper.value
+
+    @PROPERTY
+    @given(c=RATIOS, sigma2=st.floats(0.2, 5.0))
+    @example(c=0.5, sigma2=1.0)
+    @example(c=0.4999, sigma2=1.0)
+    @example(c=1.0, sigma2=2.0)
+    def test_single_atom_matches_closed_forms(self, c, sigma2):
+        consts = rmt.ssm_closed_forms(rmt.SsmParams(c=c, sigma2=sigma2))
+        h = spectra.make_spectrum(atoms=[(sigma2, 1.0)])
+
+        def close(x):
+            return pytest.approx(x, rel=1e-9, abs=1e-9)
+
+        assert rmt.ppca_threshold(c, h).threshold == close(consts.lambda_star)
+        assert rmt.pca_threshold(c, h).threshold == close(consts.lambda_prime)
+        assert rmt.ppca_support_edges(c, h) == (close(consts.a), close(consts.b))
+        assert rmt.support_edges(c, h) == (close(consts.a_prime), close(consts.b_prime))
+        assert rmt.ppca_mass_at_zero(c, h) == close(consts.mass0_ppca)
+        assert rmt.mass_at_zero(c, h) == close(consts.mass0_pca)

@@ -242,8 +242,7 @@ class TestRobustnessRunner:
 class TestReportIO:
     def test_write_and_load_roundtrip(self, tmp_path):
         prefix = str(tmp_path / "exp")
-        cfg = config(seed=5, out_prefix=prefix)
-        rep = simlab.run_spectrum_experiment(cfg)
+        rep = simlab.run_spectrum_experiment(config(seed=5))
         files = rep.write(prefix)
         assert os.path.exists(prefix + "_records.csv")
         assert os.path.exists(prefix + "_aggregates.csv")
@@ -256,22 +255,22 @@ class TestReportIO:
 
     def test_byte_identical_reruns(self, tmp_path):
         pa, pb = str(tmp_path / "a"), str(tmp_path / "b")
-        simlab.run_spectrum_experiment(config(seed=5, out_prefix=pa))
-        simlab.run_spectrum_experiment(config(seed=5, out_prefix=pb))
+        simlab.run_spectrum_experiment(config(seed=5)).write(pa)
+        simlab.run_spectrum_experiment(config(seed=5)).write(pb)
         for suffix in ("_records.csv", "_aggregates.csv", "_histogram.csv", "_overlay.csv"):
             with open(pa + suffix, "rb") as fa, open(pb + suffix, "rb") as fb:
                 assert fa.read() == fb.read()
 
     def test_different_seed_changes_records(self, tmp_path):
         pa, pb = str(tmp_path / "a"), str(tmp_path / "b")
-        simlab.run_spectrum_experiment(config(seed=5, out_prefix=pa))
-        simlab.run_spectrum_experiment(config(seed=6, out_prefix=pb))
+        simlab.run_spectrum_experiment(config(seed=5)).write(pa)
+        simlab.run_spectrum_experiment(config(seed=6)).write(pb)
         with open(pa + "_records.csv", "rb") as fa, open(pb + "_records.csv", "rb") as fb:
             assert fa.read() != fb.read()
 
     def test_load_rejects_tampered_aggregates(self, tmp_path):
         prefix = str(tmp_path / "exp")
-        simlab.run_spectrum_experiment(config(seed=5, out_prefix=prefix))
+        simlab.run_spectrum_experiment(config(seed=5)).write(prefix)
         path = prefix + "_aggregates.csv"
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()

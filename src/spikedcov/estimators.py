@@ -183,6 +183,8 @@ def _check_spike_args(values: np.ndarray, c: float, j: int) -> tuple[np.ndarray,
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
         raise ValueError("need a 1-d spectrum with at least two entries")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("spectrum must be finite")
     if np.any(np.diff(values) > 0.0):
         raise ValueError("spectrum must be sorted descending")
     if not np.isfinite(c) or c <= 0.0:

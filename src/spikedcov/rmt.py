@@ -408,76 +408,17 @@ def _companion_residual(c, t, w, m, z):
     return np.where(np.isfinite(r), r, np.inf)
 
 
-def _ladder_solve(c, t, w, z: complex) -> complex:
-    """Continuation fallback: walk Im z down from O(1) with Newton tracking."""
-    x, y = z.real, z.imag
-    y0 = max(y, 0.5 * (1.0 + abs(x)))
-    heights = np.geomspace(y0, y, _LADDER_STEPS)
+def _fixed_point(c, t, w, z, m):
+    """Damped fixed point from m on flat arrays; an entry freezes at _FP_TARGET."""
+    m = m.copy()
     wt = w * t
-
-    def residual_at(m: complex, zz: complex) -> complex:
-        s = (wt / (1.0 + m * t)).sum()
-        return -1.0 / m + c * s - zz
-
-    m = -1.0 / complex(x, y0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for h in heights:
-            zz = complex(x, h)
-            # damped fixed point: slow but reliable on the upper half-plane
-            for _ in range(300):
-                s = (wt / (1.0 + m * t)).sum()
-                m_new = (1.0 - FP_DAMPING) * m + FP_DAMPING / (c * s - zz)
-                if not (np.isfinite(m_new) and m_new.imag > 0.0):
-                    m_new = -1.0 / zz
-                if abs(m_new - m) <= 1e-14 * max(1.0, abs(m)):
-                    m = m_new
-                    break
-                m = m_new
-            # Newton polish, accepting only residual-decreasing steps
-            for _ in range(NEWTON_MAX_ITER):
-                denom = 1.0 + m * t
-                r = residual_at(m, zz)
-                if abs(r) <= SOLVER_TOL * 0.1:
-                    break
-                rp = 1.0 / (m * m) - c * (wt * t / denom**2).sum()
-                step = -r / rp
-                if not np.isfinite(step):
-                    break
-                accepted = False
-                for _ in range(60):
-                    cand = m + step
-                    if (
-                        np.isfinite(cand)
-                        and cand.imag > 0.0
-                        and abs(residual_at(cand, zz)) < abs(r)
-                    ):
-                        accepted = True
-                        break
-                    step *= 0.5
-                if not accepted:
-                    break
-                m = cand
-    return m
-
-
-def _solve_companion_grid(c: float, t: np.ndarray, w: np.ndarray, z: np.ndarray):
-    """Companion transform on an array of complex z with Im z > 0.
-
-    Damped fixed point (freezing converged entries), Newton polish, then a
-    per-point continuation ladder for any stragglers; raises SolverError if
-    a point still misses the residual tolerance.
-    """
-    z = np.asarray(z, dtype=complex)
-    flat = z.ravel()
-    m = -1.0 / flat
-    wt = w * t
-    active = np.ones(flat.shape, dtype=bool)
+    active = np.ones(z.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(FP_MAX_ITER):
             if not active.any():
                 break
             ma = m[active]
-            za = flat[active]
+            za = z[active]
             s = (wt / (1.0 + np.multiply.outer(ma, t))).sum(axis=-1)
             resid = np.abs(-1.0 / ma + c * s - za)
             done = resid <= _FP_TARGET
@@ -487,15 +428,26 @@ def _solve_companion_grid(c: float, t: np.ndarray, w: np.ndarray, z: np.ndarray)
             m[active] = np.where(done, ma, m_new)
             idx = np.flatnonzero(active)
             active[idx[done]] = False
+    return m
 
-        resid = _companion_residual(c, t, w, m, flat)
+
+def _newton(c, t, w, m, z):
+    """Newton polish from m on flat arrays toward _NEWTON_TARGET.
+
+    Steps are halved until they stay finite in the upper half-plane, and
+    only residual-decreasing steps are taken; returns (m, residual).
+    """
+    m = m.copy()
+    wt = w * t
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        resid = _companion_residual(c, t, w, m, z)
         polish = resid > _NEWTON_TARGET
         for _ in range(NEWTON_MAX_ITER):
             act = polish & (resid > _NEWTON_TARGET)
             if not act.any():
                 break
             ma = m[act]
-            za = flat[act]
+            za = z[act]
             denom = 1.0 + np.multiply.outer(ma, t)
             s = (wt / denom).sum(axis=-1)
             r = -1.0 / ma + c * s - za
@@ -521,10 +473,30 @@ def _solve_companion_grid(c: float, t: np.ndarray, w: np.ndarray, z: np.ndarray)
             resid[act] = new_resid
             idx = np.flatnonzero(act)
             polish[idx[~better]] = False
+    return m, resid
 
-    for i in np.flatnonzero(resid > SOLVER_TOL):
-        m[i] = _ladder_solve(c, t, w, complex(flat[i]))
-        resid[i] = float(_companion_residual(c, t, w, m[i : i + 1], flat[i : i + 1])[0])
+
+def _solve_companion_grid(c: float, t: np.ndarray, w: np.ndarray, z: np.ndarray):
+    """Companion transform on an array of complex z with Im z > 0.
+
+    Damped fixed point (freezing converged entries), then Newton polish.
+    Points still above SOLVER_TOL walk down together in Im z: the fixed
+    point runs once at a height of order one, then Newton alone follows a
+    geometric ladder of heights down to Im z, warm-started from the height
+    above.  Raises SolverError if a point still misses the tolerance.
+    """
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    m, resid = _newton(c, t, w, _fixed_point(c, t, w, flat, -1.0 / flat), flat)
+    lost = np.flatnonzero(resid > SOLVER_TOL)
+    if lost.size:
+        x, y = flat[lost].real, flat[lost].imag
+        top = x + 1j * np.maximum(y, 0.5 * (1.0 + np.abs(x)))
+        m_lost = _fixed_point(c, t, w, top, -1.0 / top)
+        for h in np.geomspace(top.imag, y, _LADDER_STEPS):
+            m_lost, r_lost = _newton(c, t, w, m_lost, x + 1j * h)
+        m[lost] = m_lost
+        resid[lost] = r_lost
     worst = float(resid.max()) if resid.size else 0.0
     if worst > SOLVER_TOL:
         raise SolverError("fixed-point solve did not converge", residual=worst)
@@ -554,10 +526,13 @@ def stieltjes_real(
     Derivatives come from implicit differentiation of the fixed point.
     """
     c = _check_ratio(c)
+    x = float(x)
+    if not np.isfinite(x):
+        raise ValueError(f"stieltjes_real requires a finite x, got {x!r}")
     law = _BulkLaw(c, *_bulk(h))
     if side not in ("above", "below"):
         raise ValueError(f"unknown side {side!r}")
-    m, m_prime, _, _ = law.real_transforms(float(x), side == "above")
+    m, m_prime, _, _ = law.real_transforms(x, side == "above")
     return m, m_prime
 
 
@@ -608,8 +583,8 @@ def _check_spike_map(name: str, c: float, h: PopulationSpectrum, lam) -> np.ndar
     if c < 0.0 or not np.isfinite(c):
         raise ValueError("aspect ratio c must be nonnegative and finite")
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    if np.any(lam_arr <= h.bulk_upper):
-        raise ValueError(f"{name} requires lam above the bulk upper edge {h.bulk_upper!r}")
+    if not np.all(np.isfinite(lam_arr) & (lam_arr > h.bulk_upper)):
+        raise ValueError(f"{name} requires finite lam above the bulk upper edge {h.bulk_upper!r}")
     return lam_arr
 
 
@@ -667,8 +642,8 @@ def ppca_threshold(c: float, h: PopulationSpectrum) -> Threshold:
 def _spike_limit(threshold, forward, c: float, h: PopulationSpectrum, lam: float) -> SpikedLimit:
     """Distant value forward(c, h, lam) above threshold(c, h), else the stuck edge."""
     lam = float(lam)
-    if lam <= h.bulk_upper:
-        raise ValueError("spike must exceed the bulk upper edge")
+    if not (np.isfinite(lam) and lam > h.bulk_upper):
+        raise ValueError("spike must be finite and exceed the bulk upper edge")
     thr = threshold(c, h)
     if lam > thr.threshold:
         return SpikedLimit.distant(forward(c, h, lam))
@@ -982,7 +957,7 @@ def bias_report(c: float, h: PopulationSpectrum, lam: float) -> BiasReport:
     lam = float(lam)
     ppca_thr = ppca_threshold(c, h)
     pca_thr = pca_threshold(c, h)
-    if lam <= ppca_thr.threshold or lam <= pca_thr.threshold:
+    if not (lam > ppca_thr.threshold and lam > pca_thr.threshold):
         raise ValueError(
             f"spike {lam!r} is not distant for both methods "
             f"(thresholds {ppca_thr.threshold!r}, {pca_thr.threshold!r})"

@@ -157,6 +157,18 @@ class TestDebias:
                 estimators.debias_ppca(lam, 0.4, j), rel=1e-9
             )
 
+    def test_nan_spectrum_is_json_value_error(self, capsys, tmp_path):
+        path = tmp_path / "spectrum.csv"
+        path.write_text("eigenvalue\n3.2\nnan\n1.2\n0.8\n")
+        code, out, err = run_cli(
+            capsys, "debias", "--input", str(path), "--method", "pca", "--c", "0.4", "--j", "1"
+        )
+        assert code == 1
+        assert out == ""
+        rec = json.loads(err)
+        assert rec["error"] == "ValueError"
+        assert "finite" in rec["message"]
+
 
 class TestFit:
     def test_pca_eigenvalues(self, capsys, tmp_path):

@@ -172,6 +172,15 @@ class TestDebias:
         with pytest.raises(ValueError):
             estimators.debias_pca(np.array([3.0, 1.0]), 0.4, 0)
 
+    @pytest.mark.parametrize(
+        "lam", [[np.nan, 2.0, 1.0], [3.0, np.nan, 1.0], [np.inf, 2.0, 1.0], [3.0, 2.0, -np.inf]]
+    )
+    def test_rejects_non_finite(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            estimators.debias_ppca(np.array(lam), 0.4, 1)
+        with pytest.raises(ValueError, match="finite"):
+            estimators.debias_pca(np.array(lam), 0.4, 1)
+
     def test_moves_estimate_toward_population_value(self):
         # spiked gaussian sample: raw top eigenvalue overshoots the spike,
         # the corrected one comes back near it

@@ -13,6 +13,7 @@ FLAT = spectra.make_spectrum(atoms=[(1.0, 1.0)])
 C_GRID = (0.1, 0.4, 1.0, 2.0, 5.0)
 Z_REALS = (-1.0, 0.3, 1.0, 2.5, 6.0)
 Z_IMAGS = (1e-6, 1e-3, 0.5)
+NON_FINITE = (np.nan, np.inf, -np.inf)
 
 
 def flat_mp_edges(c, sigma2=1.0):
@@ -68,6 +69,37 @@ class TestStieltjes:
             rmt.stieltjes(0.4, FLAT, complex(1.0, -0.1))
 
 
+class TestContinuation:
+    def test_edge_stragglers_match_oracle(self, monkeypatch):
+        """Points just off both flat-bulk edges at tiny heights.
+
+        Some of them miss SOLVER_TOL in the first fixed-point/Newton pass
+        and are walked down in Im z, which shows as more than one Newton
+        call per solve.
+        """
+        newton = rmt._newton
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return newton(*args)
+
+        monkeypatch.setattr(rmt, "_newton", counted)
+        continued = 0
+        for c in (0.1, 0.4, 2.0, 5.0):
+            for edge in flat_mp_edges(c):
+                for offset in np.geomspace(1e-6, 1e-2, 5):
+                    for x in (edge - offset, edge + offset):
+                        z = complex(x, max(1e-9, 1e-6 * x))
+                        calls.clear()
+                        ev = rmt.stieltjes(c, FLAT, z)
+                        continued += len(calls) > 1
+                        mu, m = mp_stieltjes_oracle(c, 1.0, z)
+                        assert abs(ev.m_under - mu) < 1e-10
+                        assert abs(ev.m - m) < 1e-10
+        assert continued > 0
+
+
 class TestStieltjesReal:
     def test_above_support_matches_oracle(self):
         for c in (0.4, 2.0):
@@ -89,6 +121,12 @@ class TestStieltjesReal:
         _, m_ref = mp_stieltjes_oracle(0.4, 1.0, complex(lo * 0.5, 1e-9))
         assert abs(m - m_ref.real) < 1e-6
         assert m_prime > 0.0
+
+    @pytest.mark.parametrize("side", ["above", "below"])
+    @pytest.mark.parametrize("x", NON_FINITE)
+    def test_rejects_non_finite(self, x, side):
+        with pytest.raises(ValueError, match="finite"):
+            rmt.stieltjes_real(0.4, FLAT, x, side=side)
 
     def test_rejects_inside_support(self):
         with pytest.raises(ValueError):
@@ -186,6 +224,14 @@ class TestPsiMaps:
         with pytest.raises(ValueError):
             rmt.ppca_psi(0.4, FLAT, 0.2)
 
+    @pytest.mark.parametrize("lam", NON_FINITE)
+    @pytest.mark.parametrize("name", ["psi", "ppca_psi"])
+    def test_rejects_non_finite(self, name, lam):
+        with pytest.raises(ValueError, match="finite"):
+            getattr(rmt, name)(0.4, FLAT, lam)
+        with pytest.raises(ValueError, match="finite"):
+            getattr(rmt, name)(0.4, FLAT, np.array([3.0, lam]))
+
 
 class TestThresholds:
     def test_flat_closed_forms(self):
@@ -242,6 +288,12 @@ class TestSpikedLimits:
             rmt.pca_limit(0.4, FLAT, 0.9)
         with pytest.raises(ValueError):
             rmt.ppca_limit(0.4, FLAT, 1.0)
+
+    @pytest.mark.parametrize("lam", NON_FINITE)
+    @pytest.mark.parametrize("name", ["pca_limit", "ppca_limit"])
+    def test_rejects_non_finite(self, name, lam):
+        with pytest.raises(ValueError, match="finite"):
+            getattr(rmt, name)(0.4, FLAT, lam)
 
     def test_tag_constructors(self):
         assert rmt.SpikedLimit.distant(3.3).tag == "distant"
@@ -425,6 +477,11 @@ class TestBiasReport:
     def test_rejects_non_distant(self):
         with pytest.raises(ValueError):
             rmt.bias_report(0.4, FLAT, 1.6)
+
+    @pytest.mark.parametrize("lam", NON_FINITE)
+    def test_rejects_non_finite(self, lam):
+        with pytest.raises(ValueError):
+            rmt.bias_report(0.4, FLAT, lam)
 
 
 class TestRho:

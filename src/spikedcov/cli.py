@@ -184,7 +184,9 @@ def _cmd_debias(args) -> int:
     debias = estimators.debias_ppca if args.method == "ppca" else estimators.debias_pca
     rows = []
     for j in (int(v) for v in args.j.split(",")):
-        rows.append((j, values[j - 1], debias(values, args.c, j)))
+        # the estimator validates j before the raw value is read
+        debiased = debias(values, args.c, j)
+        rows.append((j, values[j - 1], debiased))
     _emit_csv(args.out, ("j", "raw", "debiased"), rows)
     return 0
 

@@ -221,6 +221,14 @@ def _check_ratio(c: float) -> float:
     return c
 
 
+def _points(name: str, t, positive: bool) -> np.ndarray:
+    """t as a 1-d float array, checked finite and > 0 (positive) or >= 0."""
+    pts = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(np.isfinite(pts) & ((pts > 0.0) if positive else (pts >= 0.0))):
+        raise ValueError(f"{name} requires finite t {'>' if positive else '>='} 0")
+    return pts
+
+
 def _root(f, lo: float, hi: float) -> float:
     """Root of f on the sign-changing bracket [lo, hi] at the engine tolerances."""
     return brentq(f, lo, hi, xtol=_XTOL, rtol=_RTOL)
@@ -507,8 +515,8 @@ def stieltjes(c: float, h: PopulationSpectrum, z: complex) -> StieltjesEval:
     """Solve the fixed-point equation at one complex z with Im z > 0."""
     c = _check_ratio(c)
     z = complex(z)
-    if not z.imag > 0.0:
-        raise ValueError("stieltjes requires Im z > 0")
+    if not (np.isfinite(z) and z.imag > 0.0):
+        raise ValueError("stieltjes requires a finite z with Im z > 0")
     t, w = _bulk(h)
     m_comp, resid = _solve_companion_grid(c, t, w, np.array([z]))
     m_comp = complex(m_comp[0])
@@ -556,9 +564,7 @@ def _density_atoms(c: float, t: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.
 def mp_density(c: float, h: PopulationSpectrum, t) -> float | np.ndarray:
     """Density of the classical sample-covariance law at t > 0."""
     c = _check_ratio(c)
-    pts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(pts <= 0.0):
-        raise ValueError("mp_density requires t > 0")
+    pts = _points("mp_density", t, positive=True)
     out = _density_atoms(c, *_bulk(h), pts)
     return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
 
@@ -756,9 +762,7 @@ def ppca_lsd_cdf(
 ) -> float | np.ndarray:
     """CDF of the product law at t >= 0 (composed two-level solve)."""
     c = _check_ratio(c)
-    pts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(pts < 0.0):
-        raise ValueError("ppca_lsd_cdf requires t >= 0")
+    pts = _points("ppca_lsd_cdf", t, positive=False)
     interp, lower, upper, mass0 = _ppca_cdf_table(c, h.atoms, n_atoms)
     out = np.empty(pts.shape)
     below = pts <= lower
@@ -776,9 +780,7 @@ def ppca_lsd_pdf(
 ) -> float | np.ndarray:
     """Continuous density of the product law at t > 0: 2 t f_outer(t^2)."""
     c = _check_ratio(c)
-    pts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(pts <= 0.0):
-        raise ValueError("ppca_lsd_pdf requires t > 0")
+    pts = _points("ppca_lsd_pdf", t, positive=True)
     tq, wq = _inner_quantile_bulk(c, h.atoms, n_atoms)
     out = 2.0 * pts * _density_atoms(2.0 * c, tq, wq, pts * pts)
     return float(out[0]) if np.ndim(t) == 0 else out
@@ -837,9 +839,7 @@ def ssm_g_pdf(params: SsmParams, t) -> float | np.ndarray:
     c = params.c
     s2 = params.sigma2
     consts = ssm_closed_forms(params)
-    pts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(pts <= 0.0):
-        raise ValueError("ssm_g_pdf requires t > 0")
+    pts = _points("ssm_g_pdf", t, positive=True)
     x = pts * pts
     inside = (x >= consts.alpha) & (x <= consts.beta)
     prod = np.clip((x - consts.alpha) * (consts.beta - x), 0.0, None)
@@ -861,9 +861,7 @@ def ssm_f_pdf(params: SsmParams, t) -> float | np.ndarray:
     c = params.c
     s2 = params.sigma2
     consts = ssm_closed_forms(params)
-    pts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(pts <= 0.0):
-        raise ValueError("ssm_f_pdf requires t > 0")
+    pts = _points("ssm_f_pdf", t, positive=True)
     inside = (pts >= consts.a_prime) & (pts <= consts.b_prime)
     prod = np.clip((pts - consts.a_prime) * (consts.b_prime - pts), 0.0, None)
     out = np.where(inside, np.sqrt(prod) / (2.0 * np.pi * c * s2 * pts), 0.0)
@@ -882,7 +880,7 @@ def _gl_panels() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _GL_EDGES, _GL_X, _GL_W = _gl_panels()
 
 
-def _cdf_from_pdf(pdf, lower: float, upper: float, mass0: float, t) -> float | np.ndarray:
+def _cdf_from_pdf(name: str, pdf, lower: float, upper: float, mass0: float, t) -> float | np.ndarray:
     """mass0 + integral of pdf from lower to min(t, upper).
 
     The integral is taken in theta, with t = lower + (upper - lower) sin^2
@@ -894,9 +892,7 @@ def _cdf_from_pdf(pdf, lower: float, upper: float, mass0: float, t) -> float | n
     point then adds one partial-panel rule from its panel's left edge, and
     every node of the call goes through one vectorized pdf evaluation.
     """
-    pts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(pts < 0.0):
-        raise ValueError("cdf requires t >= 0")
+    pts = _points(name, t, positive=False)
     width = upper - lower
     theta = np.arcsin(np.sqrt((np.clip(pts, lower, upper) - lower) / width))
     panel = np.clip(np.searchsorted(_GL_EDGES, theta, side="right") - 1, 0, _GL_PANELS - 1)
@@ -923,6 +919,7 @@ def ssm_g_cdf(params: SsmParams, t) -> float | np.ndarray:
     """Closed-form CDF of the product law (point mass at zero included)."""
     consts = ssm_closed_forms(params)
     return _cdf_from_pdf(
+        "ssm_g_cdf",
         functools.partial(ssm_g_pdf, params),
         consts.a,
         consts.b,
@@ -935,6 +932,7 @@ def ssm_f_cdf(params: SsmParams, t) -> float | np.ndarray:
     """Closed-form CDF of the classical law (point mass at zero included)."""
     consts = ssm_closed_forms(params)
     return _cdf_from_pdf(
+        "ssm_f_cdf",
         functools.partial(ssm_f_pdf, params),
         consts.a_prime,
         consts.b_prime,

@@ -343,47 +343,35 @@ def _split_stream(cfg: ExperimentConfig, replicate_index: int) -> RngStream:
     return RngStream(cfg.master_seed, 2 * replicate_index + 1)
 
 
-def _zero_count(values: np.ndarray, n: int, p: int) -> int:
-    """Count exact-rank zeros: values at roundoff scale of the largest."""
-    if values.size == 0 or values[0] <= 0.0:
-        return int(values.size)
-    tol = max(n, p) * np.spacing(values[0])
-    return int(np.count_nonzero(values <= tol))
+def _snap_zeros(values: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Copy of a decreasing spectrum with values at roundoff scale of its first set to 0.0."""
+    tol = max(n, p) * np.spacing(max(values[0], 0.0))
+    return np.where(values <= tol, 0.0, values)
 
 
-def _ks_grid(values: np.ndarray) -> np.ndarray:
-    vals = np.unique(values)
-    eps = 1e-9 * max(1.0, float(vals[-1])) if vals.size else 1e-9
-    grid = np.sort(np.concatenate([vals - eps, vals, vals + eps]))
-    # spectra live on [0, inf): below zero both cdfs vanish identically
-    return grid[grid >= 0.0]
+def _ks_pair(values: np.ndarray, cdf, mass0: float) -> tuple[float, float]:
+    """Exact KS against the full law and against its continuous part.
 
-
-def _ks_pair(values: np.ndarray, cdf, mass0: float, n: int, p: int) -> tuple[float, float]:
-    """KS against the full law and against its continuous part.
-
-    Rank-deficiency zeros come back from the SVD at roundoff scale; they are
-    snapped to exact zeros so the empirical point mass sits at 0 where the
-    law's does.  The conditional statistic drops those zeros and compares
-    against the zero-conditioned CDF; with no point mass the two coincide.
+    ``values`` holds its rank-deficiency zeros as exact zeros, so the
+    empirical point mass sits at 0 where the law's does.  The law is
+    continuous on (0, inf): the supremum is attained at a positive
+    eigenvalue or at the jump at 0, scored once as |zeros/p - mass0|.  The
+    conditional statistic drops the zeros and compares against the
+    zero-conditioned CDF; with no point mass the two coincide.
     """
-    zeros = _zero_count(values, n, p)
-    values = values.copy()
-    if zeros:
-        values[values.size - zeros :] = 0.0
-    esd = ESD(values=values)
-    full = ks_distance(esd, cdf, _ks_grid(values))
-    positive = values[: values.size - zeros] if zeros else values
+    positive = values[values > 0.0]
+    at_zero = abs((values.size - positive.size) / values.size - mass0)
     if positive.size == 0:
-        return full, 0.0
+        return at_zero, 0.0
+    grid = np.unique(positive)
+    full = max(at_zero, ks_distance(ESD(values=values), cdf, grid))
     if mass0 <= 0.0:
         return full, full
 
     def conditional(t):
         return np.maximum(0.0, (cdf(t) - mass0) / (1.0 - mass0))
 
-    cond = ks_distance(ESD(values=positive), conditional, _ks_grid(positive))
-    return full, cond
+    return full, ks_distance(ESD(values=positive), conditional, grid)
 
 
 def run_spectrum_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -412,10 +400,10 @@ def run_spectrum_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     pooled = {"ppca": [], "pca": []}
     for i in range(cfg.replicates):
         x = gen_data(cfg, i)
-        sing = ppca_fit(x, _split_stream(cfg, i)).singular_values
-        eig = pca_fit(x).eigenvalues
-        ks_g, cond_g = _ks_pair(sing, g_cdf, consts.mass0_ppca, cfg.n, cfg.p)
-        ks_f, cond_f = _ks_pair(eig, f_cdf, consts.mass0_pca, cfg.n, cfg.p)
+        sing = _snap_zeros(ppca_fit(x, _split_stream(cfg, i)).singular_values, cfg.n, cfg.p)
+        eig = _snap_zeros(pca_fit(x).eigenvalues, cfg.n, cfg.p)
+        ks_g, cond_g = _ks_pair(sing, g_cdf, consts.mass0_ppca)
+        ks_f, cond_f = _ks_pair(eig, f_cdf, consts.mass0_pca)
         records.append(
             (
                 i,
@@ -423,20 +411,20 @@ def run_spectrum_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 ks_f,
                 cond_g,
                 cond_f,
-                _zero_count(sing, cfg.n, cfg.p) / cfg.p,
-                _zero_count(eig, cfg.n, cfg.p) / cfg.p,
+                np.count_nonzero(sing == 0.0) / cfg.p,
+                np.count_nonzero(eig == 0.0) / cfg.p,
             )
         )
         pooled["ppca"].append(sing)
         pooled["pca"].append(eig)
     tables = [
-        _histogram_table(cfg, pooled, consts),
+        _histogram_table(pooled, consts),
         _overlay_table(params, consts, pooled),
     ]
     return _build_report("spectrum", columns, records, tables, cfg.flags)
 
 
-def _histogram_table(cfg, pooled, consts):
+def _histogram_table(pooled, consts):
     hi = 1.02 * max(
         consts.b,
         consts.b_prime,
@@ -447,9 +435,7 @@ def _histogram_table(cfg, pooled, consts):
     rows = []
     for method in ("ppca", "pca"):
         values = np.concatenate(pooled[method])
-        zeros = sum(_zero_count(v, cfg.n, cfg.p) for v in pooled[method])
-        positive = np.sort(values)[zeros:]
-        counts, _ = np.histogram(positive, bins=edges)
+        counts, _ = np.histogram(values[values > 0.0], bins=edges)
         # normalized by the full count so the bars integrate to 1 - mass at 0
         dens = counts / (values.size * (edges[1] - edges[0]))
         for lo, hi_edge, d in zip(edges[:-1], edges[1:], dens):

@@ -165,10 +165,12 @@ class ESD:
 def esd_cdf(esd: ESD, t: float | np.ndarray) -> float | np.ndarray:
     """Empirical CDF of ``esd`` at ``t``: fraction of eigenvalues <= t.
 
-    Right-continuous step function; accepts scalars or arrays.
+    Right-continuous step function; accepts scalars or arrays, not NaN.
     """
-    ascending = esd.values[::-1]
-    idx = np.searchsorted(ascending, np.asarray(t, dtype=float), side="right")
+    pts = np.asarray(t, dtype=float)
+    if np.isnan(pts).any():
+        raise ValueError("esd_cdf requires t that is not NaN")
+    idx = np.searchsorted(esd.values[::-1], pts, side="right")
     out = idx / esd.dim_p
     return float(out) if np.isscalar(t) else out
 
@@ -180,13 +182,15 @@ def ks_distance(
 ) -> float:
     """Kolmogorov-Smirnov distance between an ESD and a reference CDF.
 
-    Computed as the max over ``grid`` of |F_emp(t) - cdf(t)|; the caller
-    picks a grid fine enough for the resolution it needs.
+    Compares ``cdf(t)`` with both F_emp(t-) and F_emp(t) at every grid point.
+    For a law continuous on the range scored, a grid of the ESD's jump points
+    gives the exact supremum.
     """
     pts = np.asarray(grid, dtype=float)
     if pts.size == 0:
         raise ValueError("ks_distance needs a nonempty grid")
-    emp = esd_cdf(esd, pts)
+    left = np.searchsorted(esd.values[::-1], pts, side="left") / esd.dim_p
+    right = esd_cdf(esd, pts)
     try:
         # one vectorized call lets segment-cached reference cdfs amortize
         ref = np.asarray(cdf(pts), dtype=float)
@@ -194,7 +198,7 @@ def ks_distance(
             raise TypeError("cdf is not vectorized")
     except TypeError:
         ref = np.array([float(cdf(float(t))) for t in pts])
-    return float(np.max(np.abs(emp - ref)))
+    return float(max(np.max(np.abs(left - ref)), np.max(np.abs(right - ref))))
 
 
 def parse_spectrum_text(text: str) -> PopulationSpectrum:

@@ -106,6 +106,23 @@ def ssm_g_cdf_oracle(c: float, sigma2: float, t: float) -> float:
     return cf.mass0_ppca + head
 
 
+def ks_exact_oracle(values, cdf, mass0: float) -> float:
+    """Exact KS distance between the ESD of values and a law with mass0 at 0.
+
+    The law is taken continuous on (0, inf).  One loop over the sorted
+    positive values compares the law with the empirical CDF just below and at
+    each of them; the jump at 0 is compared once.
+    """
+    x = np.sort(np.asarray(values, dtype=float))
+    p = x.size
+    zeros = int(np.count_nonzero(x == 0.0))
+    worst = abs(zeros / p - mass0)
+    for i in range(zeros, p):
+        f = float(cdf(float(x[i])))
+        worst = max(worst, abs(f - i / p), abs(f - (i + 1) / p))
+    return worst
+
+
 def random_bulk(rng: np.random.Generator, n_atoms: int) -> spectra.PopulationSpectrum:
     """Random discrete bulk law with distinct positive atoms."""
     vals = np.sort(rng.uniform(0.2, 3.0, size=n_atoms))

@@ -169,6 +169,18 @@ class TestDebias:
         assert rec["error"] == "ValueError"
         assert "finite" in rec["message"]
 
+    def test_index_past_spectrum_is_json_value_error(self, capsys, tmp_path):
+        path = tmp_path / "spectrum.csv"
+        path.write_text("eigenvalue\n3.2\n1.9\n1.2\n0.8\n0.3\n")
+        code, out, err = run_cli(
+            capsys, "debias", "--input", str(path), "--method", "ppca", "--c", "0.4", "--j", "9"
+        )
+        assert code == 1
+        assert out == ""
+        rec = json.loads(err)
+        assert rec["error"] == "ValueError"
+        assert "1 <= j < 5" in rec["message"]
+
 
 class TestFit:
     def test_pca_eigenvalues(self, capsys, tmp_path):

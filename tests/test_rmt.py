@@ -68,6 +68,12 @@ class TestStieltjes:
         with pytest.raises(ValueError):
             rmt.stieltjes(0.4, FLAT, complex(1.0, -0.1))
 
+    @pytest.mark.parametrize("x", NON_FINITE)
+    def test_rejects_non_finite(self, x):
+        for z in (complex(x, 0.5), complex(1.0, x)):
+            with pytest.raises(ValueError, match="finite"):
+                rmt.stieltjes(0.4, FLAT, z)
+
 
 class TestContinuation:
     def test_edge_stragglers_match_oracle(self, monkeypatch):
@@ -452,6 +458,26 @@ class TestClosedFormCdfs:
             mid = 0.5 * (lo + hi)
             assert isinstance(cdf(mid), float)
             assert cdf(mid) == cdf(np.array([mid]))[0]
+
+
+SSM = rmt.SsmParams(c=0.4, sigma2=1.0)
+POINT_FUNCTIONS = {
+    "ssm_g_cdf": functools.partial(rmt.ssm_g_cdf, SSM),
+    "ssm_f_cdf": functools.partial(rmt.ssm_f_cdf, SSM),
+    "ssm_g_pdf": functools.partial(rmt.ssm_g_pdf, SSM),
+    "ssm_f_pdf": functools.partial(rmt.ssm_f_pdf, SSM),
+    "ppca_lsd_cdf": functools.partial(rmt.ppca_lsd_cdf, 0.4, FLAT),
+    "ppca_lsd_pdf": functools.partial(rmt.ppca_lsd_pdf, 0.4, FLAT),
+    "mp_density": functools.partial(rmt.mp_density, 0.4, FLAT),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_FUNCTIONS))
+@pytest.mark.parametrize("t", NON_FINITE)
+def test_law_functions_reject_non_finite_points(name, t):
+    for arg in (t, np.array([1.0, t])):
+        with pytest.raises(ValueError, match=f"{name} requires finite t"):
+            POINT_FUNCTIONS[name](arg)
 
 
 class TestBiasReport:

@@ -1,9 +1,12 @@
+import functools
 import os
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from spikedcov import rmt, simlab
+from conftest import ks_exact_oracle
+from spikedcov import estimators, rmt, simlab
 
 
 BASE = "n=40\np=16\nmodel=gaussian\nreplicates=2\n"
@@ -162,6 +165,37 @@ class TestSpectrumRunner:
             j = cols.index(name)
             for r in rows[:: len(rows) // 10]:
                 assert r[j] == pytest.approx(float(fn(params, r[it])), abs=1e-9)
+
+
+class TestKsPair:
+    @pytest.mark.parametrize("n, p", [(60, 24), (30, 60)])
+    def test_exact_statistics(self, n, p):
+        # c = 0.4 has no point mass at zero; c = 2 has one for both laws
+        cfg = config(f"n={n}\np={p}\nmodel=gaussian\nreplicates=1\n", seed=3)
+        params = rmt.SsmParams(c=cfg.c, sigma2=1.0)
+        consts = rmt.ssm_closed_forms(params)
+        x = simlab.gen_data(cfg, 0)
+        fits = (
+            (
+                estimators.ppca_fit(x, simlab._split_stream(cfg, 0)).singular_values,
+                rmt.ssm_g_cdf,
+                consts.mass0_ppca,
+            ),
+            (estimators.pca_fit(x).eigenvalues, rmt.ssm_f_cdf, consts.mass0_pca),
+        )
+        for raw, law, mass0 in fits:
+            values = simlab._snap_zeros(raw, n, p)
+            cdf = functools.partial(law, params)
+            full, cond = simlab._ks_pair(values, cdf, mass0)
+            assert full == pytest.approx(ks_exact_oracle(values, cdf, mass0), abs=1e-15)
+            positive = values[values > 0.0]
+            assert np.count_nonzero(values == 0.0) / p == pytest.approx(mass0, abs=1e-12)
+
+            def conditional(t):
+                return np.maximum(0.0, (cdf(t) - mass0) / (1.0 - mass0))
+
+            want = stats.ks_1samp(positive, conditional).statistic
+            assert cond == pytest.approx(want, abs=1e-15)
 
 
 class TestSpikeRunner:

@@ -70,6 +70,13 @@ class TestESD:
         assert spectra.esd_cdf(e, 3.0) == 1.0
         assert spectra.esd_cdf(e, 10.0) == 1.0
 
+    def test_cdf_rejects_nan(self):
+        e = spectra.ESD(values=np.array([2.0, 1.0]))
+        with pytest.raises(ValueError, match="NaN"):
+            spectra.esd_cdf(e, np.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            spectra.esd_cdf(e, np.array([1.5, np.nan]))
+
     def test_cdf_vectorized(self):
         e = spectra.ESD(values=np.array([2.0, 1.0]))
         out = spectra.esd_cdf(e, np.array([0.5, 1.5, 2.5]))
@@ -88,6 +95,11 @@ class TestKsDistance:
     def test_known_value(self):
         e = spectra.ESD(values=np.array([1.0]))
         assert spectra.ks_distance(e, lambda t: 0.5, [2.0]) == pytest.approx(0.5)
+
+    def test_scores_left_limit_at_jump(self):
+        # just below the jump at 3 the ESD is 0 and the law 3/4
+        e = spectra.ESD(values=np.array([3.0]))
+        assert spectra.ks_distance(e, lambda t: t / 4.0, [3.0]) == pytest.approx(0.75)
 
     def test_rejects_empty_grid(self):
         e = spectra.ESD(values=np.array([1.0]))

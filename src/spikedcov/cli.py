@@ -37,7 +37,6 @@ _VERSION_TEXT = json.dumps(
         "fp_damping": rmt.FP_DAMPING,
         "fp_max_iter": rmt.FP_MAX_ITER,
         "newton_max_iter": rmt.NEWTON_MAX_ITER,
-        "inner_atoms": rmt.INNER_ATOMS,
     }
 )
 

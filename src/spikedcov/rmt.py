@@ -21,6 +21,12 @@ Outside the support psi is monotone; its critical points (q = 1) yield the
 support edges (as psi values) and the phase-transition thresholds for spiked
 eigenvalues. Derivatives of transforms are always obtained by implicit
 differentiation, never by finite differences.
+
+The composition needs no nested solve: with k the inner law's companion
+transform and U(k) = -1/k + 2c * sum w t/(1 + t k) over H^2, the outer one is
+-1/U(k) and z = -k * U(k)^2.  On the real axis k = -1/y makes U = psi(y)
+(ratio 2c, bulk H^2), and the critical points 2 y psi'(y) = psi(y) of
+x(y) = psi(y)^2/y give the product thresholds and support edges.
 """
 from __future__ import annotations
 
@@ -28,7 +34,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .spectra import PopulationSpectrum, make_spectrum, square_spectrum
@@ -38,7 +43,6 @@ __all__ = [
     "FP_DAMPING",
     "FP_MAX_ITER",
     "NEWTON_MAX_ITER",
-    "INNER_ATOMS",
     "CDF_GATE",
     "SolverError",
     "StieltjesEval",
@@ -62,7 +66,6 @@ __all__ = [
     "ppca_mass_at_zero",
     "ppca_lsd_cdf",
     "ppca_lsd_pdf",
-    "ssm_spectrum",
     "ssm_closed_forms",
     "ssm_g_pdf",
     "ssm_f_pdf",
@@ -83,11 +86,8 @@ _FP_TARGET = 1e-6
 _NEWTON_TARGET = 1e-14
 _LADDER_STEPS = 48
 
-# Quantile atoms used when the inner product law becomes an outer bulk, and
-# the convergence gate the doubling test must satisfy.
-INNER_ATOMS = 512
+# Largest gap a generic law's CDF may show against a closed form.
 CDF_GATE = 1e-3
-_CDF_PANELS = 2048
 
 # Composite Gauss-Legendre rule of the closed-form CDFs (see _cdf_from_pdf):
 # nodes per panel, panel count, and the width ratio of neighbouring panels
@@ -269,23 +269,34 @@ def _q_raw(c: float, t: np.ndarray, w: np.ndarray, lam):
     return c * terms.sum(axis=-1)
 
 
-def _upper_critical(c: float, t: np.ndarray, w: np.ndarray) -> float:
-    """Root of q = 1 above the largest bulk atom."""
+def _g_raw(c: float, t: np.ndarray, w: np.ndarray, y, slope: bool = False):
+    """c*sum w t (t+y)/(t-y)^2, which is 1 where 2 y psi'(y) = psi(y), or its slope.
+
+    The slope in y is c*sum w t (3t+y)/(t-y)^3.  Vectorized over y.
+    """
+    y = np.asarray(y, dtype=float)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = w * t * ((3.0 * t + y) / (t - y) ** 3 if slope else (t + y) / (t - y) ** 2)
+    return c * np.where(t == 0.0, 0.0, terms).sum(axis=-1)
+
+
+def _upper_critical(crit, c: float, t: np.ndarray, w: np.ndarray) -> float:
+    """Root of crit(c, t, w, .) = 1 above the largest bulk atom."""
     u = float(t[-1])
     if u <= 0.0:
         raise SolverError("bulk law has no positive atoms")
-    q_minus_one = lambda x: _q_raw(c, t, w, x) - 1.0
+    crit_minus_one = lambda x: crit(c, t, w, x) - 1.0
     lo = u * (1.0 + 1e-12)
-    hi = _grow(q_minus_one, u * (1.0 + np.sqrt(c)) * 10.0, f"no critical point above {lo:.3e}")
-    return _root(q_minus_one, lo, hi)
+    hi = _grow(crit_minus_one, u * (1.0 + np.sqrt(c)) * 10.0, f"no critical point above {lo:.3e}")
+    return _root(crit_minus_one, lo, hi)
 
 
-def _lower_critical(c: float, t: np.ndarray, w: np.ndarray) -> float | None:
-    """Root of q = 1 below the bulk, or None when the lower edge is 0.
+def _lower_critical(crit, c: float, t: np.ndarray, w: np.ndarray) -> float | None:
+    """Root of crit(c, t, w, .) = 1 below the bulk, or None when the lower edge is 0.
 
-    For effective ratio c*(1-w0) < 1 (w0 the weight at zero) the root sits
-    in (0, t_min+); for > 1 it sits on the negative axis; at exactly 1 the
-    continuous support touches zero and there is no root.
+    Both criteria equal the effective ratio c*(1-w0) at zero (w0 the weight
+    at zero).  Below 1 the root sits in (0, t_min+); above 1 on the negative
+    axis; at exactly 1 the continuous support touches zero and there is none.
     """
     w0 = float(w[t == 0.0].sum())
     c_pos = c * (1.0 - w0)
@@ -293,14 +304,36 @@ def _lower_critical(c: float, t: np.ndarray, w: np.ndarray) -> float | None:
     if pos.size == 0:
         return None
     tmin = float(pos[0])
-    q_minus_one = lambda x: _q_raw(c, t, w, x) - 1.0
+    crit_minus_one = lambda x: crit(c, t, w, x) - 1.0
     if c_pos < 1.0 - 1e-12:
-        return _root(q_minus_one, tmin * 1e-12, tmin * (1.0 - 1e-12))
+        return _root(crit_minus_one, tmin * 1e-12, tmin * (1.0 - 1e-12))
     if c_pos > 1.0 + 1e-12:
         hi = -tmin * 1e-12
-        lo = _grow(q_minus_one, -max(float(t[-1]), 1.0), f"no critical point below {hi:.3e}")
-        return _root(q_minus_one, lo, hi)
+        lo = _grow(crit_minus_one, -max(float(t[-1]), 1.0), f"no critical point below {hi:.3e}")
+        return _root(crit_minus_one, lo, hi)
     return None
+
+
+def _between_atoms(c: float, t: np.ndarray, w: np.ndarray) -> tuple[list[float], list[float]]:
+    """Roots of _g_raw = 1 between neighbouring positive atoms, and dips.
+
+    _g_raw is convex between two atoms and infinite at both.  Where its
+    minimum is below 1, two roots bound a gap of the product law; where it
+    stays above, the minimum (a dip) maps near a sharp bend of the density.
+    """
+    pos = t[t > 0.0]
+    roots, dips = [], []
+    for left, right in zip(pos[:-1], pos[1:]):
+        lo, hi = left * (1.0 + 1e-12), right * (1.0 - 1e-12)
+        if not lo < hi:
+            continue
+        bottom = _root(lambda y: _g_raw(c, t, w, y, slope=True), lo, hi)
+        crit_minus_one = lambda y: _g_raw(c, t, w, y) - 1.0
+        if crit_minus_one(bottom) < 0.0:
+            roots += [_root(crit_minus_one, lo, bottom), _root(crit_minus_one, bottom, hi)]
+        else:
+            dips.append(bottom)
+    return roots, dips
 
 
 class _BulkLaw:
@@ -315,8 +348,8 @@ class _BulkLaw:
         self.c = float(c)
         self.t = np.asarray(t, dtype=float)
         self.w = np.asarray(w, dtype=float)
-        self.upper_critical = _upper_critical(c, self.t, self.w)
-        self.lower_critical = _lower_critical(c, self.t, self.w)
+        self.upper_critical = _upper_critical(_q_raw, c, self.t, self.w)
+        self.lower_critical = _lower_critical(_q_raw, c, self.t, self.w)
         self.upper_edge = float(_psi_raw(c, self.t, self.w, self.upper_critical))
         if self.lower_critical is None:
             self.lower_edge = 0.0
@@ -327,9 +360,6 @@ class _BulkLaw:
 
     def psi_at(self, lam) -> float:
         return _psi_raw(self.c, self.t, self.w, lam)
-
-    def q_at(self, lam) -> float:
-        return _q_raw(self.c, self.t, self.w, lam)
 
     def lam_above(self, x: float) -> float:
         """Invert psi on the increasing branch above the upper critical point."""
@@ -367,8 +397,8 @@ class _BulkLaw:
         lo = _grow(psi_minus_x, start, f"cannot bracket psi = {x!r} below the bulk")
         return _root(psi_minus_x, lo, hi)
 
-    def real_transforms(self, x: float, above: bool) -> tuple[float, float, float, float]:
-        """(m, m', m_comp, m_comp') at real x above (or below) the support.
+    def real_transforms(self, x: float, above: bool) -> tuple[float, float]:
+        """(m, m') at real x above (or below) the support.
 
         m_comp comes from lam; its derivative from implicit differentiation,
         m_comp' = 1/(lam^2 (1 - q(lam))); m and m' via the exact companion
@@ -377,20 +407,11 @@ class _BulkLaw:
         """
         lam = self.lam_above(x) if above else self.lam_below(x)
         m_comp = -1.0 / lam
-        q = self.q_at(lam)
+        q = _q_raw(self.c, self.t, self.w, lam)
         m_comp_prime = 1.0 / (lam * lam * (1.0 - q))
         m = _m_from_comp(self.c, self.t, self.w, x, m_comp)
         m_prime = (m_comp_prime + (self.c - 1.0) / x**2) / self.c
-        return float(m), float(m_prime), float(m_comp), float(m_comp_prime)
-
-    def q_outer(self, x: float) -> float:
-        """q at x of the outer law with ratio c whose bulk is this law.
-
-        q_outer(x) = c * int (s/(s-x))^2 dF(s) = c (1 + 2 x m(x) + x^2 m'(x)),
-        through the real transforms on either side of the support.
-        """
-        m, m_prime, _, _ = self.real_transforms(x, x > self.upper_edge)
-        return self.c * (1.0 + 2.0 * x * m + x * x * m_prime)
+        return float(m), float(m_prime)
 
 
 def _m_from_comp(c: float, t: np.ndarray, w: np.ndarray, z, m_comp):
@@ -409,17 +430,78 @@ def _m_from_comp(c: float, t: np.ndarray, w: np.ndarray, z, m_comp):
 # ---------------------------------------------------------------------------
 
 
-def _companion_residual(c, t, w, m, z):
+class _SampleMap:
+    """Explicit inverse z(m) = -1/m + c S(m), S(m) = sum w t/(1+tm), of the classical law.
+
+    z(m) is evaluated as (c - 1 - c sum w/(1+tm))/m, whose terms do not
+    cancel where those of -1/m + c S(m) do (|m| large at an effective ratio
+    of one).  Residuals are absolute.
+    """
+
+    walk_top = 0.5
+
+    def __init__(self, c: float, t: np.ndarray, w: np.ndarray):
+        self.c, self.t, self.w = float(c), t, w
+
+    def value_slope(self, m):
+        """(z(m), z'(m)), with z' = (c sum w t/(1+tm)^2 - z)/m."""
+        denom = 1.0 + np.multiply.outer(m, self.t)
+        z = (self.c - 1.0 - self.c * (self.w / denom).sum(axis=-1)) / m
+        return z, (self.c * (self.w * self.t / denom**2).sum(axis=-1) - z) / m
+
+    def fixed_step(self, m, z):
+        """(|-1/m + c S(m) - z|, fixed-point image 1/(c S(m) - z)) of m."""
+        s = (self.w * self.t / (1.0 + np.multiply.outer(m, self.t))).sum(axis=-1)
+        return np.abs(-1.0 / m + self.c * s - z), 1.0 / (self.c * s - z)
+
+    def residual(self, m, z):
+        return np.abs(self.value_slope(m)[0] - z)
+
+
+class _ProductMap:
+    """Explicit inverse z(k) = -k U(k)^2 of the product law in squared scale.
+
+    k is the inner companion transform, U the inner map (a _SampleMap at
+    ratio 2c on H^2) and -1/U(k) the outer companion transform.  The root
+    wanted has k and U(k) in the upper half-plane, not the mirror U -> -U.
+    """
+
+    def __init__(self, c: float, h: PopulationSpectrum):
+        self.c = float(c)
+        self.inner = _SampleMap(2.0 * c, *_bulk(square_spectrum(h)))
+        self.walk_top = 1.0 + 2.0 * c
+
+    def value_slope(self, k):
+        u, u_prime = self.inner.value_slope(k)
+        return -k * u * u, -u * (u + 2.0 * k * u_prime)
+
+    def fixed_step(self, k, z):
+        """(residual, 1/(2c S(k) - r)), r = sqrt(-z/k) with Im r >= 0: U(k) = r at a fixed point."""
+        r = np.sqrt(-z / k)
+        return self.residual(k, z), self.inner.fixed_step(k, np.where(r.imag < 0.0, -r, r))[1]
+
+    def residual(self, k, z):
+        """|z(k) - z| scaled so that SOLVER_TOL admits SOLVER_TOL |z| plus 32 rounding errors.
+
+        Near z = 0 with 2c >= 1, U(k) is a small difference of order-one
+        terms and z(k) cannot get closer to z than its rounding error
+        2 eps |U| (|2c - 1| + |2c - 1 - kU|).  Infinite when Im U(k) <= 0.
+        """
+        u = self.inner.value_slope(k)[0]
+        noise = np.abs(u) * (abs(self.inner.c - 1.0) + np.abs(self.inner.c - 1.0 - k * u))
+        r = np.abs(-k * u * u - z) / (np.abs(z) + 64.0 * np.finfo(float).eps / SOLVER_TOL * noise)
+        return np.where(u.imag > 0.0, r, np.inf)
+
+
+def _residual(law, m, z):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = (w * t / (1.0 + np.multiply.outer(m, t))).sum(axis=-1)
-        r = np.abs(-1.0 / m + c * s - z)
+        r = law.residual(m, z)
     return np.where(np.isfinite(r), r, np.inf)
 
 
-def _fixed_point(c, t, w, z, m):
+def _fixed_point(law, z, m):
     """Damped fixed point from m on flat arrays; an entry freezes at _FP_TARGET."""
     m = m.copy()
-    wt = w * t
     active = np.ones(z.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(FP_MAX_ITER):
@@ -427,11 +509,9 @@ def _fixed_point(c, t, w, z, m):
                 break
             ma = m[active]
             za = z[active]
-            s = (wt / (1.0 + np.multiply.outer(ma, t))).sum(axis=-1)
-            resid = np.abs(-1.0 / ma + c * s - za)
+            resid, image = law.fixed_step(ma, za)
             done = resid <= _FP_TARGET
-            phi = 1.0 / (c * s - za)
-            m_new = (1.0 - FP_DAMPING) * ma + FP_DAMPING * phi
+            m_new = (1.0 - FP_DAMPING) * ma + FP_DAMPING * image
             m_new = np.where(np.isfinite(m_new), m_new, -1.0 / za)
             m[active] = np.where(done, ma, m_new)
             idx = np.flatnonzero(active)
@@ -439,28 +519,24 @@ def _fixed_point(c, t, w, z, m):
     return m
 
 
-def _newton(c, t, w, m, z):
+def _newton(law, m, z):
     """Newton polish from m on flat arrays toward _NEWTON_TARGET.
 
     Steps are halved until they stay finite in the upper half-plane, and
     only residual-decreasing steps are taken; returns (m, residual).
     """
     m = m.copy()
-    wt = w * t
+    resid = _residual(law, m, z)
+    polish = resid > _NEWTON_TARGET
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        resid = _companion_residual(c, t, w, m, z)
-        polish = resid > _NEWTON_TARGET
         for _ in range(NEWTON_MAX_ITER):
             act = polish & (resid > _NEWTON_TARGET)
             if not act.any():
                 break
             ma = m[act]
             za = z[act]
-            denom = 1.0 + np.multiply.outer(ma, t)
-            s = (wt / denom).sum(axis=-1)
-            r = -1.0 / ma + c * s - za
-            rp = 1.0 / (ma * ma) - c * (wt * t / denom**2).sum(axis=-1)
-            step = -r / rp
+            value, slope = law.value_slope(ma)
+            step = -(value - za) / slope
             cand = ma + step
             for _ in range(60):
                 bad = ~np.isfinite(cand) | (cand.imag <= 0.0)
@@ -471,7 +547,7 @@ def _newton(c, t, w, m, z):
             # a candidate that never became admissible keeps the old iterate
             keep = ~np.isfinite(cand) | (cand.imag <= 0.0)
             cand = np.where(keep, ma, cand)
-            new_resid = _companion_residual(c, t, w, cand, za)
+            new_resid = _residual(law, cand, za)
             # non-improving points have hit roundoff: keep the better iterate
             # and stop polishing them
             better = new_resid < resid[act]
@@ -484,25 +560,26 @@ def _newton(c, t, w, m, z):
     return m, resid
 
 
-def _solve_companion_grid(c: float, t: np.ndarray, w: np.ndarray, z: np.ndarray):
-    """Companion transform on an array of complex z with Im z > 0.
+def _solve_companion_grid(law, z: np.ndarray):
+    """Root of law's map at an array of complex z with Im z > 0.
 
     Damped fixed point (freezing converged entries), then Newton polish.
     Points still above SOLVER_TOL walk down together in Im z: the fixed
-    point runs once at a height of order one, then Newton alone follows a
-    geometric ladder of heights down to Im z, warm-started from the height
-    above.  Raises SolverError if a point still misses the tolerance.
+    point runs once at height law.walk_top * (1 + |Re z|), then Newton
+    alone follows a geometric ladder of heights down to Im z, warm-started
+    from the height above.  Raises SolverError if a point still misses the
+    tolerance.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
-    m, resid = _newton(c, t, w, _fixed_point(c, t, w, flat, -1.0 / flat), flat)
+    m, resid = _newton(law, _fixed_point(law, flat, -1.0 / flat), flat)
     lost = np.flatnonzero(resid > SOLVER_TOL)
     if lost.size:
         x, y = flat[lost].real, flat[lost].imag
-        top = x + 1j * np.maximum(y, 0.5 * (1.0 + np.abs(x)))
-        m_lost = _fixed_point(c, t, w, top, -1.0 / top)
+        top = x + 1j * np.maximum(y, law.walk_top * (1.0 + np.abs(x)))
+        m_lost = _fixed_point(law, top, -1.0 / top)
         for h in np.geomspace(top.imag, y, _LADDER_STEPS):
-            m_lost, r_lost = _newton(c, t, w, m_lost, x + 1j * h)
+            m_lost, r_lost = _newton(law, m_lost, x + 1j * h)
         m[lost] = m_lost
         resid[lost] = r_lost
     worst = float(resid.max()) if resid.size else 0.0
@@ -518,7 +595,7 @@ def stieltjes(c: float, h: PopulationSpectrum, z: complex) -> StieltjesEval:
     if not (np.isfinite(z) and z.imag > 0.0):
         raise ValueError("stieltjes requires a finite z with Im z > 0")
     t, w = _bulk(h)
-    m_comp, resid = _solve_companion_grid(c, t, w, np.array([z]))
+    m_comp, resid = _solve_companion_grid(_SampleMap(c, t, w), np.array([z]))
     m_comp = complex(m_comp[0])
     m = complex(_m_from_comp(c, t, w, z, m_comp))
     return StieltjesEval(z=z, m=m, m_under=m_comp, residual=float(resid[0]))
@@ -537,35 +614,25 @@ def stieltjes_real(
     x = float(x)
     if not np.isfinite(x):
         raise ValueError(f"stieltjes_real requires a finite x, got {x!r}")
-    law = _BulkLaw(c, *_bulk(h))
     if side not in ("above", "below"):
         raise ValueError(f"unknown side {side!r}")
-    m, m_prime, _, _ = law.real_transforms(x, side == "above")
-    return m, m_prime
-
-
-def _density_atoms(c: float, t: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Continuous density at positive points x via the imaginary part.
-
-    Evaluates at heights eta and eta/2 with eta = max(1e-9, 1e-6 x) and
-    Richardson-extrapolates toward the real axis; the linear-in-eta error
-    cancels, which also suppresses leakage from any point mass at zero.
-    """
-    x = np.asarray(x, dtype=float)
-    eta = np.maximum(1e-9, 1e-6 * x)
-    z = np.concatenate([x + 1j * eta, x + 1j * eta / 2.0])
-    m_comp, _ = _solve_companion_grid(c, t, w, z)
-    m = _m_from_comp(c, t, w, z, m_comp)
-    n = x.size
-    f = (2.0 * m.imag[n:] - m.imag[:n]) / np.pi
-    return np.clip(f, 0.0, None)
+    return _BulkLaw(c, *_bulk(h)).real_transforms(x, side == "above")
 
 
 def mp_density(c: float, h: PopulationSpectrum, t) -> float | np.ndarray:
-    """Density of the classical sample-covariance law at t > 0."""
+    """Density of the classical sample-covariance law at t > 0.
+
+    Im m/pi at heights eta and eta/2, eta = max(1e-9, 1e-6 t), extrapolated
+    (Richardson) to the real axis; the linear-in-eta error cancels, which
+    also suppresses leakage from any point mass at zero.
+    """
     c = _check_ratio(c)
     pts = _points("mp_density", t, positive=True)
-    out = _density_atoms(c, *_bulk(h), pts)
+    eta = np.maximum(1e-9, 1e-6 * pts)
+    z = np.concatenate([pts + 1j * eta, pts + 1j * eta / 2.0])
+    m_comp, _ = _solve_companion_grid(_SampleMap(c, *_bulk(h)), z)
+    m = _m_from_comp(c, *_bulk(h), z, m_comp).imag
+    out = np.clip((2.0 * m[pts.size :] - m[: pts.size]) / np.pi, 0.0, None)
     return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
@@ -616,33 +683,16 @@ def pca_threshold(c: float, h: PopulationSpectrum) -> Threshold:
     """Classical spike threshold and bulk upper edge."""
     c = _check_ratio(c)
     t, w = _bulk(h)
-    crit = _upper_critical(c, t, w)
+    crit = _upper_critical(_q_raw, c, t, w)
     return Threshold(threshold=float(crit), bulk_edge=float(_psi_raw(c, t, w, crit)))
 
 
-def _ppca_threshold_parts(c: float, h: PopulationSpectrum):
-    """Threshold solve for the product law.
-
-    Returns (lambda_star, y_star, x_star, inner law) where y_star =
-    lambda_star^2 is the inner-spike threshold and x_star its image under
-    the inner spike-forward map; the derivative criterion for the outer law
-    (aspect ratio 2c, bulk = inner law) is evaluated through the inner real
-    transforms (:meth:`_BulkLaw.q_outer`).
-    """
-    c = _check_ratio(c)
-    inner = _BulkLaw(2.0 * c, *_bulk(square_spectrum(h)))
-    q_minus_one = lambda x: inner.q_outer(x) - 1.0
-    edge = inner.upper_edge
-    hi = _grow(q_minus_one, max(2.0 * edge, edge + 1.0), f"no outer critical point above {edge!r}")
-    x_star = _root(q_minus_one, edge * (1.0 + 1e-9), hi)
-    y_star = inner.lam_above(x_star)
-    return float(np.sqrt(y_star)), y_star, x_star, inner
-
-
 def ppca_threshold(c: float, h: PopulationSpectrum) -> Threshold:
-    """Product-law spike threshold and bulk upper edge."""
-    lambda_star, _, x_star, _ = _ppca_threshold_parts(c, h)
-    return Threshold(threshold=lambda_star, bulk_edge=float(x_star / lambda_star))
+    """Product-law spike threshold sqrt(y*), y* the top critical point, and bulk upper edge."""
+    c = _check_ratio(c)
+    t2, w2 = _bulk(square_spectrum(h))
+    lambda_star = float(np.sqrt(_upper_critical(_g_raw, 2.0 * c, t2, w2)))
+    return Threshold(threshold=lambda_star, bulk_edge=float(ppca_psi(c, h, lambda_star)))
 
 
 def _spike_limit(threshold, forward, c: float, h: PopulationSpectrum, lam: float) -> SpikedLimit:
@@ -671,129 +721,71 @@ def ppca_mass_at_zero(c: float, h: PopulationSpectrum) -> float:
     return mass_at_zero(2.0 * c, h)
 
 
-def ppca_support_edges(c: float, h: PopulationSpectrum) -> tuple[float, float]:
-    """Edges of the continuous support of the product law (singular scale).
+def _ppca_support(c: float, h: PopulationSpectrum) -> tuple[list[tuple[float, float]], list[float]]:
+    """Support intervals of the product law and the dips of its density (singular scale).
 
-    The upper edge is x*^2/y* from the threshold solve (an exact identity:
-    the outer spike-forward map composed with the inner one is explicit).
-    The lower edge solves the outer derivative criterion on the gap branch
-    when 2c < 1; for 2c >= 1 the outer q tends to 1 at zero from below, so
-    the continuous support reaches zero exactly.
+    The ends are images of critical points y > 0 of x(y) = psi(y)^2/y: one
+    above the bulk, pairs between atoms (_between_atoms), and one below the
+    bulk when the effective ratio 2c(1 - w0) is below one, else zero.
     """
-    _, y_star, x_star, inner = _ppca_threshold_parts(c, h)
-    c2 = inner.c
-    upper = float(np.sqrt(x_star * x_star / y_star))
-    if c2 >= 1.0 - 1e-12:
-        return 0.0, upper
-    a_in = inner.lower_edge
-    x_left = _root(lambda x: inner.q_outer(x) - 1.0, a_in * 1e-8, a_in * (1.0 - 1e-12))
-    m_left, _, _, _ = inner.real_transforms(x_left, False)
-    a_out = x_left * (1.0 - c2 * (1.0 + x_left * m_left))
-    return float(np.sqrt(max(a_out, 0.0))), upper
-
-
-# ---------------------------------------------------------------------------
-# product law CDF / density via the composed (nested) solve
-# ---------------------------------------------------------------------------
-
-
-def _midpoint_cdf(density, lower: float, upper: float, panels: int, mass: float, what: str):
-    """Cumulative midpoint-rule integral of density on equal panels.
-
-    Returns the panel nodes and the integral at each node, rescaled so the
-    last value is exactly ``mass``; ``what`` names the law in the error
-    raised when the density integrates to zero.
-    """
-    nodes = np.linspace(lower, upper, panels + 1)
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    cum = np.concatenate([[0.0], np.cumsum(density(mids)) * (nodes[1] - nodes[0])])
-    if cum[-1] <= 0.0:
-        raise SolverError(f"{what} law density integrated to zero")
-    cum *= mass / cum[-1]
-    return nodes, cum
-
-
-@functools.lru_cache(maxsize=16)
-def _inner_quantile_bulk(c: float, atoms: tuple, n_atoms: int):
-    """Discretize the inner squared-scale law into quantile atoms.
-
-    The continuous part of F_{2c,H^2} becomes n_atoms equal-weight atoms at
-    quantile midpoints (computed from a dense midpoint-rule CDF of the
-    solver density); a zero atom carries the point mass when present.
-    """
-    c2 = 2.0 * c
-    h2 = square_spectrum(PopulationSpectrum(atoms=atoms))
-    t2, w2 = _bulk(h2)
-    law = _BulkLaw(c2, t2, w2)
-    mass0 = mass_at_zero(c2, h2)
-    cont = 1.0 - mass0
-    density = lambda x: _density_atoms(c2, t2, w2, x)
-    grid, cum = _midpoint_cdf(density, law.lower_edge, law.upper_edge, 4 * n_atoms, cont, "inner")
-    levels = (np.arange(n_atoms) + 0.5) / n_atoms * cont
-    pos = np.interp(levels, cum, grid)
-    wq = np.full(n_atoms, cont / n_atoms)
-    if mass0 > 0.0:
-        pos = np.concatenate([[0.0], pos])
-        wq = np.concatenate([[mass0], wq])
-    return pos, wq
-
-
-@functools.lru_cache(maxsize=16)
-def _ppca_cdf_table(c: float, atoms: tuple, n_atoms: int):
-    """Monotone interpolation table for the product-law CDF.
-
-    Integrates the outer-law density in singular-value scale t (where the
-    integrand 2 t f_outer(t^2) is bounded) by the midpoint rule on panels
-    between the exact support edges, then renormalizes the continuous mass
-    so the CDF reaches exactly 1 at the upper edge.
-    """
-    h = PopulationSpectrum(atoms=atoms)
-    tq, wq = _inner_quantile_bulk(c, atoms, n_atoms)
-    lower, upper = ppca_support_edges(c, h)
-    mass0 = ppca_mass_at_zero(c, h)
-    density = lambda t: 2.0 * t * _density_atoms(2.0 * c, tq, wq, t * t)
-    nodes, cum = _midpoint_cdf(density, lower, upper, _CDF_PANELS, 1.0 - mass0, "outer")
-    interp = PchipInterpolator(nodes, mass0 + cum, extrapolate=False)
-    return interp, lower, upper, mass0
-
-
-def ppca_lsd_cdf(
-    c: float, h: PopulationSpectrum, t, n_atoms: int = INNER_ATOMS
-) -> float | np.ndarray:
-    """CDF of the product law at t >= 0 (composed two-level solve)."""
     c = _check_ratio(c)
-    pts = _points("ppca_lsd_cdf", t, positive=False)
-    interp, lower, upper, mass0 = _ppca_cdf_table(c, h.atoms, n_atoms)
-    out = np.empty(pts.shape)
-    below = pts <= lower
-    above = pts >= upper
-    mid = ~below & ~above
-    out[below] = mass0
-    out[above] = 1.0
-    if mid.any():
-        out[mid] = interp(pts[mid])
-    return float(out[0]) if np.ndim(t) == 0 else out
+    c2 = 2.0 * c
+    t2, w2 = _bulk(square_spectrum(h))
+    image = lambda ys: [float(abs(_psi_raw(c2, t2, w2, y)) / np.sqrt(y)) for y in ys]  # sqrt(x(y))
+    lower = _lower_critical(_g_raw, c2, t2, w2)
+    roots, dips = _between_atoms(c2, t2, w2)
+    edges = image([lower] if lower is not None and lower > 0.0 else []) or [0.0]
+    edges += image(roots + [_upper_critical(_g_raw, c2, t2, w2)])
+    return list(zip(edges[::2], edges[1::2])), image(dips)
 
 
-def ppca_lsd_pdf(
-    c: float, h: PopulationSpectrum, t, n_atoms: int = INNER_ATOMS
-) -> float | np.ndarray:
+def ppca_support_edges(c: float, h: PopulationSpectrum) -> tuple[float, float]:
+    """Outermost edges of the continuous support of the product law (singular scale)."""
+    support, _ = _ppca_support(c, h)
+    return support[0][0], support[-1][1]
+
+
+def _ppca_density(law: _ProductMap, t: np.ndarray) -> np.ndarray:
+    """Product-law density 2 t f_outer(t^2) at singular values t inside the support.
+
+    k solved at x + 1e-6 x i (x = t^2) is polished on the real axis, where
+    f_outer = Im(-1/U(k))/(2c pi) holds exactly, with no pole term at zero.
+    """
+    x = t * t
+    k, _ = _solve_companion_grid(law, x + 1e-6j * x)
+    k, resid = _newton(law, k, x.astype(complex))
+    worst = float(resid.max()) if resid.size else 0.0
+    if worst > SOLVER_TOL:
+        raise SolverError("real-axis polish did not converge", residual=worst)
+    return t * (-1.0 / law.inner.value_slope(k)[0]).imag / (law.c * np.pi)
+
+
+def ppca_lsd_cdf(c: float, h: PopulationSpectrum, t) -> float | np.ndarray:
+    """CDF of the product law at t >= 0 (point mass at zero included)."""
+    c = _check_ratio(c)
+    support, dips = _ppca_support(c, h)
+    # graded panels on both sides of a dip: one rule across it is off by up to 1e-3
+    pieces = []
+    for lower, upper in support:
+        cuts = [lower, *(d for d in dips if lower < d < upper), upper]
+        pieces += zip(cuts[:-1], cuts[1:])
+    pdf = functools.partial(_ppca_density, _ProductMap(c, h))
+    return _cdf_from_pdf("ppca_lsd_cdf", pdf, pieces, ppca_mass_at_zero(c, h), t)
+
+
+def ppca_lsd_pdf(c: float, h: PopulationSpectrum, t) -> float | np.ndarray:
     """Continuous density of the product law at t > 0: 2 t f_outer(t^2)."""
     c = _check_ratio(c)
     pts = _points("ppca_lsd_pdf", t, positive=True)
-    tq, wq = _inner_quantile_bulk(c, h.atoms, n_atoms)
-    out = 2.0 * pts * _density_atoms(2.0 * c, tq, wq, pts * pts)
+    inside = np.any([(pts > lo) & (pts < hi) for lo, hi in _ppca_support(c, h)[0]], axis=0)
+    out = np.zeros(pts.shape)
+    out[inside] = _ppca_density(_ProductMap(c, h), pts[inside])
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
 # ---------------------------------------------------------------------------
 # single-atom (SSM) closed forms
 # ---------------------------------------------------------------------------
-
-
-def ssm_spectrum(params: SsmParams, spikes=()) -> PopulationSpectrum:
-    """Single-atom bulk at sigma2, with optional spikes."""
-    return make_spectrum([(params.sigma2, 1.0)], spikes)
 
 
 @functools.lru_cache(maxsize=256)
@@ -804,12 +796,12 @@ def ssm_closed_forms(params: SsmParams) -> SsmConstants:
     root = np.sqrt(c * c + 4.0 * c)
     lambda_star = s2 * np.sqrt(1.0 + c + root)
     lambda_prime = s2 * (1.0 + np.sqrt(c))
-    alpha = 0.5 * (2.0 + 10.0 * c - c * c - np.sqrt(c * (c + 4.0) ** 3)) * s2 * s2
-    beta = 0.5 * (2.0 + 10.0 * c - c * c + np.sqrt(c * (c + 4.0) ** 3)) * s2 * s2
-    if c < 0.5:
-        a = s2 * np.sqrt(1.0 + c - root) * (1.0 - 0.5 * (root + c))
-    else:
-        a = 0.0
+    # alpha = (A - B)/2 = 2 (1-2c)^3/(A + B), A = 2 + 10c - c^2 and
+    # B = sqrt(c (c+4)^3): the second form does not cancel near c = 1/2
+    big = 2.0 + 10.0 * c - c * c + np.sqrt(c * (c + 4.0) ** 3)
+    alpha = 2.0 * (1.0 - 2.0 * c) ** 3 / big * s2 * s2
+    beta = 0.5 * big * s2 * s2
+    a = np.sqrt(alpha) if c < 0.5 else 0.0
     b = s2 * np.sqrt(1.0 + c + root) * (1.0 + 0.5 * (root - c))
     a_prime = s2 * (1.0 - np.sqrt(c)) ** 2
     b_prime = s2 * (1.0 + np.sqrt(c)) ** 2
@@ -880,38 +872,46 @@ def _gl_panels() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _GL_EDGES, _GL_X, _GL_W = _gl_panels()
 
 
-def _cdf_from_pdf(name: str, pdf, lower: float, upper: float, mass0: float, t) -> float | np.ndarray:
-    """mass0 + integral of pdf from lower to min(t, upper).
+def _cdf_from_pdf(name: str, pdf, support, mass0: float, t) -> float | np.ndarray:
+    """mass0 plus the integral of pdf over the support up to t.
 
-    The integral is taken in theta, with t = lower + (upper - lower) sin^2
-    theta on [0, pi/2], which turns the square-root edges of both laws into
-    smooth integrands.  A fixed composite Gauss-Legendre rule integrates
-    theta on panels graded geometrically toward both ends: at c = 1/2 the
-    product density behaves like t^(-1/3) at zero, where as many uniform
-    panels are off by 1e-6.  The full panels are summed once; each query
-    point then adds one partial-panel rule from its panel's left edge, and
-    every node of the call goes through one vectorized pdf evaluation.
+    support lists intervals (lower, upper) of the continuous support in
+    increasing order, and the CDF is exactly 1 from the last upper edge on.
+    Each interval is integrated in theta, with t = lower + (upper - lower)
+    sin^2 theta on [0, pi/2], which turns square-root edges into smooth
+    integrands.  A fixed composite Gauss-Legendre rule integrates theta on
+    panels graded geometrically toward both ends: at c = 1/2 the product
+    density behaves like t^(-1/3) at zero, where as many uniform panels are
+    off by 1e-6.  The full panels are summed once; each query point inside
+    the interval then adds one partial-panel rule from its panel's left
+    edge (points above add its whole integral), and every node of an
+    interval goes through one vectorized pdf evaluation.
     """
     pts = _points(name, t, positive=False)
-    width = upper - lower
-    theta = np.arcsin(np.sqrt((np.clip(pts, lower, upper) - lower) / width))
-    panel = np.clip(np.searchsorted(_GL_EDGES, theta, side="right") - 1, 0, _GL_PANELS - 1)
-    start = _GL_EDGES[panel]
-    # one row per interval: every full panel, then each point's partial panel
-    left = np.concatenate((_GL_EDGES[:-1], start))
-    span = np.concatenate((np.diff(_GL_EDGES), theta - start))
-    nodes = left[:, None] + span[:, None] * _GL_X
-    sin = np.sin(nodes)
-    x = lower + width * (sin * sin)
-    # nodes of a point at a zero lower edge sit at t = 0, which the pdfs reject
-    dens = np.zeros(x.shape)
-    positive = x > 0.0
-    dens[positive] = pdf(x[positive])
-    # dt = width * sin(2 theta) dtheta
-    seg = (dens * np.sin(2.0 * nodes)) @ _GL_W * (width * span)
-    cum = np.concatenate(([0.0], np.cumsum(seg[:_GL_PANELS])))
-    out = np.clip(mass0 + cum[panel] + seg[_GL_PANELS:], 0.0, 1.0)
-    out[pts >= upper] = 1.0
+    out = np.full(pts.shape, float(mass0))
+    for lower, upper in support:
+        width = upper - lower
+        inside = (pts > lower) & (pts < upper)
+        theta = np.arcsin(np.sqrt((pts[inside] - lower) / width))
+        panel = np.clip(np.searchsorted(_GL_EDGES, theta, side="right") - 1, 0, _GL_PANELS - 1)
+        start = _GL_EDGES[panel]
+        # one row per panel: every full panel, then each inner point's partial panel
+        left = np.concatenate((_GL_EDGES[:-1], start))
+        span = np.concatenate((np.diff(_GL_EDGES), theta - start))
+        nodes = left[:, None] + span[:, None] * _GL_X
+        sin = np.sin(nodes)
+        x = lower + width * (sin * sin)
+        # nodes of a point at a zero lower edge sit at t = 0, which the pdfs reject
+        dens = np.zeros(x.shape)
+        positive = x > 0.0
+        dens[positive] = pdf(x[positive])
+        # dt = width * sin(2 theta) dtheta
+        seg = (dens * np.sin(2.0 * nodes)) @ _GL_W * (width * span)
+        cum = np.concatenate(([0.0], np.cumsum(seg[:_GL_PANELS])))
+        out[inside] = out[inside] + cum[panel] + seg[_GL_PANELS:]
+        out[pts >= upper] += cum[-1]
+    out = np.clip(out, 0.0, 1.0)
+    out[pts >= support[-1][1]] = 1.0
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
@@ -921,8 +921,7 @@ def ssm_g_cdf(params: SsmParams, t) -> float | np.ndarray:
     return _cdf_from_pdf(
         "ssm_g_cdf",
         functools.partial(ssm_g_pdf, params),
-        consts.a,
-        consts.b,
+        [(consts.a, consts.b)],
         consts.mass0_ppca,
         t,
     )
@@ -934,8 +933,7 @@ def ssm_f_cdf(params: SsmParams, t) -> float | np.ndarray:
     return _cdf_from_pdf(
         "ssm_f_cdf",
         functools.partial(ssm_f_pdf, params),
-        consts.a_prime,
-        consts.b_prime,
+        [(consts.a_prime, consts.b_prime)],
         consts.mass0_pca,
         t,
     )

@@ -419,7 +419,7 @@ def run_spectrum_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         pooled["pca"].append(eig)
     tables = [
         _histogram_table(pooled, consts),
-        _overlay_table(params, consts, pooled),
+        _overlay_table(params, consts),
     ]
     return _build_report("spectrum", columns, records, tables, cfg.flags)
 
@@ -443,7 +443,7 @@ def _histogram_table(pooled, consts):
     return ("histogram", ("method", "bin_lo", "bin_hi", "density"), tuple(rows))
 
 
-def _overlay_table(params, consts, pooled):
+def _overlay_table(params, consts):
     hi = 1.02 * max(consts.b, consts.b_prime)
     grid = np.linspace(hi / 400.0, hi, 400)
     columns = (

@@ -28,7 +28,6 @@ class TestVersion:
         assert info["name"] == "spikedcov"
         assert info["solver_tol"] == pytest.approx(1e-10)
         assert info["fp_damping"] == pytest.approx(0.5)
-        assert info["inner_atoms"] == 512
 
 
 class TestConstants:

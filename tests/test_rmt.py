@@ -1,3 +1,4 @@
+import decimal
 import functools
 
 import numpy as np
@@ -307,6 +308,35 @@ class TestSpikedLimits:
         assert not rmt.SpikedLimit.stuck(2.4).is_distant
 
 
+# Two atoms far apart at a small ratio: the product law's support splits.
+SPLIT = spectra.make_spectrum(atoms=[(0.2, 0.5), (5.0, 0.5)])
+
+
+def dense_cdf(c, h, support, n=4000):
+    """Product-law CDF at dense nodes of each support piece, by the trapezoid rule.
+
+    Each piece is integrated in theta, with s = lower + (upper - lower)
+    sin^2 theta, on n uniform panels, so its square-root edges stay smooth;
+    this rule shares no nodes with the package's graded Gauss-Legendre one.
+    Returns the nodes s and the zero mass plus the integral of
+    ppca_lsd_pdf up to each of them.
+    """
+    nodes, values = [], []
+    total = rmt.ppca_mass_at_zero(c, h)
+    for lower, upper in support:
+        theta = np.linspace(0.0, 0.5 * np.pi, n + 1)
+        s = lower + (upper - lower) * np.sin(theta) ** 2
+        dens = np.zeros(s.shape)
+        inner = (s > lower) & (s < upper)
+        dens[inner] = rmt.ppca_lsd_pdf(c, h, s[inner])
+        step = dens * (upper - lower) * np.sin(2.0 * theta)
+        cum = np.concatenate(([0.0], np.cumsum(0.5 * (step[1:] + step[:-1]) * np.diff(theta))))
+        nodes.append(s)
+        values.append(total + cum)
+        total += cum[-1]
+    return np.concatenate(nodes), np.concatenate(values)
+
+
 class TestProductLawTable:
     def test_cdf_matches_single_atom_closed_form(self):
         for c in (0.4, 2.0):
@@ -329,11 +359,51 @@ class TestProductLawTable:
         ref = rmt.ssm_g_pdf(params, grid)
         assert np.max(np.abs(pdf - ref)) < 5e-3
 
-    def test_atom_doubling_gate(self):
-        grid = np.linspace(0.1, 2.6, 21)
-        base = rmt.ppca_lsd_cdf(0.4, FLAT, grid, n_atoms=rmt.INNER_ATOMS)
-        fine = rmt.ppca_lsd_cdf(0.4, FLAT, grid, n_atoms=2 * rmt.INNER_ATOMS)
-        assert np.max(np.abs(base - fine)) < rmt.CDF_GATE
+    @pytest.mark.parametrize("c", [0.1, 0.4, 0.4999, 0.5, 0.5001, 1.0, 2.0, 5.0, 50.0])
+    def test_generic_law_matches_closed_forms(self, c):
+        # the c = 1/2 switch point and both sides of it included; the pdf
+        # grid keeps acceptance 4's 2%-of-span margin from the edges
+        params = rmt.SsmParams(c=c, sigma2=1.0)
+        consts = rmt.ssm_closed_forms(params)
+        grid = np.linspace(0.0, 1.05 * consts.b, 401)[1:]
+        cdf = rmt.ppca_lsd_cdf(c, FLAT, grid)
+        assert np.max(np.abs(cdf - rmt.ssm_g_cdf(params, grid))) < 1e-9
+        span = consts.b - consts.a
+        grid = np.linspace(consts.a + 0.02 * span, consts.b - 0.02 * span, 25)
+        grid = grid[grid > 0.0]
+        pdf = rmt.ppca_lsd_pdf(c, FLAT, grid)
+        assert np.max(np.abs(pdf - rmt.ssm_g_pdf(params, grid))) < 1e-8
+
+    @pytest.mark.parametrize("c", [0.5, 0.7, 2.0])
+    def test_zero_atom_reduces_to_white(self, c):
+        # a zero atom of weight w0 only removes coordinates: the law is
+        # w0 at zero plus (1 - w0) times the white law at ratio c (1 - w0)
+        w0 = 0.3
+        h = spectra.make_spectrum(atoms=[(0.0, w0), (1.0, 1.0 - w0)])
+        params = rmt.SsmParams(c=c * (1.0 - w0), sigma2=1.0)
+        consts = rmt.ssm_closed_forms(params)
+        lower, upper = rmt.ppca_support_edges(c, h)
+        assert lower == pytest.approx(consts.a, rel=1e-12, abs=0.0)
+        assert upper == pytest.approx(consts.b, rel=1e-12)
+        grid = np.linspace(0.0, 1.05 * consts.b, 201)[1:]
+        want = w0 + (1.0 - w0) * rmt.ssm_g_cdf(params, grid)
+        assert np.max(np.abs(rmt.ppca_lsd_cdf(c, h, grid) - want)) < 1e-9
+        pdf = rmt.ppca_lsd_pdf(c, h, grid[grid < 0.98 * consts.b])
+        want = (1.0 - w0) * rmt.ssm_g_pdf(params, grid[grid < 0.98 * consts.b])
+        assert np.max(np.abs(pdf - want)) < 1e-8
+
+    @pytest.mark.parametrize("c", [0.01, 0.05])
+    def test_split_support_against_dense_reference(self, c):
+        lower, upper = rmt.ppca_support_edges(c, SPLIT)
+        support, _ = rmt._ppca_support(c, SPLIT)
+        assert len(support) == 2
+        assert support[0][0] == lower and support[-1][1] == upper
+        nodes, want = dense_cdf(c, SPLIT, support)
+        assert want[-1] == pytest.approx(1.0, abs=1e-6)
+        nodes, want = nodes[::29], want[::29]
+        assert np.max(np.abs(rmt.ppca_lsd_cdf(c, SPLIT, nodes) - want)) < 1e-6
+        gap = np.linspace(support[0][1], support[1][0], 7)
+        assert np.all(rmt.ppca_lsd_cdf(c, SPLIT, gap) == rmt.ppca_lsd_cdf(c, SPLIT, gap[0]))
 
     def test_cdf_monotone_with_point_mass(self):
         grid = np.linspace(0.0, 5.0, 80)
@@ -360,6 +430,19 @@ class TestSingleAtomConstants:
         assert cf.b_prime == pytest.approx((1.0 + np.sqrt(0.4)) ** 2, rel=1e-10)
         assert cf.mass0_ppca == 0.0
         assert cf.mass0_pca == 0.0
+
+    @pytest.mark.parametrize("c", [0.4, 0.4999, 0.49999, 0.499999])
+    def test_alpha_near_half_against_exact_arithmetic(self, c):
+        # alpha = (A - sqrt(B))/2 cancels as c -> 1/2; 60 decimal digits
+        # of the same expression are the reference
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            cd = decimal.Decimal(c)
+            alpha = (2 + 10 * cd - cd * cd - (cd * (cd + 4) ** 3).sqrt()) / 2
+            a = alpha.sqrt()
+        cf = rmt.ssm_closed_forms(rmt.SsmParams(c=c, sigma2=1.0))
+        assert cf.alpha == pytest.approx(float(alpha), rel=1e-14, abs=0.0)
+        assert cf.a == pytest.approx(float(a), rel=1e-14, abs=0.0)
 
     def test_internal_identities(self):
         for c in (0.4, 2.0):
@@ -596,6 +679,24 @@ class TestEngineProperties:
             lower, upper = limit(c, h, lam), limit(c, h, lam * (1.0 + v))
             assert lower.is_distant and upper.is_distant
             assert lower.value < upper.value
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(c=RATIOS, h=two_atom_bulks())
+    @switch_points
+    @example(c=0.01, h=SPLIT)
+    @example(c=0.4, h=TWO_ATOM)
+    @example(c=0.4999, h=HALF_ZERO)
+    def test_product_cdf_is_a_distribution(self, c, h):
+        # nondecreasing from the zero mass at 0 to 1 at the upper edge, and
+        # the pdf integrates to 1 - mass0: the cdf just below the edge is 1
+        # (at c = 0.4 the two-atom density bends sharply near t = 0.5)
+        _, upper = rmt.ppca_support_edges(c, h)
+        grid = np.concatenate((np.linspace(0.0, upper, 30), [upper * (1.0 - 1e-12)]))
+        cdf = rmt.ppca_lsd_cdf(c, h, grid)
+        assert cdf[0] == rmt.ppca_mass_at_zero(c, h)
+        assert np.all(np.diff(cdf[:-1]) >= 0.0)
+        assert cdf[-2] == 1.0
+        assert cdf[-1] == pytest.approx(1.0, abs=1e-10)
 
     @PROPERTY
     @given(c=RATIOS, sigma2=st.floats(0.2, 5.0))

@@ -258,7 +258,7 @@ def _cmd_fit(args) -> int:
         values, vectors = fit.eigenvalues, fit.eigenvectors
     if args.vectors:
         columns = ["eigenvalue"] + [f"component_{i + 1}" for i in range(vectors.shape[0])]
-        rows = [(values[j], *vectors[:, j]) for j in range(values.size)]
+        rows = [(values[j], *vectors[:, j]) for j in range(vectors.shape[1])]
     else:
         columns = ["eigenvalue"]
         rows = [(v,) for v in values]
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("ppca", "pca"), required=True)
     p.add_argument("--center", action="store_true", help="subtract column means first")
     p.add_argument("--seed", type=int, help="half-split seed (product PCA)")
-    p.add_argument("--vectors", action="store_true", help="include eigenvector components")
+    p.add_argument("--vectors", action="store_true", help="include the rank block's eigenvectors")
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=_cmd_fit)
 

@@ -9,6 +9,9 @@ Two fits of the same population eigenstructure from mean-zero data:
   vectors estimate the same population eigenvector, so they are fused by
   normalized averaging.
 
+Values past a fit's rank are exact zeros, and vectors are returned for the
+rank block only: those of the zeros would span an arbitrary null basis.
+
 Also provides high-dimensional bias corrections for isolated spiked
 eigenvalues of both fits, a threshold rank estimator, and a subspace
 similarity score.
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import RngStream, SvdTriplet, svd_full, sym_eig
+from .numkernel import RngStream, fix_signs, svd_full, sym_eig
 
 __all__ = [
     "FUSION_NORM_TOL",
@@ -48,8 +51,9 @@ ORTHONORMAL_TOL = 1e-6
 class PCAFit:
     """Classical PCA fit: eigenpairs of the sample covariance.
 
-    ``eigenvalues`` are descending and clipped at zero (the matrix is PSD up
-    to roundoff); column j of ``eigenvectors`` pairs with ``eigenvalues[j]``.
+    ``eigenvalues`` are descending, clipped at zero (the matrix is PSD up to
+    roundoff) and exactly 0.0 past the rank min(n, p); column j of
+    ``eigenvectors`` (rank block only) pairs with ``eigenvalues[j]``.
     """
 
     eigenvalues: np.ndarray
@@ -60,11 +64,13 @@ class PCAFit:
 class PPCAFit:
     """Product PCA fit from one random half-split of the sample.
 
-    ``singular_values`` are the descending singular values of the product of
-    half-sample covariance square roots.  Columns j of ``left_vectors`` /
-    ``right_vectors`` are the sign-fixed singular vector pair, and
-    ``fused_vectors[:, j]`` is their normalized sum, the eigenvector
-    estimate.  ``partition`` holds the two disjoint row-index halves.
+    ``singular_values`` are the p descending singular values of the product
+    of half-sample covariance square roots, exactly 0.0 past its rank
+    min(h1, h2, p) for halves of h1 and h2 rows.  Columns j of
+    ``left_vectors`` / ``right_vectors`` (rank block only) are the sign-fixed
+    singular vector pair, and ``fused_vectors[:, j]`` is their normalized
+    sum, the eigenvector estimate.  ``partition`` holds the two disjoint
+    row-index halves.
     ``fallback_columns`` lists columns where the pair was so anti-aligned
     that fusion fell back to the left vector alone.
     """
@@ -98,28 +104,17 @@ def pca_fit(x: np.ndarray) -> PCAFit:
     """Eigendecomposition of the sample covariance, eigenvalues descending."""
     x = _check_data(x)
     w, v = sym_eig(sample_cov(x))
-    return PCAFit(eigenvalues=np.maximum(w, 0.0), eigenvectors=v)
-
-
-def _half_sqrt(xh: np.ndarray) -> np.ndarray:
-    """PSD square root of one half's sample covariance.
-
-    Built from the thin SVD of the scaled data, which costs
-    O(min(n,p)^2 max(n,p)) instead of an order-p eigendecomposition when the
-    half has fewer rows than columns.
-    """
-    scaled = xh / np.sqrt(xh.shape[0])
-    _, s, vh = np.linalg.svd(scaled, full_matrices=False)
-    root = (vh.T * s) @ vh
-    return (root + root.T) / 2.0
+    rank = min(x.shape)
+    w[rank:] = 0.0
+    return PCAFit(eigenvalues=np.maximum(w, 0.0), eigenvectors=v[:, :rank])
 
 
 def _fuse(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """Column-wise normalized sums of paired singular vectors.
 
     Columns whose sum has norm below FUSION_NORM_TOL (anti-aligned pairs,
-    which only occur in the zero-singular-value block) fall back to the left
-    vector; their indices are reported.
+    which only occur for zero singular values) fall back to the left vector;
+    their indices are reported.
     """
     sums = u + v
     norms = np.linalg.norm(sums, axis=0)
@@ -152,10 +147,10 @@ def ppca_fit(
     """Product PCA: SVD of the product of half-covariance square roots.
 
     The sample is split into two near-equal halves (random equal split drawn
-    from ``rng`` unless an explicit ``partition`` is given), each half's
-    covariance square root is formed, and the square product matrix is
-    decomposed with the deterministic-sign SVD.  Requires n >= 4 so each
-    half has at least two rows.
+    from ``rng`` unless an explicit ``partition`` is given).  With the halves'
+    thin SVDs U_i diag(s_i) V_i^T the product is V_1 C V_2^T; only the core
+    C = diag(s_1) V_1^T V_2 diag(s_2) is decomposed, and its vectors lifted.
+    Requires n >= 4 so each half has at least two rows.
     """
     x = _check_data(x, min_rows=4)
     n = x.shape[0]
@@ -166,13 +161,15 @@ def ppca_fit(
         second = np.sort(perm[half:])
     else:
         first, second = _check_partition(partition[0], partition[1], n)
-    product = _half_sqrt(x[first]) @ _half_sqrt(x[second])
-    trip: SvdTriplet = svd_full(product)
-    fused, fallback = _fuse(trip.u, trip.v)
+    _, s1, vh1 = np.linalg.svd(x[first] / np.sqrt(first.size), full_matrices=False)
+    _, s2, vh2 = np.linalg.svd(x[second] / np.sqrt(second.size), full_matrices=False)
+    trip = svd_full((s1[:, None] * (vh1 @ vh2.T)) * s2)
+    left, right = fix_signs(vh1.T @ trip.u, vh2.T @ trip.v)
+    fused, fallback = _fuse(left, right)
     return PPCAFit(
-        singular_values=trip.s,
-        left_vectors=trip.u,
-        right_vectors=trip.v,
+        singular_values=np.concatenate([trip.s, np.zeros(x.shape[1] - trip.s.size)]),
+        left_vectors=left,
+        right_vectors=right,
         fused_vectors=fused,
         partition=(first, second),
         fallback_columns=fallback,

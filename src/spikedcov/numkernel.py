@@ -23,6 +23,7 @@ __all__ = [
     "check_symmetric",
     "sym_eig",
     "psd_sqrt",
+    "fix_signs",
     "svd_full",
     "haar_orthogonal",
     "random_orthogonal",
@@ -68,10 +69,10 @@ class SvdTriplet:
     v: np.ndarray
 
 
-def _as_square(a: np.ndarray, name: str) -> np.ndarray:
+def _as_matrix(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be a 2-d array, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must have finite entries")
     return a
@@ -79,7 +80,9 @@ def _as_square(a: np.ndarray, name: str) -> np.ndarray:
 
 def check_symmetric(s: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
     """Validate symmetry up to relative Frobenius tolerance ``tol``."""
-    s = _as_square(s, "matrix")
+    s = _as_matrix(s, "matrix")
+    if s.shape[0] != s.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {s.shape}")
     scale = np.linalg.norm(s)
     if scale > 0.0:
         asym = np.linalg.norm(s - s.T) / scale
@@ -115,28 +118,31 @@ def psd_sqrt(s: np.ndarray) -> np.ndarray:
     return (root + root.T) / 2.0
 
 
-def svd_full(a: np.ndarray) -> SvdTriplet:
-    """Full SVD of a square matrix with a deterministic sign convention.
+def fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of paired singular vectors with deterministic column signs.
 
-    Singular values come back descending. For each triplet the entry of u
-    with the largest magnitude is made positive (ties broken by lowest row
-    index, which argmax already does), flipping u and v together so
-    ``u s v^T`` still reconstructs the input.  When LAPACK's default
+    The entry of u with the largest magnitude (lowest row on ties) is made
+    positive; u and v flip together, so ``u s v^T`` is unchanged.
+    """
+    lead = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    flip = np.where(lead < 0.0, -1.0, 1.0)
+    return u * flip, v * flip
+
+
+def svd_full(a: np.ndarray) -> SvdTriplet:
+    """Thin SVD of a finite 2-d matrix with a deterministic sign convention.
+
+    An m x n input gives min(m, n) triplets, singular values descending,
+    with signs fixed by :func:`fix_signs`.  When LAPACK's default
     divide-and-conquer driver (gesdd) does not converge, the SVD is retried
     once with the QR-iteration driver (gesvd).
     """
-    a = _as_square(a, "matrix")
+    a = _as_matrix(a, "matrix")
     try:
-        u, s, vh = np.linalg.svd(a)
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError:
-        u, s, vh = scipy.linalg.svd(a, lapack_driver="gesvd")
-    v = vh.T.copy()
-    u = u.copy()
-    for j in range(s.size):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0.0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
+        u, s, vh = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
+    u, v = fix_signs(u, vh.T)
     return SvdTriplet(u=u, s=s, v=v)
 
 

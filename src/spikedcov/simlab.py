@@ -343,12 +343,6 @@ def _split_stream(cfg: ExperimentConfig, replicate_index: int) -> RngStream:
     return RngStream(cfg.master_seed, 2 * replicate_index + 1)
 
 
-def _snap_zeros(values: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Copy of a decreasing spectrum with values at roundoff scale of its first set to 0.0."""
-    tol = max(n, p) * np.spacing(max(values[0], 0.0))
-    return np.where(values <= tol, 0.0, values)
-
-
 def _ks_pair(values: np.ndarray, cdf, mass0: float) -> tuple[float, float]:
     """Exact KS against the full law and against its continuous part.
 
@@ -400,8 +394,8 @@ def run_spectrum_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     pooled = {"ppca": [], "pca": []}
     for i in range(cfg.replicates):
         x = gen_data(cfg, i)
-        sing = _snap_zeros(ppca_fit(x, _split_stream(cfg, i)).singular_values, cfg.n, cfg.p)
-        eig = _snap_zeros(pca_fit(x).eigenvalues, cfg.n, cfg.p)
+        sing = ppca_fit(x, _split_stream(cfg, i)).singular_values
+        eig = pca_fit(x).eigenvalues
         ks_g, cond_g = _ks_pair(sing, g_cdf, consts.mass0_ppca)
         ks_f, cond_f = _ks_pair(eig, f_cdf, consts.mass0_pca)
         records.append(
@@ -540,7 +534,9 @@ def run_robustness_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     (the estimated target rank) and, for q from the signal count up to
     XI_Q_MAX, the similarity of the leading-q estimated basis to the true
     signal directions.  Product-PCA bases use the fused vectors,
-    orthonormalized.
+    orthonormalized.  Fits return vectors for their rank block only: a q past
+    a fit's rank scores the whole block, and a block narrower than the
+    signal raises ``ValueError``.
     """
     if not cfg.spikes:
         raise ValueError("robustness experiment needs at least one population spike")

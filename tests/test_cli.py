@@ -220,6 +220,31 @@ class TestFit:
         vecs = np.array([[float(v) for v in r[1:]] for r in rows]).T
         assert np.allclose(vecs, fit.fused_vectors, atol=1e-9)
 
+    @pytest.mark.parametrize("method, rank", [("ppca", 5), ("pca", 10)])
+    def test_wide_vectors_cover_the_rank_block(self, capsys, tmp_path, method, rank):
+        n, p = 10, 20
+        x = RngStream(11, 0).generator().standard_normal((n, p))
+        path = tmp_path / "data.csv"
+        np.savetxt(path, x, delimiter=",")
+        argv = ["fit", "--input", str(path), "--method", method, "--seed", "4"]
+        code, out, _ = run_cli(capsys, *argv, "--vectors")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == ["eigenvalue"] + [f"component_{i + 1}" for i in range(p)]
+        assert len(rows) == rank
+        if method == "ppca":
+            fit = estimators.ppca_fit(x, RngStream(4, 0))
+            values, vectors = fit.singular_values, fit.fused_vectors
+        else:
+            fit = estimators.pca_fit(x)
+            values, vectors = fit.eigenvalues, fit.eigenvectors
+        got = np.array([[float(v) for v in r] for r in rows])
+        assert np.allclose(got[:, 0], values[:rank], rtol=1e-9)
+        assert np.allclose(got[:, 1:].T, vectors, atol=1e-9)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(parse_csv(out)[1]) == p
+
     def test_center_flag(self, capsys, tmp_path):
         x = RngStream(10, 0).generator().standard_normal((25, 3)) + 50.0
         path = tmp_path / "data.csv"

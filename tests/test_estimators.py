@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spikedcov import estimators
-from spikedcov.numkernel import RngStream
+from spikedcov.numkernel import RngStream, psd_sqrt
 
 
 def gaussian_data(n, p, seed=0):
@@ -91,12 +91,43 @@ class TestPpcaFit:
         assert np.array_equal(a.singular_values, b.singular_values)
         assert np.array_equal(a.partition[0], b.partition[0])
 
-    def test_zero_singular_count_when_wide(self):
-        n, p = 12, 20
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_zero_singular_count_when_wide(self, n):
+        # odd n splits into halves of 6 and 7 rows: a rectangular core
+        p = 20
         x = gaussian_data(n, p, seed=8)
         fit = estimators.ppca_fit(x, RngStream(2, 0))
-        tol = max(n, p) * np.spacing(fit.singular_values[0])
-        assert int(np.sum(fit.singular_values <= tol)) == p - n // 2
+        assert np.count_nonzero(fit.singular_values == 0.0) == p - n // 2
+        assert np.all(fit.singular_values[: n // 2] > 0.0)
+        assert fit.fused_vectors.shape == (p, n // 2)
+        cfit = estimators.pca_fit(x)
+        assert np.count_nonzero(cfit.eigenvalues == 0.0) == p - n
+        assert np.all(cfit.eigenvalues[:n] > 0.0)
+        assert cfit.eigenvectors.shape == (p, n)
+
+    @pytest.mark.parametrize(
+        "n, p", [(40, 6), (12, 20), (13, 20), (20, 10), (8, 1), (4, 3), (5, 9)]
+    )
+    def test_matches_product_of_square_roots(self, n, p):
+        # oracle: the full SVD of the explicit p x p product on the same split
+        x = gaussian_data(n, p, seed=14)
+        fit = estimators.ppca_fit(x, RngStream(6, 0))
+        first, second = fit.partition
+        product = psd_sqrt(estimators.sample_cov(x[first])) @ psd_sqrt(
+            estimators.sample_cov(x[second])
+        )
+        want = np.linalg.svd(product, compute_uv=False)
+        rank = min(first.size, second.size, p)
+        s = fit.singular_values
+        assert s.shape == (p,)
+        assert np.max(np.abs(s[:rank] - want[:rank])) <= 1e-7 * s[0]
+        assert np.all(s[:rank] > 0.0) and np.all(s[rank:] == 0.0)
+        assert fit.left_vectors.shape == fit.right_vectors.shape == (p, rank)
+        lead = np.argmax(np.abs(fit.left_vectors), axis=0)
+        assert np.all(fit.left_vectors[lead, np.arange(rank)] > 0.0)
+        rebuilt = (fit.left_vectors * s[:rank]) @ fit.right_vectors.T
+        assert np.max(np.abs(rebuilt - product)) <= 1e-7 * s[0]
+        assert np.allclose(np.linalg.norm(fit.fused_vectors, axis=0), 1.0, atol=1e-12)
 
     def test_fused_unit_length(self):
         x = gaussian_data(16, 5, seed=9)

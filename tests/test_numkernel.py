@@ -106,9 +106,22 @@ class TestSvdFull:
         assert np.allclose(trip.v, np.eye(2))
         assert np.allclose(trip.s, [3.0, 2.0])
 
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            numkernel.svd_full(np.ones((2, 3)))
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3)])
+    def test_thin_rectangular(self, shape):
+        a = np.random.default_rng(5).standard_normal(shape)
+        trip = numkernel.svd_full(a)
+        k = min(shape)
+        assert trip.u.shape == (shape[0], k) and trip.v.shape == (shape[1], k)
+        assert trip.s.shape == (k,) and np.all(np.diff(trip.s) <= 0)
+        assert np.allclose((trip.u * trip.s) @ trip.v.T, a, atol=1e-12)
+        for j in range(k):
+            assert trip.u[int(np.argmax(np.abs(trip.u[:, j]))), j] > 0.0
+
+    def test_rejects_non_finite_and_one_dimensional(self):
+        with pytest.raises(ValueError, match="finite"):
+            numkernel.svd_full(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="2-d"):
+            numkernel.svd_full(np.ones(3))
 
     def test_retries_with_gesvd_when_gesdd_does_not_converge(self, monkeypatch):
         a = np.random.default_rng(4).standard_normal((6, 6))

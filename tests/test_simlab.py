@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from conftest import ks_exact_oracle
-from spikedcov import estimators, rmt, simlab
+from spikedcov import estimators, numkernel, rmt, simlab
 
 
 BASE = "n=40\np=16\nmodel=gaussian\nreplicates=2\n"
@@ -167,6 +167,26 @@ class TestSpectrumRunner:
                 assert r[j] == pytest.approx(float(fn(params, r[it])), abs=1e-9)
 
 
+class TestGesddRegression:
+    def test_wide_fit_needs_no_gesvd_retry(self, monkeypatch):
+        # gesdd did not converge on the 2000 x 2000 rank-500 product of this
+        # replicate; the 500 x 500 core it is now read from converges
+        cfg = config("n=1000\np=2000\nmodel=gaussian\nreplicates=1\n", seed=15)
+        x = simlab.gen_data(cfg, 0)
+        gesvd = numkernel.scipy.linalg.svd
+        retries = []
+
+        def counting(*args, **kwargs):
+            retries.append(np.shape(args[0]))
+            return gesvd(*args, **kwargs)
+
+        monkeypatch.setattr(numkernel.scipy.linalg, "svd", counting)
+        fit = estimators.ppca_fit(x, simlab._split_stream(cfg, 0))
+        assert retries == []
+        assert np.count_nonzero(fit.singular_values == 0.0) == 1500
+        assert np.all(fit.singular_values[:500] > 0.0)
+
+
 class TestKsPair:
     @pytest.mark.parametrize("n, p", [(60, 24), (30, 60)])
     def test_exact_statistics(self, n, p):
@@ -183,8 +203,7 @@ class TestKsPair:
             ),
             (estimators.pca_fit(x).eigenvalues, rmt.ssm_f_cdf, consts.mass0_pca),
         )
-        for raw, law, mass0 in fits:
-            values = simlab._snap_zeros(raw, n, p)
+        for values, law, mass0 in fits:
             cdf = functools.partial(law, params)
             full, cond = simlab._ks_pair(values, cdf, mass0)
             assert full == pytest.approx(ks_exact_oracle(values, cdf, mass0), abs=1e-15)
@@ -259,6 +278,12 @@ class TestRobustnessRunner:
                 assert 0.0 <= xs[0] <= 1.0
             assert record[idx["rank_ppca"]] >= 0
             assert record[idx["rank_pca"]] >= 0
+
+    def test_rejects_product_rank_below_spike_count(self):
+        # n // 2 = 2 fused vectors cannot span three signal directions
+        cfg = config("n=5\np=12\nspikes=9,8,7\nreplicates=1\n", seed=3)
+        with pytest.raises(ValueError, match="columns"):
+            simlab.run_robustness_experiment(cfg)
 
     def test_clean_regime_recovers_rank_two(self):
         cfg = config(

@@ -251,10 +251,10 @@ def _cmd_fit(args) -> int:
     if args.method == "ppca":
         if args.seed is None:
             raise ValueError("product PCA needs --seed for the half split")
-        fit = estimators.ppca_fit(x, simlab.RngStream(args.seed, 0))
+        fit = estimators.ppca_fit(x, simlab.RngStream(args.seed, 0), vectors=args.vectors)
         values, vectors = fit.singular_values, fit.fused_vectors
     else:
-        fit = estimators.pca_fit(x)
+        fit = estimators.pca_fit(x, vectors=args.vectors)
         values, vectors = fit.eigenvalues, fit.eigenvectors
     if args.vectors:
         columns = ["eigenvalue"] + [f"component_{i + 1}" for i in range(vectors.shape[0])]

@@ -9,8 +9,15 @@ Two fits of the same population eigenstructure from mean-zero data:
   vectors estimate the same population eigenvector, so they are fused by
   normalized averaging.
 
-Values past a fit's rank are exact zeros, and vectors are returned for the
-rank block only: those of the zeros would span an arbitrary null basis.
+Both fits compute values only unless asked for vectors.  Values come from
+the smallest matrix that carries them: PCA from the eigenvalues of the
+smaller of X^T X / n and X X^T / n, product PCA from the singular values of
+B_1 B_2^T for any factors with B_i^T B_i = S_i, the half covariances
+(Halko, Martinsson & Tropp 2011, on reduced cores).  With vectors, PCA
+decomposes the p x p covariance and product PCA lifts the vectors of the
+half-sample SVD core.  Values past a fit's rank are exact zeros, and vectors
+are returned for the rank block only: those of the zeros would span an
+arbitrary null basis.
 
 Also provides high-dimensional bias corrections for isolated spiked
 eigenvalues of both fits, a threshold rank estimator, and a subspace
@@ -53,11 +60,12 @@ class PCAFit:
 
     ``eigenvalues`` are descending, clipped at zero (the matrix is PSD up to
     roundoff) and exactly 0.0 past the rank min(n, p); column j of
-    ``eigenvectors`` (rank block only) pairs with ``eigenvalues[j]``.
+    ``eigenvectors`` (rank block only) pairs with ``eigenvalues[j]``, and is
+    ``None`` for a values-only fit.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -69,16 +77,16 @@ class PPCAFit:
     min(h1, h2, p) for halves of h1 and h2 rows.  Columns j of
     ``left_vectors`` / ``right_vectors`` (rank block only) are the sign-fixed
     singular vector pair, and ``fused_vectors[:, j]`` is their normalized
-    sum, the eigenvector estimate.  ``partition`` holds the two disjoint
-    row-index halves.
+    sum, the eigenvector estimate; all three are ``None`` for a values-only
+    fit.  ``partition`` holds the two disjoint row-index halves.
     ``fallback_columns`` lists columns where the pair was so anti-aligned
-    that fusion fell back to the left vector alone.
+    that fusion fell back to the left vector alone (empty without vectors).
     """
 
     singular_values: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
-    fused_vectors: np.ndarray
+    left_vectors: np.ndarray | None
+    right_vectors: np.ndarray | None
+    fused_vectors: np.ndarray | None
     partition: tuple[np.ndarray, np.ndarray]
     fallback_columns: tuple[int, ...] = ()
 
@@ -100,13 +108,27 @@ def sample_cov(x: np.ndarray) -> np.ndarray:
     return x.T @ x / x.shape[0]
 
 
-def pca_fit(x: np.ndarray) -> PCAFit:
-    """Eigendecomposition of the sample covariance, eigenvalues descending."""
+def pca_fit(x: np.ndarray, *, vectors: bool = False) -> PCAFit:
+    """Eigenvalues of the sample covariance, descending; vectors on request.
+
+    Values only: the min(n, p) eigenvalues of the smaller of X^T X / n and
+    X X^T / n, which share their nonzero spectrum.  With ``vectors`` the
+    p x p sample covariance is decomposed and the rank block's eigenvectors
+    are kept.
+    """
     x = _check_data(x)
-    w, v = sym_eig(sample_cov(x))
-    rank = min(x.shape)
-    w[rank:] = 0.0
-    return PCAFit(eigenvalues=np.maximum(w, 0.0), eigenvectors=v[:, :rank])
+    n, p = x.shape
+    rank = min(n, p)
+    w = np.zeros(p)
+    v = None
+    if vectors:
+        full, v = sym_eig(sample_cov(x))
+        w[:rank] = full[:rank]
+        v = v[:, :rank]
+    else:
+        gram = x.T @ x if p <= n else x @ x.T
+        w[:rank] = np.linalg.eigvalsh(gram / n)[::-1]
+    return PCAFit(eigenvalues=np.maximum(w, 0.0), eigenvectors=v)
 
 
 def _fuse(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -139,17 +161,31 @@ def _check_partition(
     return first, second
 
 
+def _half_factor(half: np.ndarray) -> np.ndarray:
+    """A factor B with B^T B = X_h^T X_h / h and at most p rows.
+
+    The scaled half itself when it has at most p rows, else its QR R factor.
+    """
+    b = half / np.sqrt(half.shape[0])
+    return b if b.shape[0] <= b.shape[1] else np.linalg.qr(b, mode="r")
+
+
 def ppca_fit(
     x: np.ndarray,
     rng: RngStream,
     partition: tuple[np.ndarray, np.ndarray] | None = None,
+    *,
+    vectors: bool = False,
 ) -> PPCAFit:
     """Product PCA: SVD of the product of half-covariance square roots.
 
     The sample is split into two near-equal halves (random equal split drawn
-    from ``rng`` unless an explicit ``partition`` is given).  With the halves'
-    thin SVDs U_i diag(s_i) V_i^T the product is V_1 C V_2^T; only the core
-    C = diag(s_1) V_1^T V_2 diag(s_2) is decomposed, and its vectors lifted.
+    from ``rng`` unless an explicit ``partition`` is given).  For any factors
+    with B_i^T B_i = S_i, the nonzero singular values of S_1^{1/2} S_2^{1/2}
+    are those of B_1 B_2^T, so values only take a values-only SVD of that
+    min(h1, p) x min(h2, p) matrix.  With ``vectors``, the halves' thin SVDs
+    U_i diag(s_i) V_i^T give the product as V_1 C V_2^T; the core
+    C = diag(s_1) V_1^T V_2 diag(s_2) is decomposed and its vectors lifted.
     Requires n >= 4 so each half has at least two rows.
     """
     x = _check_data(x, min_rows=4)
@@ -161,13 +197,20 @@ def ppca_fit(
         second = np.sort(perm[half:])
     else:
         first, second = _check_partition(partition[0], partition[1], n)
-    _, s1, vh1 = np.linalg.svd(x[first] / np.sqrt(first.size), full_matrices=False)
-    _, s2, vh2 = np.linalg.svd(x[second] / np.sqrt(second.size), full_matrices=False)
-    trip = svd_full((s1[:, None] * (vh1 @ vh2.T)) * s2)
-    left, right = fix_signs(vh1.T @ trip.u, vh2.T @ trip.v)
-    fused, fallback = _fuse(left, right)
+    left = right = fused = None
+    fallback = ()
+    if vectors:
+        _, s1, vh1 = np.linalg.svd(x[first] / np.sqrt(first.size), full_matrices=False)
+        _, s2, vh2 = np.linalg.svd(x[second] / np.sqrt(second.size), full_matrices=False)
+        trip = svd_full((s1[:, None] * (vh1 @ vh2.T)) * s2)
+        left, right = fix_signs(vh1.T @ trip.u, vh2.T @ trip.v)
+        fused, fallback = _fuse(left, right)
+        s = trip.s
+    else:
+        core = _half_factor(x[first]) @ _half_factor(x[second]).T
+        s = np.linalg.svd(core, compute_uv=False)
     return PPCAFit(
-        singular_values=np.concatenate([trip.s, np.zeros(x.shape[1] - trip.s.size)]),
+        singular_values=np.concatenate([s, np.zeros(x.shape[1] - s.size)]),
         left_vectors=left,
         right_vectors=right,
         fused_vectors=fused,

@@ -549,8 +549,8 @@ def run_robustness_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     records = []
     for i in range(cfg.replicates):
         x, signal = _gen_data_full(cfg, i)
-        pfit = ppca_fit(x, _split_stream(cfg, i))
-        cfit = pca_fit(x)
+        pfit = ppca_fit(x, _split_stream(cfg, i), vectors=True)
+        cfit = pca_fit(x, vectors=True)
         row = [
             i,
             estimate_rank(pfit.singular_values, consts.b),

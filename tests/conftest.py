@@ -11,12 +11,26 @@ from __future__ import annotations
 
 import cmath
 import math
+import pathlib
+import types
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from spikedcov import rmt, spectra
+
+
+def load_script(path: pathlib.Path) -> types.ModuleType:
+    """Execute a script outside the package from source, as a module.
+
+    Nothing is written next to it (no bytecode cache), and its main guard
+    does not run.
+    """
+    module = types.ModuleType(path.stem)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
 
 
 def mp_stieltjes_oracle(c: float, sigma2: float, z: complex) -> tuple[complex, complex]:

@@ -214,7 +214,7 @@ class TestFit:
         assert code == 0
         header, rows = parse_csv(out)
         assert header == ["eigenvalue", "component_1", "component_2", "component_3"]
-        fit = estimators.ppca_fit(x, RngStream(4, 0))
+        fit = estimators.ppca_fit(x, RngStream(4, 0), vectors=True)
         got = np.array([float(r[0]) for r in rows])
         assert np.allclose(got, fit.singular_values, rtol=1e-9)
         vecs = np.array([[float(v) for v in r[1:]] for r in rows]).T
@@ -233,10 +233,10 @@ class TestFit:
         assert header == ["eigenvalue"] + [f"component_{i + 1}" for i in range(p)]
         assert len(rows) == rank
         if method == "ppca":
-            fit = estimators.ppca_fit(x, RngStream(4, 0))
+            fit = estimators.ppca_fit(x, RngStream(4, 0), vectors=True)
             values, vectors = fit.singular_values, fit.fused_vectors
         else:
-            fit = estimators.pca_fit(x)
+            fit = estimators.pca_fit(x, vectors=True)
             values, vectors = fit.eigenvalues, fit.eigenvectors
         got = np.array([[float(v) for v in r] for r in rows])
         assert np.allclose(got[:, 0], values[:rank], rtol=1e-9)

@@ -44,7 +44,7 @@ class TestPcaFit:
         s = 3.0
         x = np.zeros((10, 4))
         x[:, 0] = s
-        fit = estimators.pca_fit(x)
+        fit = estimators.pca_fit(x, vectors=True)
         assert fit.eigenvalues[0] == pytest.approx(s * s)
         assert np.allclose(fit.eigenvalues[1:], 0.0, atol=1e-12)
         assert abs(fit.eigenvectors[0, 0]) == pytest.approx(1.0)
@@ -58,7 +58,7 @@ class TestPcaFit:
 
     def test_orthogonal_eigenvectors(self):
         x = gaussian_data(40, 8, seed=4)
-        fit = estimators.pca_fit(x)
+        fit = estimators.pca_fit(x, vectors=True)
         assert np.allclose(fit.eigenvectors.T @ fit.eigenvectors, np.eye(8), atol=1e-10)
 
 
@@ -69,8 +69,8 @@ class TestPpcaFit:
         base = gaussian_data(30, 6, seed=5)
         x = np.vstack([base, base])
         part = (np.arange(30), np.arange(30, 60))
-        fit = estimators.ppca_fit(x, RngStream(0, 1), partition=part)
-        ref = estimators.pca_fit(base)
+        fit = estimators.ppca_fit(x, RngStream(0, 1), partition=part, vectors=True)
+        ref = estimators.pca_fit(base, vectors=True)
         assert np.max(np.abs(fit.singular_values - ref.eigenvalues)) < 1e-8
         lead = ref.eigenvalues > 1e-8
         overlap = np.abs(np.sum(fit.fused_vectors * ref.eigenvectors, axis=0))
@@ -96,32 +96,36 @@ class TestPpcaFit:
         # odd n splits into halves of 6 and 7 rows: a rectangular core
         p = 20
         x = gaussian_data(n, p, seed=8)
-        fit = estimators.ppca_fit(x, RngStream(2, 0))
+        fit = estimators.ppca_fit(x, RngStream(2, 0), vectors=True)
         assert np.count_nonzero(fit.singular_values == 0.0) == p - n // 2
         assert np.all(fit.singular_values[: n // 2] > 0.0)
         assert fit.fused_vectors.shape == (p, n // 2)
-        cfit = estimators.pca_fit(x)
+        cfit = estimators.pca_fit(x, vectors=True)
         assert np.count_nonzero(cfit.eigenvalues == 0.0) == p - n
         assert np.all(cfit.eigenvalues[:n] > 0.0)
         assert cfit.eigenvectors.shape == (p, n)
 
     @pytest.mark.parametrize(
-        "n, p", [(40, 6), (12, 20), (13, 20), (20, 10), (8, 1), (4, 3), (5, 9)]
+        # (13, 6): one half square (6 rows), the other tall (7 rows)
+        "n, p",
+        [(40, 6), (12, 20), (13, 20), (20, 10), (8, 1), (4, 3), (5, 9), (13, 6)],
     )
     def test_matches_product_of_square_roots(self, n, p):
-        # oracle: the full SVD of the explicit p x p product on the same split
+        # oracle: the full SVD of the explicit p x p product on the same split,
+        # for the values of both routes and the vectors of the vectors route
         x = gaussian_data(n, p, seed=14)
-        fit = estimators.ppca_fit(x, RngStream(6, 0))
+        fit = estimators.ppca_fit(x, RngStream(6, 0), vectors=True)
+        values_only = estimators.ppca_fit(x, RngStream(6, 0))
         first, second = fit.partition
         product = psd_sqrt(estimators.sample_cov(x[first])) @ psd_sqrt(
             estimators.sample_cov(x[second])
         )
         want = np.linalg.svd(product, compute_uv=False)
         rank = min(first.size, second.size, p)
-        s = fit.singular_values
-        assert s.shape == (p,)
-        assert np.max(np.abs(s[:rank] - want[:rank])) <= 1e-7 * s[0]
-        assert np.all(s[:rank] > 0.0) and np.all(s[rank:] == 0.0)
+        for s in (values_only.singular_values, fit.singular_values):
+            assert s.shape == (p,)
+            assert np.max(np.abs(s[:rank] - want[:rank])) <= 1e-7 * s[0]
+            assert np.all(s[:rank] > 0.0) and np.all(s[rank:] == 0.0)
         assert fit.left_vectors.shape == fit.right_vectors.shape == (p, rank)
         lead = np.argmax(np.abs(fit.left_vectors), axis=0)
         assert np.all(fit.left_vectors[lead, np.arange(rank)] > 0.0)
@@ -131,7 +135,7 @@ class TestPpcaFit:
 
     def test_fused_unit_length(self):
         x = gaussian_data(16, 5, seed=9)
-        fit = estimators.ppca_fit(x, RngStream(4, 0))
+        fit = estimators.ppca_fit(x, RngStream(4, 0), vectors=True)
         norms = np.linalg.norm(fit.fused_vectors, axis=0)
         assert np.allclose(norms, 1.0, atol=1e-12)
 
@@ -157,8 +161,39 @@ class TestPpcaFit:
 
     def test_no_fallback_on_ordinary_data(self):
         x = gaussian_data(16, 5, seed=12)
-        fit = estimators.ppca_fit(x, RngStream(5, 0))
+        fit = estimators.ppca_fit(x, RngStream(5, 0), vectors=True)
         assert fit.fallback_columns == ()
+
+
+# tall, wide, odd n (halves of 6 and 7 rows), p = 1, and the smallest n
+ROUTE_SHAPES = [(40, 6), (12, 20), (13, 20), (13, 6), (9, 1), (4, 3), (4, 7)]
+
+
+class TestFitRoutes:
+    @pytest.mark.parametrize("n, p", ROUTE_SHAPES)
+    def test_values_only_matches_vectors_route(self, n, p):
+        x = gaussian_data(n, p, seed=15)
+        pairs = (
+            (estimators.pca_fit(x).eigenvalues, estimators.pca_fit(x, vectors=True).eigenvalues),
+            (
+                estimators.ppca_fit(x, RngStream(7, 0)).singular_values,
+                estimators.ppca_fit(x, RngStream(7, 0), vectors=True).singular_values,
+            ),
+        )
+        for values, reference in pairs:
+            assert values.shape == reference.shape == (p,)
+            assert np.max(np.abs(values - reference)) <= 1e-12 * reference[0]
+            assert np.count_nonzero(values == 0.0) == np.count_nonzero(reference == 0.0)
+
+    def test_values_only_returns_no_vectors(self):
+        x = gaussian_data(12, 20, seed=16)
+        cfit = estimators.pca_fit(x)
+        assert cfit.eigenvectors is None
+        pfit = estimators.ppca_fit(x, RngStream(8, 0))
+        assert pfit.left_vectors is None
+        assert pfit.right_vectors is None
+        assert pfit.fused_vectors is None
+        assert pfit.fallback_columns == ()
 
 
 class TestDebias:

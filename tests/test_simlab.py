@@ -170,7 +170,7 @@ class TestSpectrumRunner:
 class TestGesddRegression:
     def test_wide_fit_needs_no_gesvd_retry(self, monkeypatch):
         # gesdd did not converge on the 2000 x 2000 rank-500 product of this
-        # replicate; the 500 x 500 core it is now read from converges
+        # replicate; the 500 x 500 core the vectors route decomposes converges
         cfg = config("n=1000\np=2000\nmodel=gaussian\nreplicates=1\n", seed=15)
         x = simlab.gen_data(cfg, 0)
         gesvd = numkernel.scipy.linalg.svd
@@ -181,7 +181,7 @@ class TestGesddRegression:
             return gesvd(*args, **kwargs)
 
         monkeypatch.setattr(numkernel.scipy.linalg, "svd", counting)
-        fit = estimators.ppca_fit(x, simlab._split_stream(cfg, 0))
+        fit = estimators.ppca_fit(x, simlab._split_stream(cfg, 0), vectors=True)
         assert retries == []
         assert np.count_nonzero(fit.singular_values == 0.0) == 1500
         assert np.all(fit.singular_values[:500] > 0.0)

@@ -8,26 +8,18 @@ without failing any library test, so tiny traced ops run here.
 import contextlib
 import io
 import pathlib
-import types
 
 import spikedcov
+from conftest import load_script
 from spikedcov import cli
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def load_tracing():
-    """Execute tracing.py from source; nothing is written next to it."""
-    module = types.ModuleType("perfbench_tracing")
-    module.__file__ = str(TRACING)
-    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), module.__dict__)
-    return module
-
-
 def test_traced_ops_reach_every_counted_layer(tmp_path):
     config = tmp_path / "experiment.cfg"
     config.write_text("n=40\np=60\nmodel=gaussian\nspikes=design\nreplicates=1\n")
-    tracer = load_tracing().Tracer(vars(spikedcov))
+    tracer = load_script(TRACING).Tracer(vars(spikedcov))
     codes = []
     tracer.install()
     try:

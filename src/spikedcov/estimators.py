@@ -15,8 +15,11 @@ smaller of X^T X / n and X X^T / n, product PCA from the singular values of
 B_1 B_2^T for any factors with B_i^T B_i = S_i, the half covariances
 (Halko, Martinsson & Tropp 2011, on reduced cores).  With vectors, PCA
 decomposes the p x p covariance and product PCA lifts the vectors of the
-half-sample SVD core.  Values past a fit's rank are exact zeros, and vectors
-are returned for the rank block only: those of the zeros would span an
+core diag(s_1) V_1^T V_2 diag(s_2), where V_i and s_i are the right singular
+vectors and values of each scaled half: from the half covariance when the
+half has at least p rows, from its thin SVD otherwise, never forming the
+left vectors.  Values past a fit's rank are exact zeros, and vectors are
+returned for the rank block only: those of the zeros would span an
 arbitrary null basis.
 
 Also provides high-dimensional bias corrections for isolated spiked
@@ -78,7 +81,10 @@ class PPCAFit:
     ``left_vectors`` / ``right_vectors`` (rank block only) are the sign-fixed
     singular vector pair, and ``fused_vectors[:, j]`` is their normalized
     sum, the eigenvector estimate; all three are ``None`` for a values-only
-    fit.  ``partition`` holds the two disjoint row-index halves.
+    fit.  A vector fit lifts the core's singular vectors by each half's right
+    singular vectors, taken from the half covariance when the half has at
+    least p rows (see :func:`ppca_fit`).  ``partition`` holds the two
+    disjoint row-index halves.
     ``fallback_columns`` lists columns where the pair was so anti-aligned
     that fusion fell back to the left vector alone (empty without vectors).
     """
@@ -170,6 +176,23 @@ def _half_factor(half: np.ndarray) -> np.ndarray:
     return b if b.shape[0] <= b.shape[1] else np.linalg.qr(b, mode="r")
 
 
+def _half_svd(half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values s and right singular vectors V of X_h / sqrt(h).
+
+    A half with at least p rows takes V from the eigenvectors of its p x p
+    covariance and s as the column norms of X_h V / sqrt(h); the square
+    roots of the eigenvalues would turn roundoff in a rank-deficient half
+    into values near 1e-8 of the largest.  A wider half takes the thin SVD,
+    whose U is only h x h.  Either way the h x p U is never formed.
+    """
+    h, p = half.shape
+    if h < p:
+        _, s, vh = np.linalg.svd(half / np.sqrt(h), full_matrices=False)
+        return s, vh.T
+    _, v = sym_eig(sample_cov(half))
+    return np.linalg.norm(half @ v, axis=0) / np.sqrt(h), v
+
+
 def ppca_fit(
     x: np.ndarray,
     rng: RngStream,
@@ -183,8 +206,9 @@ def ppca_fit(
     from ``rng`` unless an explicit ``partition`` is given).  For any factors
     with B_i^T B_i = S_i, the nonzero singular values of S_1^{1/2} S_2^{1/2}
     are those of B_1 B_2^T, so values only take a values-only SVD of that
-    min(h1, p) x min(h2, p) matrix.  With ``vectors``, the halves' thin SVDs
-    U_i diag(s_i) V_i^T give the product as V_1 C V_2^T; the core
+    min(h1, p) x min(h2, p) matrix.  With ``vectors``, each scaled half is
+    U_i diag(s_i) V_i^T and the product is V_1 C V_2^T; only s_i and V_i are
+    computed (see :func:`_half_svd`), and the core
     C = diag(s_1) V_1^T V_2 diag(s_2) is decomposed and its vectors lifted.
     Requires n >= 4 so each half has at least two rows.
     """
@@ -200,10 +224,10 @@ def ppca_fit(
     left = right = fused = None
     fallback = ()
     if vectors:
-        _, s1, vh1 = np.linalg.svd(x[first] / np.sqrt(first.size), full_matrices=False)
-        _, s2, vh2 = np.linalg.svd(x[second] / np.sqrt(second.size), full_matrices=False)
-        trip = svd_full((s1[:, None] * (vh1 @ vh2.T)) * s2)
-        left, right = fix_signs(vh1.T @ trip.u, vh2.T @ trip.v)
+        s1, v1 = _half_svd(x[first])
+        s2, v2 = _half_svd(x[second])
+        trip = svd_full((s1[:, None] * (v1.T @ v2)) * s2)
+        left, right = fix_signs(v1 @ trip.u, v2 @ trip.v)
         fused, fallback = _fuse(left, right)
         s = trip.s
     else:

@@ -146,17 +146,25 @@ def svd_full(a: np.ndarray) -> SvdTriplet:
     return SvdTriplet(u=u, s=s, v=v)
 
 
-def haar_orthogonal(p: int, generator: np.random.Generator) -> np.ndarray:
-    """Haar-distributed p x p orthogonal matrix from a positioned generator.
+def haar_orthogonal(
+    p: int, generator: np.random.Generator, columns: int | None = None
+) -> np.ndarray:
+    """Haar-distributed p x p orthogonal matrix, or its first ``columns``.
 
-    QR of a standard Gaussian matrix with the R diagonal forced positive,
-    which makes the factorization unique and the law exactly Haar.  Advances
-    ``generator``, so callers can keep drawing from the same stream.
+    QR of a standard p x p Gaussian matrix G with the R diagonal forced
+    positive, which makes the factorization unique and the law exactly Haar.
+    Column j of Q depends only on G[:, :j + 1], so with ``columns`` = k only
+    G[:, :k] is factored and the p x k leading block is returned.  The whole
+    of G is drawn either way, so ``generator`` advances by the same p * p
+    draws and callers can keep drawing from the same stream.
     """
     if p < 1:
         raise ValueError("dimension must be positive")
+    k = p if columns is None else columns
+    if not 1 <= k <= p:
+        raise ValueError(f"columns must satisfy 1 <= columns <= {p}, got {columns}")
     g = generator.standard_normal((p, p))
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(g[:, :k])
     d = np.diagonal(r).copy()
     d[d == 0.0] = 1.0
     return q * np.sign(d)

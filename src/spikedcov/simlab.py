@@ -308,23 +308,20 @@ def _gen_data_full(cfg: ExperimentConfig, replicate_index: int) -> tuple[np.ndar
         raise ValueError("replicate index must be nonnegative")
     gen = RngStream(cfg.master_seed, 2 * replicate_index).generator()
     r = len(cfg.spikes)
-    diag = np.full(cfg.p, cfg.sigma2)
-    diag[:r] = cfg.spikes
-    frame = haar_orthogonal(cfg.p, gen) if r else None
+    signal = haar_orthogonal(cfg.p, gen, columns=r) if r else np.empty((cfg.p, 0))
     if cfg.model == "gaussian":
         z = gen.standard_normal((cfg.n, cfg.p))
         scale = 1.0
     else:
         z = gen.standard_t(cfg.nu, size=(cfg.n, cfg.p))
         scale = (cfg.nu - 2.0) / cfg.nu
-    root = np.sqrt(scale * diag)
-    if frame is None:
-        # flat-plus-nothing population: the rotation would cancel exactly
-        x = z * root
-        signal = np.empty((cfg.p, 0))
-    else:
-        x = ((z @ frame) * root) @ frame.T
-        signal = frame[:, :r].copy()
+    # Rotating diag(root) by the full Haar frame F gives sqrt(sigma2) I plus
+    # a rank-r correction along F_r, the signal columns.
+    bulk = np.sqrt(scale * cfg.sigma2)
+    lift = np.sqrt(scale * np.asarray(cfg.spikes)) - bulk
+    x = bulk * z
+    if r:
+        x += ((z @ signal) * lift) @ signal.T
     return x, signal
 
 
@@ -334,6 +331,9 @@ def gen_data(cfg: ExperimentConfig, replicate_index: int) -> np.ndarray:
     Rows are i.i.d. with covariance exactly the configured population: a
     Haar-rotated diagonal of spikes over a flat bulk, with student_t draws
     rescaled by (nu - 2)/nu so the covariance is tail-model independent.
+    Only the r signal columns F_r of the Haar frame are formed: the sample
+    is sqrt(sigma2) z + (z F_r) diag(sqrt(spikes) - sqrt(sigma2)) F_r^T, with
+    both roots rescaled for student_t, O(n p r) work beyond the draws.
     Deterministic per (master_seed, replicate_index).
     """
     return _gen_data_full(cfg, replicate_index)[0]

@@ -106,9 +106,10 @@ class TestPpcaFit:
         assert cfit.eigenvectors.shape == (p, n)
 
     @pytest.mark.parametrize(
-        # (13, 6): one half square (6 rows), the other tall (7 rows)
+        # (13, 6): one half square (6 rows), the other tall (7 rows);
+        # (13, 7): one half wide (6 rows), the other square (7 rows)
         "n, p",
-        [(40, 6), (12, 20), (13, 20), (20, 10), (8, 1), (4, 3), (5, 9), (13, 6)],
+        [(40, 6), (12, 20), (13, 20), (20, 10), (8, 1), (4, 3), (5, 9), (13, 6), (13, 7)],
     )
     def test_matches_product_of_square_roots(self, n, p):
         # oracle: the full SVD of the explicit p x p product on the same split,
@@ -132,6 +133,17 @@ class TestPpcaFit:
         rebuilt = (fit.left_vectors * s[:rank]) @ fit.right_vectors.T
         assert np.max(np.abs(rebuilt - product)) <= 1e-7 * s[0]
         assert np.allclose(np.linalg.norm(fit.fused_vectors, axis=0), 1.0, atol=1e-12)
+
+    def test_rank_deficient_tall_half_keeps_roundoff_values(self):
+        # 16 of the first half's 20 rows are one row repeated, so that half
+        # has rank 4 < p: the product's trailing values are roundoff of the
+        # leading one, not of its square root
+        x = gaussian_data(40, 8, seed=17)
+        x[4:20] = x[3]
+        part = (np.arange(20), np.arange(20, 40))
+        s = estimators.ppca_fit(x, RngStream(0), partition=part, vectors=True).singular_values
+        assert np.all(s[:4] > 1e-3 * s[0])
+        assert np.all(s[4:] <= 1e-12 * s[0])
 
     def test_fused_unit_length(self):
         x = gaussian_data(16, 5, seed=9)

@@ -164,6 +164,23 @@ class TestHaarOrthogonal:
         with pytest.raises(ValueError):
             numkernel.haar_orthogonal(0, RngStream(0).generator())
 
+    @pytest.mark.parametrize("k", [1, 2, 5, 7])
+    def test_leading_columns_match_full_matrix(self, k):
+        # factoring only G[:, :k] gives the full Q's first k columns, and the
+        # whole p x p draw still advances the stream to the same position
+        full_gen = RngStream(21, 3).generator()
+        part_gen = RngStream(21, 3).generator()
+        full = numkernel.haar_orthogonal(7, full_gen)
+        part = numkernel.haar_orthogonal(7, part_gen, columns=k)
+        assert part.shape == (7, k)
+        assert np.max(np.abs(part - full[:, :k])) <= 1e-14
+        assert np.array_equal(part_gen.standard_normal(5), full_gen.standard_normal(5))
+
+    @pytest.mark.parametrize("k", [0, 8])
+    def test_rejects_bad_column_count(self, k):
+        with pytest.raises(ValueError):
+            numkernel.haar_orthogonal(7, RngStream(0).generator(), columns=k)
+
     def test_rotation_invariance_of_first_column_mean(self):
         # Haar columns are uniform on the sphere: the first coordinate of the
         # first column has mean 0 and variance 1/p.

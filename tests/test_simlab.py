@@ -123,6 +123,30 @@ class TestGenData:
         assert eigs[1:] == pytest.approx(np.ones(2), rel=0.06)
 
 
+    @pytest.mark.parametrize("model", ["gaussian", "student_t"])
+    @pytest.mark.parametrize("spikes", ["9.0", "9.0,4.0"])
+    def test_spiked_data_matches_dense_rotation(self, model, spikes):
+        # reference: the full Haar frame F rotating diag(root) densely, drawn
+        # from the replicate's stream in the same order
+        tail = "nu=5\n" if model == "student_t" else ""
+        cfg = config(f"n=30\np=12\nmodel={model}\n{tail}sigma2=1.5\nspikes={spikes}\n", seed=17)
+        x, signal = simlab._gen_data_full(cfg, 2)
+        gen = numkernel.RngStream(17, 4).generator()
+        frame = numkernel.haar_orthogonal(12, gen)
+        if model == "gaussian":
+            z, scale = gen.standard_normal((30, 12)), 1.0
+        else:
+            z, scale = gen.standard_t(5.0, size=(30, 12)), 3.0 / 5.0
+        diag = np.full(12, 1.5)
+        diag[: len(cfg.spikes)] = cfg.spikes
+        want = ((z @ frame) * np.sqrt(scale * diag)) @ frame.T
+        assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want))
+        r = len(cfg.spikes)
+        assert signal.shape == (12, r)
+        assert np.allclose(signal.T @ signal, np.eye(r), atol=1e-14)
+        assert np.max(np.abs(signal - frame[:, :r])) <= 1e-14
+
+
 class TestSpectrumRunner:
     def test_exact_zero_fractions_wide_case(self):
         cfg = config("n=40\np=60\nmodel=gaussian\nreplicates=2\n", seed=5)

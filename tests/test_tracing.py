@@ -32,5 +32,11 @@ def test_traced_ops_reach_every_counted_layer(tmp_path):
         tracer.uninstall()
     assert codes == [0, 0]
     metrics = tracer.metrics()
-    for name in ("spectra.ks_distance.points", "rmt.ssm_g_cdf.points", "numkernel.svd_full.dim"):
+    for name in (
+        "spectra.ks_distance.points",
+        "rmt.ssm_g_cdf.points",
+        "numkernel.svd_full.dim",
+        "numkernel.sym_eig.dim",
+        "numkernel.haar_orthogonal.s",
+    ):
         assert metrics[name] > 0, name

@@ -75,12 +75,12 @@ __all__ = [
     "rho",
 ]
 
-# Fixed-point / Newton schedule for the complex solver.
+# Complex solver schedule: FP_MAX_ITER damped fixed-point steps warm-start
+# Newton, which alone judges convergence against SOLVER_TOL.
 FP_DAMPING = 0.5
-FP_MAX_ITER = 500
+FP_MAX_ITER = 50
 NEWTON_MAX_ITER = 40
 SOLVER_TOL = 1e-10
-_FP_TARGET = 1e-6
 # Newton keeps polishing below the acceptance gate so the companion identity
 # m_under = c*m + (c-1)/z holds to ~1e-12 and not just to SOLVER_TOL.
 _NEWTON_TARGET = 1e-14
@@ -450,9 +450,9 @@ class _SampleMap:
         return z, (self.c * (self.w * self.t / denom**2).sum(axis=-1) - z) / m
 
     def fixed_step(self, m, z):
-        """(|-1/m + c S(m) - z|, fixed-point image 1/(c S(m) - z)) of m."""
+        """Fixed-point image 1/(c S(m) - z) of m."""
         s = (self.w * self.t / (1.0 + np.multiply.outer(m, self.t))).sum(axis=-1)
-        return np.abs(-1.0 / m + self.c * s - z), 1.0 / (self.c * s - z)
+        return 1.0 / (self.c * s - z)
 
     def residual(self, m, z):
         return np.abs(self.value_slope(m)[0] - z)
@@ -476,9 +476,9 @@ class _ProductMap:
         return -k * u * u, -u * (u + 2.0 * k * u_prime)
 
     def fixed_step(self, k, z):
-        """(residual, 1/(2c S(k) - r)), r = sqrt(-z/k) with Im r >= 0: U(k) = r at a fixed point."""
+        """1/(2c S(k) - r), r = sqrt(-z/k) with Im r >= 0: U(k) = r at a fixed point."""
         r = np.sqrt(-z / k)
-        return self.residual(k, z), self.inner.fixed_step(k, np.where(r.imag < 0.0, -r, r))[1]
+        return self.inner.fixed_step(k, np.where(r.imag < 0.0, -r, r))
 
     def residual(self, k, z):
         """|z(k) - z| scaled so that SOLVER_TOL admits SOLVER_TOL |z| plus 32 rounding errors.
@@ -499,23 +499,13 @@ def _residual(law, m, z):
     return np.where(np.isfinite(r), r, np.inf)
 
 
-def _fixed_point(law, z, m):
-    """Damped fixed point from m on flat arrays; an entry freezes at _FP_TARGET."""
-    m = m.copy()
-    active = np.ones(z.shape, dtype=bool)
+def _fixed_point(law, z):
+    """Newton's warm start: FP_MAX_ITER damped steps from -1/z, with no convergence test."""
+    m = -1.0 / z
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(FP_MAX_ITER):
-            if not active.any():
-                break
-            ma = m[active]
-            za = z[active]
-            resid, image = law.fixed_step(ma, za)
-            done = resid <= _FP_TARGET
-            m_new = (1.0 - FP_DAMPING) * ma + FP_DAMPING * image
-            m_new = np.where(np.isfinite(m_new), m_new, -1.0 / za)
-            m[active] = np.where(done, ma, m_new)
-            idx = np.flatnonzero(active)
-            active[idx[done]] = False
+            m = (1.0 - FP_DAMPING) * m + FP_DAMPING * law.fixed_step(m, z)
+            m = np.where(np.isfinite(m), m, -1.0 / z)
     return m
 
 
@@ -563,28 +553,28 @@ def _newton(law, m, z):
 def _solve_companion_grid(law, z: np.ndarray):
     """Root of law's map at an array of complex z with Im z > 0.
 
-    Damped fixed point (freezing converged entries), then Newton polish.
-    Points still above SOLVER_TOL walk down together in Im z: the fixed
-    point runs once at height law.walk_top * (1 + |Re z|), then Newton
-    alone follows a geometric ladder of heights down to Im z, warm-started
-    from the height above.  Raises SolverError if a point still misses the
-    tolerance.
+    A fixed-length damped fixed point warm-starts Newton, which alone
+    judges convergence.  Points still above SOLVER_TOL walk down together
+    in Im z: the warm start runs once at height law.walk_top * (1 + |Re z|),
+    then Newton alone follows a geometric ladder of heights down to Im z,
+    warm-started from the height above.  Raises SolverError if a point
+    still misses the tolerance.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
-    m, resid = _newton(law, _fixed_point(law, flat, -1.0 / flat), flat)
+    m, resid = _newton(law, _fixed_point(law, flat), flat)
     lost = np.flatnonzero(resid > SOLVER_TOL)
     if lost.size:
         x, y = flat[lost].real, flat[lost].imag
         top = x + 1j * np.maximum(y, law.walk_top * (1.0 + np.abs(x)))
-        m_lost = _fixed_point(law, top, -1.0 / top)
+        m_lost = _fixed_point(law, top)
         for h in np.geomspace(top.imag, y, _LADDER_STEPS):
             m_lost, r_lost = _newton(law, m_lost, x + 1j * h)
         m[lost] = m_lost
         resid[lost] = r_lost
     worst = float(resid.max()) if resid.size else 0.0
     if worst > SOLVER_TOL:
-        raise SolverError("fixed-point solve did not converge", residual=worst)
+        raise SolverError("companion solve did not converge", residual=worst)
     return m.reshape(z.shape), resid.reshape(z.shape)
 
 

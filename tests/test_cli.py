@@ -28,6 +28,12 @@ class TestVersion:
         assert info["name"] == "spikedcov"
         assert info["solver_tol"] == pytest.approx(1e-10)
         assert info["fp_damping"] == pytest.approx(0.5)
+        assert set(info) == {
+            "name", "version", "solver_tol", "fp_damping", "fp_max_iter", "newton_max_iter"
+        }
+        # the length of the fixed-point warm start before Newton
+        assert info["fp_max_iter"] == rmt.FP_MAX_ITER
+        assert info["newton_max_iter"] == rmt.NEWTON_MAX_ITER
 
 
 class TestConstants:
@@ -258,6 +264,42 @@ class TestFit:
         got = np.array([float(r[0]) for r in rows])
         assert np.allclose(got, ref, rtol=1e-9)
 
+    @pytest.mark.parametrize("method", ["ppca", "pca"])
+    def test_nan_cell_is_json_value_error(self, capsys, tmp_path, method):
+        path = tmp_path / "data.csv"
+        path.write_text("1,2\n3,nan\n5,6\n7,8\n")
+        code, out, err = run_cli(
+            capsys, "fit", "--input", str(path), "--method", method, "--seed", "1"
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "ValueError", "message": "data must have finite entries"
+        }
+
+    def test_three_rows_are_json_value_error(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1,2\n3,4\n5,6\n")
+        code, out, err = run_cli(
+            capsys, "fit", "--input", str(path), "--method", "ppca", "--seed", "1"
+        )
+        assert code == 1 and out == ""
+        rec = json.loads(err)
+        assert rec["error"] == "ValueError" and "at least 4 samples" in rec["message"]
+
+    @pytest.mark.parametrize("method", ["ppca", "pca"])
+    @pytest.mark.parametrize("vectors", [(), ("--vectors",)])
+    def test_single_column_writes_one_row(self, capsys, tmp_path, method, vectors):
+        path = tmp_path / "data.csv"
+        path.write_text("1\n2\n3\n4\n5\n")
+        code, out, _ = run_cli(
+            capsys, "fit", "--input", str(path), "--method", method, "--seed", "3", *vectors
+        )
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == ["eigenvalue"] + (["component_1"] if vectors else [])
+        assert len(rows) == 1
+        assert float(rows[0][0]) > 0.0
+
 
 class TestRobustAnalytic:
     def test_worked_scenario(self, capsys, tmp_path):
@@ -438,3 +480,13 @@ class TestErrorChannel:
         code, _, err = run_cli(capsys, "constants", "--c", "-1")
         assert code == 1
         assert "aspect ratio" in json.loads(err)["message"]
+
+    def test_unconverged_solve_is_json_solver_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(rmt, "NEWTON_MAX_ITER", 0)
+        code, out, err = run_cli(
+            capsys, "density", "--law", "ppca", "--c", "0.4", "--grid", "0.5:1.5:5"
+        )
+        assert code == 1 and out == ""
+        rec = json.loads(err)
+        assert rec["error"] == "SolverError"
+        assert rec["message"].startswith("companion solve did not converge")

@@ -9,12 +9,17 @@ from conftest import load_script
 
 PARITY = pathlib.Path(__file__).resolve().parents[1] / "tools" / "parity.py"
 
-# one wide spectrum and one robustness run: both fit routes, one seed each
 SMOKE_CONFIG = "n=40\np=60\nmodel=gaussian\nspikes=design\nreplicates=1\n"
-SMOKE_PANEL = (
-    ("spectrum", "spectrum", SMOKE_CONFIG, (1,)),
-    ("robustness", "robustness", SMOKE_CONFIG, (1,)),
-)
+
+
+def _smoke_panel(parity):
+    # one wide spectrum and one robustness run (both fit routes, one seed
+    # each), and one product-law density of a bulk read from a spectrum file
+    return (
+        parity.simulate("spectrum", "spectrum", SMOKE_CONFIG, (1,))
+        + parity.simulate("robustness", "robustness", SMOKE_CONFIG, (1,))
+        + parity.density("ppca_two_atom", "ppca", 2.0, "0.01:6:20", "atom 0.5 0.4\natom 1.5 0.6\n")
+    )
 
 
 class TestCompareCsv:
@@ -47,7 +52,9 @@ def _head_available() -> bool:
 @pytest.mark.skipif(not _head_available(), reason="needs a git checkout with a HEAD commit")
 def test_working_tree_reproduces_head_bytes():
     # a committed tree must reproduce its own CSVs byte for byte
-    report = load_script(PARITY).report("HEAD", SMOKE_PANEL)
+    parity = load_script(PARITY)
+    report = parity.report("HEAD", _smoke_panel(parity))
     assert report["summary"]["different"] == report["summary"]["roundoff"] == 0, report["files"]
-    # spectrum: records, aggregates, histogram, overlay; robustness: two
-    assert report["summary"]["identical"] == 4 + 2
+    # spectrum: records, aggregates, histogram, overlay; robustness: two; density: one
+    assert report["summary"]["identical"] == 4 + 2 + 1
+    assert "ppca_two_atom.csv" in report["files"]

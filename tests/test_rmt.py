@@ -80,7 +80,7 @@ class TestContinuation:
     def test_edge_stragglers_match_oracle(self, monkeypatch):
         """Points just off both flat-bulk edges at tiny heights.
 
-        Some of them miss SOLVER_TOL in the first fixed-point/Newton pass
+        Some of them miss SOLVER_TOL in the first warm-start/Newton pass
         and are walked down in Im z, which shows as more than one Newton
         call per solve.
         """
@@ -105,6 +105,26 @@ class TestContinuation:
                         assert abs(ev.m_under - mu) < 1e-10
                         assert abs(ev.m - m) < 1e-10
         assert continued > 0
+
+
+class TestSolverSchedule:
+    LAWS = ((0.4, FLAT), (2.0, spectra.make_spectrum(atoms=[(0.5, 0.4), (1.5, 0.6)])))
+
+    def test_warm_start_length_is_not_an_accuracy_knob(self, monkeypatch):
+        # Newton judges convergence, so a shorter warm start gives the same numbers
+        grid = np.linspace(0.05, 5.0, 60)
+        default = [(rmt.ppca_lsd_pdf(c, h, grid), rmt.mp_density(c, h, grid)) for c, h in self.LAWS]
+        monkeypatch.setattr(rmt, "FP_MAX_ITER", 10)
+        for (c, h), (pdf, density) in zip(self.LAWS, default):
+            assert np.all(np.abs(rmt.ppca_lsd_pdf(c, h, grid) - pdf) <= 1e-10)
+            assert np.all(np.abs(rmt.mp_density(c, h, grid) - density) <= 1e-10)
+
+    @pytest.mark.parametrize("fn", [rmt.ppca_lsd_pdf, rmt.mp_density])
+    def test_unconverged_newton_raises_solver_error(self, monkeypatch, fn):
+        monkeypatch.setattr(rmt, "NEWTON_MAX_ITER", 0)
+        with pytest.raises(rmt.SolverError, match="companion solve did not converge") as info:
+            fn(0.4, FLAT, np.linspace(0.5, 1.5, 5))
+        assert info.value.residual > rmt.SOLVER_TOL
 
 
 class TestStieltjesReal:
@@ -679,6 +699,17 @@ class TestEngineProperties:
             lower, upper = limit(c, h, lam), limit(c, h, lam * (1.0 + v))
             assert lower.is_distant and upper.is_distant
             assert lower.value < upper.value
+
+    @PROPERTY
+    @given(c=RATIOS, h=two_atom_bulks(), u=st.floats(0.0, 1.0), v=st.floats(np.log(1e-9), 0.0))
+    def test_stieltjes_solves_in_upper_half_plane(self, c, h, u, v):
+        # x from -1 to 1.2 times the classical upper edge, Im z log-uniform in [1e-9, 1]
+        z = complex(-1.0 + u * (1.2 * rmt.support_edges(c, h)[1] + 1.0), float(np.exp(v)))
+        ev = rmt.stieltjes(c, h, z)
+        assert ev.m.imag > 0.0 and ev.m_under.imag > 0.0
+        assert ev.residual <= rmt.SOLVER_TOL
+        scale = max(1.0, abs(ev.m_under), abs((c - 1.0) / z))
+        assert abs(ev.m_under - (c * ev.m + (c - 1.0) / z)) <= 1e-12 * scale
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(c=RATIOS, h=two_atom_bulks())

@@ -1,4 +1,4 @@
-"""Parity check: the same `spikedcov simulate` panel at a revision and here.
+"""Parity check: the same `spikedcov` run panel at a revision and here.
 
 Usage, from anywhere inside a git checkout:
 
@@ -43,19 +43,52 @@ ROUNDOFF_ABS = 1e-12
 
 SEEDS = (0, 1, 2, 3, 4)
 
-# (name, experiment, config, seeds): wide and tall spectra and spikes, and the
-# heavy-tailed robustness study that reads eigenvectors.
+
+# A panel is a tuple of runs (name, argv, config): `spikedcov *argv`, where
+# "{config}" stands for a file holding the text config and "{out}" for the
+# run's output path prefix.
+def simulate(name: str, experiment: str, config: str, seeds=SEEDS) -> tuple:
+    """One `simulate` run per seed, writing CSVs under ``{name}_s{seed}``."""
+    return tuple(
+        (f"{name}_s{seed}",
+         ("simulate", experiment, "--config", "{config}", "--seed", str(seed),
+          "--out-prefix", "{out}"),
+         config)
+        for seed in seeds
+    )
+
+
+def density(name: str, law: str, c: float, grid: str, spectrum: str | None = None) -> tuple:
+    """One `density` run of ``law`` on ``grid``; a white bulk unless ``spectrum`` is given."""
+    bulk = ("--spectrum", "{config}") if spectrum is not None else ()
+    argv = ("density", "--law", law, "--c", str(c), "--grid", grid, *bulk, "--out", "{out}.csv")
+    return ((name, argv, spectrum),)
+
+
+# (name, c, grid, spectrum): the white bulk at three ratios (c = 1/2 is the
+# product law's switch point), two atoms, a zero atom and well-separated atoms.
+LAWS = (
+    ("white_c0.4", 0.4, "0.01:3:150", None),
+    ("white_c0.5", 0.5, "0.01:3.2:160", None),
+    ("white_c5", 5.0, "0.01:11:200", None),
+    ("two_atom_c2", 2.0, "0.01:8:160", "atom 0.5 0.4\natom 1.5 0.6\n"),
+    ("zero_atom_c0.7", 0.7, "0.01:3.2:160", "atom 0 0.3\natom 1 0.7\n"),
+    ("split_c0.01", 0.01, "0.01:6:200", "atom 0.2 0.5\natom 5 0.5\n"),
+)
+
+# wide and tall spectra and spikes, the heavy-tailed robustness study that
+# reads eigenvectors, and both limiting densities of every law above
 PANEL = (
-    ("spectrum_wide", "spectrum", "n=700\np=1400\nmodel=gaussian\nreplicates=2\n", SEEDS),
-    ("spectrum_tall", "spectrum", "n=2000\np=800\nmodel=gaussian\nreplicates=2\n", SEEDS),
-    ("spike_wide", "spike", "n=200\np=400\nmodel=gaussian\nspikes=design\nreplicates=5\n", SEEDS),
-    ("spike_tall", "spike", "n=600\np=240\nmodel=gaussian\nspikes=design\nreplicates=5\n", SEEDS),
-    (
-        "robustness",
-        "robustness",
+    simulate("spectrum_wide", "spectrum", "n=700\np=1400\nmodel=gaussian\nreplicates=2\n")
+    + simulate("spectrum_tall", "spectrum", "n=2000\np=800\nmodel=gaussian\nreplicates=2\n")
+    + simulate("spike_wide", "spike", "n=200\np=400\nmodel=gaussian\nspikes=design\nreplicates=5\n")
+    + simulate("spike_tall", "spike", "n=600\np=240\nmodel=gaussian\nspikes=design\nreplicates=5\n")
+    + simulate(
+        "robustness", "robustness",
         "n=500\np=200\nmodel=student_t\nnu=2.5\nspikes=design\nreplicates=20\n",
-        SEEDS,
-    ),
+    )
+    + sum((density(f"{law}_{name}", law, c, grid, spectrum)
+           for name, c, grid, spectrum in LAWS for law in ("ppca", "pca")), ())
 )
 
 # Runs a list of `spikedcov` argument lists in one interpreter.
@@ -86,17 +119,16 @@ def export_src(rev: str, dest: pathlib.Path, repo: pathlib.Path = REPO) -> str:
 
 
 def run_panel(tree: pathlib.Path, out: pathlib.Path, panel=PANEL) -> None:
-    """Run every (entry, seed) of ``panel`` on the library under ``tree/src``."""
+    """Run every run of ``panel`` on the library under ``tree/src``."""
     out.mkdir(parents=True, exist_ok=True)
     runs = []
-    for name, experiment, config, seeds in panel:
+    for name, argv, config in panel:
         cfg = out / f"{name}.cfg"
-        cfg.write_text(config, encoding="utf-8")
-        for seed in seeds:
-            runs.append(
-                ["simulate", experiment, "--config", str(cfg), "--seed", str(seed),
-                 "--out-prefix", str(out / f"{name}_s{seed}")]
-            )
+        if config is not None:
+            cfg.write_text(config, encoding="utf-8")
+        runs.append(
+            [arg.replace("{config}", str(cfg)).replace("{out}", str(out / name)) for arg in argv]
+        )
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", _RUNNER, json.dumps(runs)],
@@ -167,7 +199,7 @@ def report(rev: str, panel=PANEL, tree: pathlib.Path = REPO) -> dict:
     return {
         "rev": rev,
         "commit": sha,
-        "panel": [{"name": n, "experiment": e, "seeds": list(s)} for n, e, _, s in panel],
+        "panel": [{"name": name, "argv": list(argv)} for name, argv, _ in panel],
         "summary": summary,
         "files": files,
     }

@@ -21,6 +21,7 @@ from .estimators import (
     debias_pca,
     debias_ppca,
     estimate_rank,
+    fit_values,
     pca_fit,
     ppca_fit,
     sample_cov,
@@ -90,6 +91,7 @@ __all__ = [
     "sample_cov",
     "pca_fit",
     "ppca_fit",
+    "fit_values",
     "debias_pca",
     "debias_ppca",
     "estimate_rank",

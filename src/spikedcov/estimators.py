@@ -22,6 +22,11 @@ left vectors.  Values past a fit's rank are exact zeros, and vectors are
 returned for the rank block only: those of the zeros would span an
 arbitrary null basis.
 
+:func:`fit_values` gives both values-only fits of one sample from shared
+work.  For wide data (p > n) it forms the n x n Gram X X^T once: the
+product core X_1 X_2^T / sqrt(h_1 h_2) is its block of first-half rows and
+second-half columns, and PCA takes the eigenvalues of the Gram over n.
+
 Also provides high-dimensional bias corrections for isolated spiked
 eigenvalues of both fits, a threshold rank estimator, and a subspace
 similarity score.
@@ -42,6 +47,7 @@ __all__ = [
     "sample_cov",
     "pca_fit",
     "ppca_fit",
+    "fit_values",
     "debias_ppca",
     "debias_pca",
     "estimate_rank",
@@ -124,17 +130,28 @@ def pca_fit(x: np.ndarray, *, vectors: bool = False) -> PCAFit:
     """
     x = _check_data(x)
     n, p = x.shape
-    rank = min(n, p)
-    w = np.zeros(p)
-    v = None
-    if vectors:
-        full, v = sym_eig(sample_cov(x))
-        w[:rank] = full[:rank]
-        v = v[:, :rank]
-    else:
+    if not vectors:
         gram = x.T @ x if p <= n else x @ x.T
-        w[:rank] = np.linalg.eigvalsh(gram / n)[::-1]
-    return PCAFit(eigenvalues=np.maximum(w, 0.0), eigenvectors=v)
+        return PCAFit(eigenvalues=_gram_eigenvalues(gram, n, p), eigenvectors=None)
+    rank = min(n, p)
+    full, v = sym_eig(sample_cov(x))
+    return PCAFit(eigenvalues=_clipped(full[:rank], p), eigenvectors=v[:, :rank])
+
+
+def _padded(values: np.ndarray, p: int) -> np.ndarray:
+    """Descending values followed by exact zeros up to length p."""
+    return np.concatenate([values, np.zeros(p - values.size)])
+
+
+def _clipped(eigenvalues: np.ndarray, p: int) -> np.ndarray:
+    """Descending PSD eigenvalues padded to length p, roundoff negatives clipped to 0."""
+    return np.maximum(_padded(eigenvalues, p), 0.0)
+
+
+def _gram_eigenvalues(gram: np.ndarray, n: int, p: int) -> np.ndarray:
+    """PCA values from a Gram matrix X^T X or X X^T, divided by n in place."""
+    gram /= n
+    return _clipped(np.linalg.eigvalsh(gram)[::-1], p)
 
 
 def _fuse(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -165,6 +182,16 @@ def _check_partition(
     if abs(first.size - second.size) > 1:
         raise ValueError("partition halves must differ in size by at most one")
     return first, second
+
+
+def _split(
+    n: int, rng: RngStream, partition: tuple[np.ndarray, np.ndarray] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted row-index halves: a random equal split from ``rng``, or the checked ``partition``."""
+    if partition is not None:
+        return _check_partition(partition[0], partition[1], n)
+    perm = rng.generator().permutation(n)
+    return np.sort(perm[: n // 2]), np.sort(perm[n // 2 :])
 
 
 def _half_factor(half: np.ndarray) -> np.ndarray:
@@ -213,34 +240,64 @@ def ppca_fit(
     Requires n >= 4 so each half has at least two rows.
     """
     x = _check_data(x, min_rows=4)
-    n = x.shape[0]
-    if partition is None:
-        perm = rng.generator().permutation(n)
-        half = n // 2
-        first = np.sort(perm[:half])
-        second = np.sort(perm[half:])
-    else:
-        first, second = _check_partition(partition[0], partition[1], n)
-    left = right = fused = None
-    fallback = ()
-    if vectors:
-        s1, v1 = _half_svd(x[first])
-        s2, v2 = _half_svd(x[second])
-        trip = svd_full((s1[:, None] * (v1.T @ v2)) * s2)
-        left, right = fix_signs(v1 @ trip.u, v2 @ trip.v)
-        fused, fallback = _fuse(left, right)
-        s = trip.s
-    else:
-        core = _half_factor(x[first]) @ _half_factor(x[second]).T
-        s = np.linalg.svd(core, compute_uv=False)
+    p = x.shape[1]
+    first, second = _split(x.shape[0], rng, partition)
+    if not vectors:
+        return _ppca_values(_half_core(x, first, second), p, (first, second))
+    s1, v1 = _half_svd(x[first])
+    s2, v2 = _half_svd(x[second])
+    trip = svd_full((s1[:, None] * (v1.T @ v2)) * s2)
+    left, right = fix_signs(v1 @ trip.u, v2 @ trip.v)
+    fused, fallback = _fuse(left, right)
     return PPCAFit(
-        singular_values=np.concatenate([s, np.zeros(x.shape[1] - s.size)]),
+        singular_values=_padded(trip.s, p),
         left_vectors=left,
         right_vectors=right,
         fused_vectors=fused,
         partition=(first, second),
         fallback_columns=fallback,
     )
+
+
+def _half_core(x: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The values-only product core B_1 B_2^T from the two half factors."""
+    return _half_factor(x[first]) @ _half_factor(x[second]).T
+
+
+def _ppca_values(core: np.ndarray, p: int, partition: tuple[np.ndarray, np.ndarray]) -> PPCAFit:
+    """Values-only product-PCA fit: the core's singular values padded to length p."""
+    return PPCAFit(
+        singular_values=_padded(np.linalg.svd(core, compute_uv=False), p),
+        left_vectors=None,
+        right_vectors=None,
+        fused_vectors=None,
+        partition=partition,
+    )
+
+
+def fit_values(x: np.ndarray, rng: RngStream) -> tuple[PPCAFit, PCAFit]:
+    """Values-only product PCA and PCA of one sample, from shared work.
+
+    Matches ``(ppca_fit(x, rng), pca_fit(x))``: the same random half-split
+    drawn from ``rng``, the same exact zeros, and the same values (to
+    roundoff in the wide core, which one product forms).  For wide data
+    (p > n) the n x n Gram X X^T is formed once; the product core
+    X_1 X_2^T / sqrt(h_1 h_2) is its block of first-half rows and second-half
+    columns, taken before the Gram is divided by n in place for PCA.
+    Otherwise each fit takes its own values route.  Requires n >= 4.
+    """
+    x = _check_data(x, min_rows=4)
+    n, p = x.shape
+    first, second = _split(n, rng, None)
+    if p > n:
+        gram = x @ x.T
+        core = gram[np.ix_(first, second)]
+        core /= np.sqrt(first.size * second.size)
+    else:
+        core = _half_core(x, first, second)
+        gram = x.T @ x
+    ppca = _ppca_values(core, p, (first, second))
+    return ppca, PCAFit(eigenvalues=_gram_eigenvalues(gram, n, p), eigenvectors=None)
 
 
 def _check_spike_args(values: np.ndarray, c: float, j: int) -> tuple[np.ndarray, int]:

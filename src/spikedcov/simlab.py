@@ -23,6 +23,7 @@ repeated runs are byte-identical.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -30,7 +31,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rmt
-from .estimators import debias_pca, debias_ppca, estimate_rank, pca_fit, ppca_fit, similarity_xi
+from .estimators import (
+    debias_pca,
+    debias_ppca,
+    estimate_rank,
+    fit_values,
+    pca_fit,
+    ppca_fit,
+    similarity_xi,
+)
 from .numkernel import RngStream, haar_orthogonal
 from .spectra import ESD, ks_distance
 
@@ -171,12 +180,55 @@ def _format_cell(value) -> str:
     return "%.10g" % float(value)
 
 
+# csv may quote a text cell holding one of these characters (whether it
+# quotes a bare carriage return depends on the Python version), and quotes
+# an empty cell alone in its row; it writes any other text cell verbatim
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+
+def _cell_spec(kind: type) -> str | None:
+    """The %-conversion writing a cell of this type as _format_cell does."""
+    if kind is str:
+        return "%s"
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    return "%.10g" if issubclass(kind, float) else None
+
+
+def _row_format(rows) -> str | None:
+    """One %-format line that fits every row, or None where none does.
+
+    A line fits when every row gets the same conversions from its cell
+    types and no text cell needs csv quoting.
+    """
+    specs = {tuple(map(_cell_spec, kinds)) for kinds in {tuple(map(type, row)) for row in rows}}
+    if len(specs) != 1:
+        return None
+    (spec,) = specs
+    if not spec or None in spec:
+        return None
+    for j, conversion in enumerate(spec):
+        if conversion == "%s" and not all(
+            text and _CSV_SPECIAL.isdisjoint(text) for text in {row[j] for row in rows}
+        ):
+            return None
+    return ",".join(spec) + "\n"
+
+
 def _write_rows(fh, columns, rows) -> None:
-    """Write a header and rows to an open text file: LF line endings, %.10g numbers."""
+    """Write a header and rows to an open text file: LF line endings, %.10g numbers.
+
+    A table whose rows all fit one format line is formatted in one pass;
+    any other goes through the csv writer cell by cell.
+    """
+    rows = list(rows)
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_format_cell(v) for v in row])
+    line = _row_format(rows)
+    if line is None:
+        writer.writerows([_format_cell(v) for v in row] for row in rows)
+    else:
+        fh.write((line * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
 
 
 def write_csv(path: str, columns, rows) -> str:
@@ -317,12 +369,14 @@ def _gen_data_full(cfg: ExperimentConfig, replicate_index: int) -> tuple[np.ndar
         scale = (cfg.nu - 2.0) / cfg.nu
     # Rotating diag(root) by the full Haar frame F gives sqrt(sigma2) I plus
     # a rank-r correction along F_r, the signal columns.
+    # The correction reads the unscaled draws, so it is formed first.
     bulk = np.sqrt(scale * cfg.sigma2)
     lift = np.sqrt(scale * np.asarray(cfg.spikes)) - bulk
-    x = bulk * z
+    correction = ((z @ signal) * lift) @ signal.T if r else None
+    z *= bulk
     if r:
-        x += ((z @ signal) * lift) @ signal.T
-    return x, signal
+        z += correction
+    return z, signal
 
 
 def gen_data(cfg: ExperimentConfig, replicate_index: int) -> np.ndarray:
@@ -358,14 +412,13 @@ def _ks_pair(values: np.ndarray, cdf, mass0: float) -> tuple[float, float]:
     if positive.size == 0:
         return at_zero, 0.0
     grid = np.unique(positive)
-    full = max(at_zero, ks_distance(ESD(values=values), cdf, grid))
+    # the law is evaluated once on the grid; both statistics read that array
+    law = np.asarray(cdf(grid), dtype=float)
+    full = max(at_zero, ks_distance(ESD(values=values), lambda t: law, grid))
     if mass0 <= 0.0:
         return full, full
-
-    def conditional(t):
-        return np.maximum(0.0, (cdf(t) - mass0) / (1.0 - mass0))
-
-    return full, ks_distance(ESD(values=positive), conditional, grid)
+    conditional = np.maximum(0.0, (law - mass0) / (1.0 - mass0))
+    return full, ks_distance(ESD(values=positive), lambda t: conditional, grid)
 
 
 def run_spectrum_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -393,9 +446,8 @@ def run_spectrum_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     records = []
     pooled = {"ppca": [], "pca": []}
     for i in range(cfg.replicates):
-        x = gen_data(cfg, i)
-        sing = ppca_fit(x, _split_stream(cfg, i)).singular_values
-        eig = pca_fit(x).eigenvalues
+        pfit, cfit = fit_values(gen_data(cfg, i), _split_stream(cfg, i))
+        sing, eig = pfit.singular_values, cfit.eigenvalues
         ks_g, cond_g = _ks_pair(sing, g_cdf, consts.mass0_ppca)
         ks_f, cond_f = _ks_pair(eig, f_cdf, consts.mass0_pca)
         records.append(
@@ -440,15 +492,16 @@ def _histogram_table(pooled, consts):
 def _overlay_table(params, consts):
     hi = 1.02 * max(consts.b, consts.b_prime)
     grid = np.linspace(hi / 400.0, hi, 400)
-    columns = (
-        rmt.ssm_g_pdf(params, grid),
-        rmt.ssm_f_pdf(params, grid),
-        rmt.ssm_g_cdf(params, grid),
-        rmt.ssm_f_cdf(params, grid),
+    table = np.column_stack(
+        (
+            grid,
+            rmt.ssm_g_pdf(params, grid),
+            rmt.ssm_f_pdf(params, grid),
+            rmt.ssm_g_cdf(params, grid),
+            rmt.ssm_f_cdf(params, grid),
+        )
     )
-    rows = tuple(
-        (float(t), *(float(col[i]) for col in columns)) for i, t in enumerate(grid)
-    )
+    rows = tuple(map(tuple, table.tolist()))
     return (
         "overlay",
         ("t", "ppca_pdf", "pca_pdf", "ppca_cdf", "pca_cdf"),
@@ -504,15 +557,12 @@ def run_spike_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     ratio = cfg.c
     records = []
     for i in range(cfg.replicates):
-        x = gen_data(cfg, i)
+        pfit, cfit = fit_values(gen_data(cfg, i), _split_stream(cfg, i))
         row = [i]
-        for method in ("ppca", "pca"):
-            if method == "ppca":
-                values = ppca_fit(x, _split_stream(cfg, i)).singular_values
-                debias = debias_ppca
-            else:
-                values = pca_fit(x).eigenvalues
-                debias = debias_pca
+        for values, debias in (
+            (pfit.singular_values, debias_ppca),
+            (cfit.eigenvalues, debias_pca),
+        ):
             row += [float(values[j]) for j in range(r)]
             row += [debias(values, ratio, j) for j in range(1, r + 1)]
             row += [float(values[r]), float(values[-1])]

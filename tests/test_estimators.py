@@ -208,6 +208,54 @@ class TestFitRoutes:
         assert pfit.fallback_columns == ()
 
 
+# wide with even and odd n (odd n gives halves of 20 and 21 rows: a
+# non-square core), p = n + 1, n/2 < p <= n, p <= n/2, and p = 1
+SHARED_SHAPES = [
+    (40, 60), (41, 60), (40, 41), (41, 42), (40, 30), (40, 40), (40, 20), (41, 12), (9, 1)
+]
+
+
+class TestFitValues:
+    @pytest.mark.parametrize("n, p", SHARED_SHAPES)
+    def test_matches_both_values_fits(self, n, p):
+        x = gaussian_data(n, p, seed=21)
+        kept = x.copy()
+        pfit, cfit = estimators.fit_values(x, RngStream(9, 1))
+        assert np.array_equal(x, kept)
+        ppca = estimators.ppca_fit(x, RngStream(9, 1))
+        pca = estimators.pca_fit(x)
+        assert all(np.array_equal(a, b) for a, b in zip(pfit.partition, ppca.partition))
+        assert pfit.left_vectors is pfit.right_vectors is pfit.fused_vectors is None
+        assert pfit.fallback_columns == ()
+        assert cfit.eigenvectors is None
+        pairs = ((pfit.singular_values, ppca.singular_values), (cfit.eigenvalues, pca.eigenvalues))
+        for got, want in pairs:
+            assert got.shape == want.shape == (p,)
+            assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
+            assert np.count_nonzero(got == 0.0) == np.count_nonzero(want == 0.0)
+            if p <= n:
+                # only wide data shares a Gram; otherwise both fits run as is
+                assert np.array_equal(got, want)
+
+    def test_exact_zero_counts_when_wide(self):
+        pfit, cfit = estimators.fit_values(gaussian_data(41, 60, seed=22), RngStream(9, 2))
+        assert np.count_nonzero(pfit.singular_values == 0.0) == 60 - 20
+        assert np.all(pfit.singular_values[:20] > 0.0)
+        assert np.count_nonzero(cfit.eigenvalues == 0.0) == 60 - 41
+        assert np.all(cfit.eigenvalues[:41] > 0.0)
+
+    @pytest.mark.parametrize("n, p", [(12, 20), (20, 12)])
+    def test_rejects_nan_cell(self, n, p):
+        x = gaussian_data(n, p, seed=23)
+        x[3, 5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            estimators.fit_values(x, RngStream(0))
+
+    def test_rejects_small_n(self):
+        with pytest.raises(ValueError):
+            estimators.fit_values(gaussian_data(3, 5), RngStream(0))
+
+
 class TestDebias:
     def test_zero_ratio_limit_returns_input(self):
         lam = np.array([3.0, 1.4, 1.1, 0.7])

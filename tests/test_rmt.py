@@ -439,6 +439,47 @@ class TestProductLawTable:
         assert hi == pytest.approx(consts.b, abs=1e-8)
 
 
+class TestSwitchPoints:
+    """Both sides of, and points on, the ratio switches of the support code.
+
+    ``_lower_critical`` and ``_ppca_support`` branch on the effective ratio
+    within 1e-12 of one: the product law's at c = 1/2 for the white bulk, the
+    classical law's at c (1 - w0) = 1 with a zero atom.
+    """
+
+    @pytest.mark.parametrize("c", [0.5 - 1e-4, 0.5 - 1e-9, 0.5 + 1e-9, 0.5 + 1e-4])
+    def test_white_product_law_near_half(self, c):
+        params = rmt.SsmParams(c=c, sigma2=1.0)
+        consts = rmt.ssm_closed_forms(params)
+        lower, upper = rmt.ppca_support_edges(c, FLAT)
+        assert abs(lower - consts.a) <= 1e-10
+        assert abs(upper - consts.b) <= 1e-10 * consts.b
+        threshold = rmt.ppca_threshold(c, FLAT).threshold
+        assert abs(threshold - consts.lambda_star) <= 1e-10 * consts.lambda_star
+        grid = np.linspace(0.0, 1.05 * consts.b, 301)[1:]
+        gap = rmt.ppca_lsd_cdf(c, FLAT, grid) - rmt.ssm_g_cdf(params, grid)
+        assert np.max(np.abs(gap)) <= 1e-10
+
+    @pytest.mark.parametrize("d", [-1e-4, -1e-9, 0.0, 1e-9, 1e-4])
+    def test_zero_atom_near_unit_effective_ratio(self, d):
+        w0 = 0.3
+        h = spectra.make_spectrum(atoms=[(0.0, w0), (1.0, 1.0 - w0)])
+        c = (1.0 + d) / (1.0 - w0)
+        ratio = c * (1.0 - w0)
+        lower, upper = rmt.support_edges(c, h)
+        want_lower, want_upper = flat_mp_edges(ratio)
+        if d == 0.0:
+            assert lower == 0.0
+        else:
+            assert lower == pytest.approx(want_lower, rel=1e-6, abs=0.0)
+        assert upper == pytest.approx(want_upper, rel=1e-6, abs=0.0)
+        grid = np.linspace(0.0, 1.05 * rmt.ppca_support_edges(c, h)[1], 300)
+        cdf = rmt.ppca_lsd_cdf(c, h, grid)
+        assert cdf[0] == rmt.ppca_mass_at_zero(c, h)
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert cdf[-1] == 1.0
+
+
 class TestSingleAtomConstants:
     def test_reference_values(self):
         cf = rmt.ssm_closed_forms(rmt.SsmParams(c=0.4, sigma2=1.0))

@@ -1,4 +1,6 @@
+import csv
 import functools
+import io
 import os
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from scipy import stats
 
 from conftest import ks_exact_oracle
-from spikedcov import estimators, numkernel, rmt, simlab
+from spikedcov import estimators, numkernel, rmt, simlab, spectra
 
 
 BASE = "n=40\np=16\nmodel=gaussian\nreplicates=2\n"
@@ -241,6 +243,43 @@ class TestKsPair:
             assert cond == pytest.approx(want, abs=1e-15)
 
 
+    @pytest.mark.parametrize("n, p", [(60, 24), (30, 60)])
+    def test_law_evaluated_once_per_pair(self, n, p):
+        # both statistics read one CDF evaluation on the grid, and each equals
+        # ks_distance against the full or the zero-conditioned law
+        cfg = config(f"n={n}\np={p}\nmodel=gaussian\nreplicates=1\n", seed=4)
+        params = rmt.SsmParams(c=cfg.c, sigma2=1.0)
+        consts = rmt.ssm_closed_forms(params)
+        pfit, cfit = estimators.fit_values(simlab.gen_data(cfg, 0), simlab._split_stream(cfg, 0))
+        for values, law, mass0 in (
+            (pfit.singular_values, rmt.ssm_g_cdf, consts.mass0_ppca),
+            (cfit.eigenvalues, rmt.ssm_f_cdf, consts.mass0_pca),
+        ):
+            calls = []
+
+            def counting(t):
+                calls.append(np.size(t))
+                return law(params, t)
+
+            full, cond = simlab._ks_pair(values, counting, mass0)
+            positive = values[values > 0.0]
+            grid = np.unique(positive)
+            assert calls == [grid.size]
+            cdf = functools.partial(law, params)
+            at_zero = abs((values.size - positive.size) / values.size - mass0)
+            want_full = max(at_zero, spectra.ks_distance(spectra.ESD(values=values), cdf, grid))
+            assert full == want_full
+            if mass0 > 0.0:
+
+                def conditional(t):
+                    return np.maximum(0.0, (cdf(t) - mass0) / (1.0 - mass0))
+
+                esd = spectra.ESD(values=positive)
+                assert cond == spectra.ks_distance(esd, conditional, grid)
+            else:
+                assert cond == full
+
+
 class TestSpikeRunner:
     def test_requires_spikes(self):
         with pytest.raises(ValueError):
@@ -374,3 +413,39 @@ class TestReportIO:
         assert text.splitlines()[0] == "alpha,k"
         assert text.splitlines()[1] == "0.123456789,2"
         assert text.splitlines()[2] == "1e-12,3"
+
+    @pytest.mark.parametrize(
+        "columns, rows",
+        [
+            (("t", "v"), [(0.1, 1e-300), (np.float64(2.5), -0.0), (float("inf"), float("nan"))]),
+            (("j", "k"), [(1, np.int64(-7)), (True, np.uint8(3))]),
+            (("method", "v"), [("ppca", 1.5), ("pca", np.float64(2.0))]),
+            (("name", "v"), [("a,b", 1.0), ('say "hi"', 2.0), ("two\nlines", 3.0), ("cr\r", 4.0)]),
+            (("name",), [("",), ("x",)]),
+            (("name", "v"), [("", 1.0)]),
+            (("a", "b"), [(1, 2.0), (1.5, 2)]),
+            (("a", "b"), [(np.float32(0.1), 1.0)]),
+            (("a", "b"), [(1.0, 2.0), (3.0,)]),
+            (("a",), []),
+        ],
+    )
+    def test_rows_match_cell_by_cell_csv(self, columns, rows):
+        # whether a table takes the one-pass format or the csv writer, its
+        # bytes are those of csv.writer over each cell formatted on its own:
+        # text verbatim, integers as str(int), anything else as %.10g
+        def cell(value):
+            if isinstance(value, str):
+                return value
+            if isinstance(value, (int, np.integer)):
+                return str(int(value))
+            return "%.10g" % float(value)
+
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([cell(v) for v in row])
+        for given in (rows, iter(rows)):
+            got = io.StringIO()
+            simlab._write_rows(got, columns, given)
+            assert got.getvalue() == want.getvalue()

@@ -76,10 +76,12 @@ LAWS = (
     ("split_c0.01", 0.01, "0.01:6:200", "atom 0.2 0.5\natom 5 0.5\n"),
 )
 
-# wide and tall spectra and spikes, the heavy-tailed robustness study that
-# reads eigenvectors, and both limiting densities of every law above
+# wide and tall spectra and spikes (odd n gives halves of 150 and 151 rows:
+# a non-square wide core), the heavy-tailed robustness study that reads
+# eigenvectors, and both limiting densities of every law above
 PANEL = (
     simulate("spectrum_wide", "spectrum", "n=700\np=1400\nmodel=gaussian\nreplicates=2\n")
+    + simulate("spectrum_wide_odd", "spectrum", "n=301\np=700\nmodel=gaussian\nreplicates=2\n")
     + simulate("spectrum_tall", "spectrum", "n=2000\np=800\nmodel=gaussian\nreplicates=2\n")
     + simulate("spike_wide", "spike", "n=200\np=400\nmodel=gaussian\nspikes=design\nreplicates=5\n")
     + simulate("spike_tall", "spike", "n=600\np=240\nmodel=gaussian\nspikes=design\nreplicates=5\n")

@@ -46,7 +46,6 @@ from .rmt import (
     rho,
     ssm_closed_forms,
     stieltjes,
-    stieltjes_real,
 )
 from .robustness import PerturbationScenario, PerturbedSpectrum
 from .simlab import ExperimentConfig, ExperimentReport, gen_data, parse_config
@@ -74,7 +73,6 @@ __all__ = [
     "SsmParams",
     "SsmConstants",
     "stieltjes",
-    "stieltjes_real",
     "mp_density",
     "psi",
     "pca_threshold",

@@ -18,15 +18,18 @@ In that coordinate the inverse of the fixed-point equation is explicit:
 
 and psi'(lam) = 1 - q(lam) with q(lam) = c * sum_k w_k * (t_k/(t_k-lam))^2.
 Outside the support psi is monotone; its critical points (q = 1) yield the
-support edges (as psi values) and the phase-transition thresholds for spiked
-eigenvalues. Derivatives of transforms are always obtained by implicit
-differentiation, never by finite differences.
+support edges and gaps (as psi values, Silverstein & Choi 1995) and the
+phase-transition thresholds for spiked eigenvalues.
 
 The composition needs no nested solve: with k the inner law's companion
 transform and U(k) = -1/k + 2c * sum w t/(1 + t k) over H^2, the outer one is
 -1/U(k) and z = -k * U(k)^2.  On the real axis k = -1/y makes U = psi(y)
 (ratio 2c, bulk H^2), and the critical points 2 y psi'(y) = psi(y) of
-x(y) = psi(y)^2/y give the product thresholds and support edges.
+x(y) = psi(y)^2/y give the product thresholds, support edges and gaps.
+
+Both laws share one support routine (_support, given the law's criterion
+and the image of its critical points) and one density routine (_density: a
+complex solve just above the real axis, polished by Newton on the axis).
 """
 from __future__ import annotations
 
@@ -52,7 +55,6 @@ __all__ = [
     "SsmConstants",
     "BiasReport",
     "stieltjes",
-    "stieltjes_real",
     "mp_density",
     "mass_at_zero",
     "support_edges",
@@ -260,12 +262,15 @@ def _psi_raw(c: float, t: np.ndarray, w: np.ndarray, lam):
     return lam * (1.0 + c * terms.sum(axis=-1))
 
 
-def _q_raw(c: float, t: np.ndarray, w: np.ndarray, lam):
-    """c*sum w (t/(t-lam))^2; vectorized over lam, no domain checks."""
+def _q_raw(c: float, t: np.ndarray, w: np.ndarray, lam, slope: bool = False):
+    """c*sum w (t/(t-lam))^2, which is 1 where psi'(lam) = 0, or its slope.
+
+    The slope in lam is 2c*sum w t^2/(t-lam)^3.  Vectorized over lam.
+    """
     lam = np.asarray(lam, dtype=float)
     diff = t - lam[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(t == 0.0, 0.0, w * (t / diff) ** 2)
+        terms = np.where(t == 0.0, 0.0, 2.0 * w * t * t / diff**3 if slope else w * (t / diff) ** 2)
     return c * terms.sum(axis=-1)
 
 
@@ -314,12 +319,12 @@ def _lower_critical(crit, c: float, t: np.ndarray, w: np.ndarray) -> float | Non
     return None
 
 
-def _between_atoms(c: float, t: np.ndarray, w: np.ndarray) -> tuple[list[float], list[float]]:
-    """Roots of _g_raw = 1 between neighbouring positive atoms, and dips.
+def _between_atoms(crit, c: float, t: np.ndarray, w: np.ndarray) -> tuple[list[float], list[float]]:
+    """Roots of crit(c, t, w, .) = 1 between neighbouring positive atoms, and dips.
 
-    _g_raw is convex between two atoms and infinite at both.  Where its
-    minimum is below 1, two roots bound a gap of the product law; where it
-    stays above, the minimum (a dip) maps near a sharp bend of the density.
+    Both criteria are convex between two atoms and infinite at both.  Where
+    the minimum is below 1, two roots bound a gap of the law; where it stays
+    above, the minimum (a dip) maps near a sharp bend of the density.
     """
     pos = t[t > 0.0]
     roots, dips = [], []
@@ -327,8 +332,8 @@ def _between_atoms(c: float, t: np.ndarray, w: np.ndarray) -> tuple[list[float],
         lo, hi = left * (1.0 + 1e-12), right * (1.0 - 1e-12)
         if not lo < hi:
             continue
-        bottom = _root(lambda y: _g_raw(c, t, w, y, slope=True), lo, hi)
-        crit_minus_one = lambda y: _g_raw(c, t, w, y) - 1.0
+        bottom = _root(lambda y: crit(c, t, w, y, slope=True), lo, hi)
+        crit_minus_one = lambda y: crit(c, t, w, y) - 1.0
         if crit_minus_one(bottom) < 0.0:
             roots += [_root(crit_minus_one, lo, bottom), _root(crit_minus_one, bottom, hi)]
         else:
@@ -336,82 +341,18 @@ def _between_atoms(c: float, t: np.ndarray, w: np.ndarray) -> tuple[list[float],
     return roots, dips
 
 
-class _BulkLaw:
-    """Real-branch solver for one (c, bulk) pair.
+def _support(crit, image, c: float, t: np.ndarray, w: np.ndarray):
+    """Support intervals of a law and the dips of its density, as images of critical points.
 
-    Precomputes the critical points and support edges, then inverts
-    psi(lam) = x on the monotone branch above or below the support,
-    yielding the real transforms and their derivatives.
+    The ends are image(.) of the roots of crit(c, t, w, .) = 1: one above the
+    bulk, pairs between atoms (_between_atoms), and one below the bulk, or
+    zero when there is none (an effective ratio of exactly one).
     """
-
-    def __init__(self, c: float, t: np.ndarray, w: np.ndarray):
-        self.c = float(c)
-        self.t = np.asarray(t, dtype=float)
-        self.w = np.asarray(w, dtype=float)
-        self.upper_critical = _upper_critical(_q_raw, c, self.t, self.w)
-        self.lower_critical = _lower_critical(_q_raw, c, self.t, self.w)
-        self.upper_edge = float(_psi_raw(c, self.t, self.w, self.upper_critical))
-        if self.lower_critical is None:
-            self.lower_edge = 0.0
-        else:
-            self.lower_edge = max(
-                float(_psi_raw(c, self.t, self.w, self.lower_critical)), 0.0
-            )
-
-    def psi_at(self, lam) -> float:
-        return _psi_raw(self.c, self.t, self.w, lam)
-
-    def lam_above(self, x: float) -> float:
-        """Invert psi on the increasing branch above the upper critical point."""
-        if x <= self.upper_edge:
-            raise ValueError(f"x={x!r} is not above the support edge {self.upper_edge!r}")
-        lo = self.upper_critical
-        message = f"cannot bracket psi = {x!r} above the bulk"
-        hi = _grow(lambda y: x - self.psi_at(y), max(2.0 * lo, 2.0 * x), message)
-        return _root(lambda y: self.psi_at(y) - x, lo, hi)
-
-    def lam_below(self, x: float) -> float:
-        """Invert psi on the increasing branch below the support.
-
-        Covers 0 < x < lower_edge (the gap above zero) and x < 0. x = 0 is
-        excluded (lam degenerates there).
-        """
-        if x == 0.0 or x >= self.lower_edge:
-            raise ValueError(f"x={x!r} is not below the support (edge {self.lower_edge!r})")
-        psi_minus_x = lambda y: self.psi_at(y) - x
-        lc = self.lower_critical
-        if lc is not None and lc > 0.0:
-            # gap (0, lower_edge) reached from lam in (0, lc); no branch for x<0
-            # exists on this side, but with an effective ratio below one the
-            # negative axis is free of critical points and handles x < 0.
-            if x > 0.0:
-                return _root(psi_minus_x, 0.0, lc)
-            hi = -abs(x) * 1e-12
-        elif lc is not None:
-            # effective ratio above one: one increasing branch on (-inf, lc)
-            # covers everything below the lower edge, gap included.
-            hi = lc
-        else:
-            hi = -min(abs(x), 1.0) * 1e-12
-        start = min(hi * 2.0, -max(float(self.t[-1]), 1.0, abs(x)))
-        lo = _grow(psi_minus_x, start, f"cannot bracket psi = {x!r} below the bulk")
-        return _root(psi_minus_x, lo, hi)
-
-    def real_transforms(self, x: float, above: bool) -> tuple[float, float]:
-        """(m, m') at real x above (or below) the support.
-
-        m_comp comes from lam; its derivative from implicit differentiation,
-        m_comp' = 1/(lam^2 (1 - q(lam))); m and m' via the exact companion
-        relations, arranged to avoid cancellation in m (see _m_from_comp).
-        The branch inversion rejects an x on the wrong side of the support.
-        """
-        lam = self.lam_above(x) if above else self.lam_below(x)
-        m_comp = -1.0 / lam
-        q = _q_raw(self.c, self.t, self.w, lam)
-        m_comp_prime = 1.0 / (lam * lam * (1.0 - q))
-        m = _m_from_comp(self.c, self.t, self.w, x, m_comp)
-        m_prime = (m_comp_prime + (self.c - 1.0) / x**2) / self.c
-        return float(m), float(m_prime)
+    lower = _lower_critical(crit, c, t, w)
+    roots, dips = _between_atoms(crit, c, t, w)
+    edges = [image(lower) if lower is not None else 0.0]
+    edges += [image(y) for y in roots + [_upper_critical(crit, c, t, w)]]
+    return list(zip(edges[::2], edges[1::2])), [image(y) for y in dips]
 
 
 def _m_from_comp(c: float, t: np.ndarray, w: np.ndarray, z, m_comp):
@@ -457,6 +398,14 @@ class _SampleMap:
     def residual(self, m, z):
         return np.abs(self.value_slope(m)[0] - z)
 
+    def point(self, t):
+        """Real point x at which the density at t is read: x = t."""
+        return t
+
+    def density(self, m, t):
+        """Density Im m/pi at t from the companion root m at the real point t."""
+        return _m_from_comp(self.c, self.t, self.w, t, m).imag / np.pi
+
 
 class _ProductMap:
     """Explicit inverse z(k) = -k U(k)^2 of the product law in squared scale.
@@ -491,6 +440,14 @@ class _ProductMap:
         noise = np.abs(u) * (abs(self.inner.c - 1.0) + np.abs(self.inner.c - 1.0 - k * u))
         r = np.abs(-k * u * u - z) / (np.abs(z) + 64.0 * np.finfo(float).eps / SOLVER_TOL * noise)
         return np.where(u.imag > 0.0, r, np.inf)
+
+    def point(self, t):
+        """Real point x = t^2 at which the density at singular value t is read."""
+        return t * t
+
+    def density(self, k, t):
+        """Density 2 t f_outer(t^2), f_outer = Im(-1/U(k))/(2c pi), from the root k at t^2."""
+        return t * (-1.0 / self.inner.value_slope(k)[0]).imag / (self.c * np.pi)
 
 
 def _residual(law, m, z):
@@ -591,39 +548,46 @@ def stieltjes(c: float, h: PopulationSpectrum, z: complex) -> StieltjesEval:
     return StieltjesEval(z=z, m=m, m_under=m_comp, residual=float(resid[0]))
 
 
-def stieltjes_real(
-    c: float, h: PopulationSpectrum, x: float, side: str = "above"
-) -> tuple[float, float]:
-    """Real transform (m, m') at real x outside the support.
+def _density(law, t: np.ndarray) -> np.ndarray:
+    """Density of law at points t inside its support.
 
-    side="above" requires x above the upper support edge; side="below"
-    accepts points in the gap below the continuous support (or negative x).
-    Derivatives come from implicit differentiation of the fixed point.
+    The root solved at x + 1e-6 x i (x = law.point(t)) is polished by Newton
+    on the real axis, where law.density holds exactly, with no pole term
+    from a point mass at zero.
     """
-    c = _check_ratio(c)
-    x = float(x)
-    if not np.isfinite(x):
-        raise ValueError(f"stieltjes_real requires a finite x, got {x!r}")
-    if side not in ("above", "below"):
-        raise ValueError(f"unknown side {side!r}")
-    return _BulkLaw(c, *_bulk(h)).real_transforms(x, side == "above")
+    x = law.point(t)
+    m, _ = _solve_companion_grid(law, x + 1e-6j * x)
+    m, resid = _newton(law, m, x.astype(complex))
+    worst = float(resid.max()) if resid.size else 0.0
+    if worst > SOLVER_TOL:
+        raise SolverError("real-axis polish did not converge", residual=worst)
+    return law.density(m, t)
+
+
+def _pdf(name: str, law, support, t) -> float | np.ndarray:
+    """Density of law at t > 0: _density inside the support intervals, exactly 0 elsewhere."""
+    pts = _points(name, t, positive=True)
+    inside = np.any([(pts > lo) & (pts < hi) for lo, hi in support], axis=0)
+    out = np.zeros(pts.shape)
+    out[inside] = _density(law, pts[inside])
+    return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def _mp_support(c: float, h: PopulationSpectrum) -> tuple[list[tuple[float, float]], list[float]]:
+    """Support intervals of the classical law and the dips of its density.
+
+    The ends are psi values at the critical points q(lam) = 1, clipped at
+    zero, which a lower edge near zero can cross by rounding.
+    """
+    t, w = _bulk(h)
+    return _support(_q_raw, lambda lam: max(float(_psi_raw(c, t, w, lam)), 0.0), c, t, w)
 
 
 def mp_density(c: float, h: PopulationSpectrum, t) -> float | np.ndarray:
-    """Density of the classical sample-covariance law at t > 0.
-
-    Im m/pi at heights eta and eta/2, eta = max(1e-9, 1e-6 t), extrapolated
-    (Richardson) to the real axis; the linear-in-eta error cancels, which
-    also suppresses leakage from any point mass at zero.
-    """
+    """Density of the classical sample-covariance law at t > 0."""
     c = _check_ratio(c)
-    pts = _points("mp_density", t, positive=True)
-    eta = np.maximum(1e-9, 1e-6 * pts)
-    z = np.concatenate([pts + 1j * eta, pts + 1j * eta / 2.0])
-    m_comp, _ = _solve_companion_grid(_SampleMap(c, *_bulk(h)), z)
-    m = _m_from_comp(c, *_bulk(h), z, m_comp).imag
-    out = np.clip((2.0 * m[pts.size :] - m[: pts.size]) / np.pi, 0.0, None)
-    return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
+    support, _ = _mp_support(c, h)
+    return _pdf("mp_density", _SampleMap(c, *_bulk(h)), support, t)
 
 
 def mass_at_zero(c: float, h: PopulationSpectrum) -> float:
@@ -636,9 +600,8 @@ def mass_at_zero(c: float, h: PopulationSpectrum) -> float:
 
 def support_edges(c: float, h: PopulationSpectrum) -> tuple[float, float]:
     """Outermost edges of the continuous support of the classical law."""
-    c = _check_ratio(c)
-    law = _BulkLaw(c, *_bulk(h))
-    return law.lower_edge, law.upper_edge
+    support, _ = _mp_support(_check_ratio(c), h)
+    return support[0][0], support[-1][1]
 
 
 def _check_spike_map(name: str, c: float, h: PopulationSpectrum, lam) -> np.ndarray:
@@ -714,40 +677,21 @@ def ppca_mass_at_zero(c: float, h: PopulationSpectrum) -> float:
 def _ppca_support(c: float, h: PopulationSpectrum) -> tuple[list[tuple[float, float]], list[float]]:
     """Support intervals of the product law and the dips of its density (singular scale).
 
-    The ends are images of critical points y > 0 of x(y) = psi(y)^2/y: one
-    above the bulk, pairs between atoms (_between_atoms), and one below the
-    bulk when the effective ratio 2c(1 - w0) is below one, else zero.
+    The ends are sqrt(x(y)) at the critical points y of x(y) = psi(y)^2/y,
+    and zero for a critical point y <= 0 (an effective ratio 2c(1 - w0) of at
+    least one).
     """
     c = _check_ratio(c)
     c2 = 2.0 * c
     t2, w2 = _bulk(square_spectrum(h))
-    image = lambda ys: [float(abs(_psi_raw(c2, t2, w2, y)) / np.sqrt(y)) for y in ys]  # sqrt(x(y))
-    lower = _lower_critical(_g_raw, c2, t2, w2)
-    roots, dips = _between_atoms(c2, t2, w2)
-    edges = image([lower] if lower is not None and lower > 0.0 else []) or [0.0]
-    edges += image(roots + [_upper_critical(_g_raw, c2, t2, w2)])
-    return list(zip(edges[::2], edges[1::2])), image(dips)
+    image = lambda y: float(abs(_psi_raw(c2, t2, w2, y)) / np.sqrt(y)) if y > 0.0 else 0.0
+    return _support(_g_raw, image, c2, t2, w2)
 
 
 def ppca_support_edges(c: float, h: PopulationSpectrum) -> tuple[float, float]:
     """Outermost edges of the continuous support of the product law (singular scale)."""
     support, _ = _ppca_support(c, h)
     return support[0][0], support[-1][1]
-
-
-def _ppca_density(law: _ProductMap, t: np.ndarray) -> np.ndarray:
-    """Product-law density 2 t f_outer(t^2) at singular values t inside the support.
-
-    k solved at x + 1e-6 x i (x = t^2) is polished on the real axis, where
-    f_outer = Im(-1/U(k))/(2c pi) holds exactly, with no pole term at zero.
-    """
-    x = t * t
-    k, _ = _solve_companion_grid(law, x + 1e-6j * x)
-    k, resid = _newton(law, k, x.astype(complex))
-    worst = float(resid.max()) if resid.size else 0.0
-    if worst > SOLVER_TOL:
-        raise SolverError("real-axis polish did not converge", residual=worst)
-    return t * (-1.0 / law.inner.value_slope(k)[0]).imag / (law.c * np.pi)
 
 
 def ppca_lsd_cdf(c: float, h: PopulationSpectrum, t) -> float | np.ndarray:
@@ -759,18 +703,14 @@ def ppca_lsd_cdf(c: float, h: PopulationSpectrum, t) -> float | np.ndarray:
     for lower, upper in support:
         cuts = [lower, *(d for d in dips if lower < d < upper), upper]
         pieces += zip(cuts[:-1], cuts[1:])
-    pdf = functools.partial(_ppca_density, _ProductMap(c, h))
+    pdf = functools.partial(_density, _ProductMap(c, h))
     return _cdf_from_pdf("ppca_lsd_cdf", pdf, pieces, ppca_mass_at_zero(c, h), t)
 
 
 def ppca_lsd_pdf(c: float, h: PopulationSpectrum, t) -> float | np.ndarray:
     """Continuous density of the product law at t > 0: 2 t f_outer(t^2)."""
     c = _check_ratio(c)
-    pts = _points("ppca_lsd_pdf", t, positive=True)
-    inside = np.any([(pts > lo) & (pts < hi) for lo, hi in _ppca_support(c, h)[0]], axis=0)
-    out = np.zeros(pts.shape)
-    out[inside] = _ppca_density(_ProductMap(c, h), pts[inside])
-    return float(out[0]) if np.ndim(t) == 0 else out
+    return _pdf("ppca_lsd_pdf", _ProductMap(c, h), _ppca_support(c, h)[0], t)
 
 
 # ---------------------------------------------------------------------------

@@ -126,42 +126,23 @@ class TestSolverSchedule:
             fn(0.4, FLAT, np.linspace(0.5, 1.5, 5))
         assert info.value.residual > rmt.SOLVER_TOL
 
+    @pytest.mark.parametrize("fn", [rmt.ppca_lsd_pdf, rmt.mp_density])
+    def test_unconverged_polish_raises_solver_error(self, monkeypatch, fn):
+        # every point converges in the first Newton call, so the second one
+        # is the real-axis polish
+        newton = rmt._newton
+        calls = []
 
-class TestStieltjesReal:
-    def test_above_support_matches_oracle(self):
-        for c in (0.4, 2.0):
-            _, hi = flat_mp_edges(c)
-            for x in (hi * 1.05, hi * 2.0, 10.0):
-                m, m_prime = rmt.stieltjes_real(c, FLAT, x)
-                _, m_ref = mp_stieltjes_oracle(c, 1.0, complex(x, 1e-9))
-                assert abs(m - m_ref.real) < 1e-6
-                eps = 1e-6 * x
-                fd = (
-                    mp_stieltjes_oracle(c, 1.0, complex(x + eps, 1e-9))[1].real
-                    - mp_stieltjes_oracle(c, 1.0, complex(x - eps, 1e-9))[1].real
-                ) / (2.0 * eps)
-                assert m_prime == pytest.approx(fd, rel=1e-4)
+        def second_call_fails(law, m, z):
+            calls.append(1)
+            m, resid = newton(law, m, z)
+            return m, resid + 1.0 if len(calls) == 2 else resid
 
-    def test_below_support(self):
-        lo, _ = flat_mp_edges(0.4)
-        m, m_prime = rmt.stieltjes_real(0.4, FLAT, lo * 0.5, side="below")
-        _, m_ref = mp_stieltjes_oracle(0.4, 1.0, complex(lo * 0.5, 1e-9))
-        assert abs(m - m_ref.real) < 1e-6
-        assert m_prime > 0.0
-
-    @pytest.mark.parametrize("side", ["above", "below"])
-    @pytest.mark.parametrize("x", NON_FINITE)
-    def test_rejects_non_finite(self, x, side):
-        with pytest.raises(ValueError, match="finite"):
-            rmt.stieltjes_real(0.4, FLAT, x, side=side)
-
-    def test_rejects_inside_support(self):
-        with pytest.raises(ValueError):
-            rmt.stieltjes_real(0.4, FLAT, 1.0)
-        with pytest.raises(ValueError):
-            rmt.stieltjes_real(0.4, FLAT, 1.0, side="below")
-        with pytest.raises(ValueError):
-            rmt.stieltjes_real(0.4, FLAT, 3.0, side="sideways")
+        monkeypatch.setattr(rmt, "_newton", second_call_fails)
+        with pytest.raises(rmt.SolverError, match="real-axis polish did not converge") as info:
+            fn(0.4, FLAT, np.linspace(0.5, 1.5, 5))
+        assert info.value.residual > rmt.SOLVER_TOL
+        assert len(calls) == 2
 
 
 class TestMpDensity:
@@ -178,8 +159,36 @@ class TestMpDensity:
 
     def test_vanishes_outside_support(self):
         lo, hi = flat_mp_edges(0.4)
-        assert rmt.mp_density(0.4, FLAT, hi * 1.2) < 1e-8
-        assert rmt.mp_density(0.4, FLAT, lo * 0.5) < 1e-8
+        assert rmt.mp_density(0.4, FLAT, hi * 1.2) == 0.0
+        assert rmt.mp_density(0.4, FLAT, hi * (1.0 + 1e-6)) == 0.0
+        assert rmt.mp_density(0.4, FLAT, lo * 0.5) == 0.0
+
+    @pytest.mark.parametrize("c", [0.01, 0.1, 0.4, 0.5, 1.0, 2.0, 5.0])
+    def test_hugs_closed_form_at_both_edges(self, c):
+        # 1e-8 to 0.5 of the width from each edge, where the density has
+        # unbounded slope (and at c = 1 a 1/sqrt(t) pole at the lower edge)
+        params = rmt.SsmParams(c=c, sigma2=1.0)
+        consts = rmt.ssm_closed_forms(params)
+        lo, hi = consts.a_prime, consts.b_prime
+        offset = np.geomspace(1e-8, 0.5, 200) * (hi - lo)
+        grid = np.concatenate((lo + offset, hi - offset))
+        ref = rmt.ssm_f_pdf(params, grid)
+        assert np.max(np.abs(rmt.mp_density(c, FLAT, grid) / ref - 1.0)) < 1e-5
+
+    @pytest.mark.parametrize("c", [0.01, 0.05])
+    def test_split_support_by_separation(self, c):
+        # exact separation: each support interval carries its own atom's
+        # weight, and the gap between them carries none
+        support, _ = rmt._mp_support(c, SPLIT)
+        assert len(support) == 2
+        assert support[0][0] == rmt.support_edges(c, SPLIT)[0]
+        assert support[-1][1] == rmt.support_edges(c, SPLIT)[1]
+        n = 4000
+        _, cdf = dense_cdf(functools.partial(rmt.mp_density, c, SPLIT), 0.0, support, n)
+        pieces = cdf.reshape(len(support), n + 1)
+        assert np.all(np.abs(pieces[:, -1] - pieces[:, 0] - 0.5) < 1e-9)
+        gap = np.linspace(support[0][1], support[1][0], 9)
+        assert np.all(rmt.mp_density(c, SPLIT, gap) == 0.0)
 
     def test_integrates_to_continuous_mass(self):
         for c in (0.4, 2.0):
@@ -332,23 +341,23 @@ class TestSpikedLimits:
 SPLIT = spectra.make_spectrum(atoms=[(0.2, 0.5), (5.0, 0.5)])
 
 
-def dense_cdf(c, h, support, n=4000):
-    """Product-law CDF at dense nodes of each support piece, by the trapezoid rule.
+def dense_cdf(pdf, mass0, support, n=4000):
+    """A law's CDF at dense nodes of each support piece, by the trapezoid rule.
 
     Each piece is integrated in theta, with s = lower + (upper - lower)
     sin^2 theta, on n uniform panels, so its square-root edges stay smooth;
     this rule shares no nodes with the package's graded Gauss-Legendre one.
-    Returns the nodes s and the zero mass plus the integral of
-    ppca_lsd_pdf up to each of them.
+    Returns the nodes s (n + 1 per piece) and mass0 plus the integral of
+    pdf up to each of them.
     """
     nodes, values = [], []
-    total = rmt.ppca_mass_at_zero(c, h)
+    total = mass0
     for lower, upper in support:
         theta = np.linspace(0.0, 0.5 * np.pi, n + 1)
         s = lower + (upper - lower) * np.sin(theta) ** 2
         dens = np.zeros(s.shape)
         inner = (s > lower) & (s < upper)
-        dens[inner] = rmt.ppca_lsd_pdf(c, h, s[inner])
+        dens[inner] = pdf(s[inner])
         step = dens * (upper - lower) * np.sin(2.0 * theta)
         cum = np.concatenate(([0.0], np.cumsum(0.5 * (step[1:] + step[:-1]) * np.diff(theta))))
         nodes.append(s)
@@ -418,7 +427,8 @@ class TestProductLawTable:
         support, _ = rmt._ppca_support(c, SPLIT)
         assert len(support) == 2
         assert support[0][0] == lower and support[-1][1] == upper
-        nodes, want = dense_cdf(c, SPLIT, support)
+        pdf = functools.partial(rmt.ppca_lsd_pdf, c, SPLIT)
+        nodes, want = dense_cdf(pdf, rmt.ppca_mass_at_zero(c, SPLIT), support)
         assert want[-1] == pytest.approx(1.0, abs=1e-6)
         nodes, want = nodes[::29], want[::29]
         assert np.max(np.abs(rmt.ppca_lsd_cdf(c, SPLIT, nodes) - want)) < 1e-6

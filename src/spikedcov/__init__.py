@@ -1,6 +1,6 @@
 """High-dimensional spiked-covariance analysis: product PCA vs classical PCA.
 
-Subpackages:
+Modules:
 
 * ``spectra``: population spectra, empirical spectral distributions, KS
   distance, and the text format for spectrum files.
@@ -12,7 +12,8 @@ Subpackages:
 * ``estimators``: PCA and product-PCA fits, eigenvalue debiasing, rank
   estimation, and subspace similarity.
 * ``robustness``: exact population algebra for outlier contamination.
-* ``simlab``: deterministic Monte Carlo experiment runners and the CLI.
+* ``simlab``: deterministic Monte Carlo experiment runners.
+* ``cli``: the ``spikedcov`` command-line entry point.
 """
 from . import estimators, numkernel, rmt, robustness, simlab, spectra
 from .estimators import (

@@ -213,14 +213,13 @@ def _analytic_block(scenario, method: str, spectrum, assignment) -> dict:
 def _cmd_robust_analytic(args) -> int:
     with open(args.scenario, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("scenario must be a JSON object")
+    unknown = sorted(set(raw) - {"epsilon", "etas", "k1", "lambda1", "c", "assignment"})
+    if unknown:
+        raise ValueError(f"unknown scenario keys: {', '.join(unknown)}")
     assignment = raw.pop("assignment", None)
-    scenario = robustness.PerturbationScenario(
-        epsilon=raw["epsilon"],
-        etas=tuple(raw["etas"]),
-        k1=raw["k1"],
-        lambda1=raw["lambda1"],
-        c=raw["c"],
-    )
+    scenario = robustness.PerturbationScenario(**raw)
     if assignment is None:
         assignment = tuple(range(1, scenario.k1 + 1))
     pca_spec = robustness.pca_perturbed_spectrum(scenario)

@@ -14,6 +14,11 @@ direction turns into a spurious spike or overtakes the signal in the
 eigenvalue ordering, the resulting target ranks, and the comparative
 conditions under which product PCA is the more outlier-tolerant method.
 
+An outlier direction becomes a distant spike once its eigenvalue exceeds the
+contaminated bulk level times the estimator's spike threshold (lambda' for
+PCA, lambda* for product PCA, from :func:`spikedcov.rmt.ssm_closed_forms`),
+and it breaks the ordering once its eigenvalue exceeds the signal's.
+
 The single signal spike has unit noise level (sigma2 = 1), matching the
 regime the closed-form comparisons are derived in.
 """
@@ -25,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numkernel import RngStream, random_orthogonal
+from .rmt import SsmParams, ssm_closed_forms
 
 __all__ = [
     "PerturbationScenario",
@@ -77,7 +83,7 @@ class PerturbationScenario:
             raise ValueError(f"aspect ratio must be positive, got {self.c}")
         if self.sigma2 != 1.0:
             raise ValueError("the analytic model is derived at unit noise (sigma2 = 1)")
-        floor = math.sqrt(1.0 + self.c + math.sqrt(self.c * self.c + 4.0 * self.c))
+        floor = ssm_closed_forms(SsmParams(c=self.c)).lambda_star
         if not (np.isfinite(self.lambda1) and self.lambda1 > floor):
             raise ValueError(
                 f"lambda1 must exceed the product-PCA spike threshold {floor:.6g}, got {self.lambda1}"
@@ -132,6 +138,21 @@ def _check_method(method: str) -> str:
     return method
 
 
+def _frame_sigma(
+    s: PerturbationScenario, q: np.ndarray, level: float, weight: float, ks
+) -> np.ndarray:
+    """level (I + (lambda1 - 1) gamma gamma^T) + sum_{k in ks} weight eta_k nu_k nu_k^T.
+
+    gamma and nu_k are columns 0 and k of the frame ``q``; a sum of outer
+    products is exactly symmetric.
+    """
+    gamma = q[:, 0]
+    sigma = level * (np.eye(q.shape[0]) + (s.lambda1 - 1.0) * np.outer(gamma, gamma))
+    for idx in ks:
+        sigma += weight * s.etas[idx - 1] * np.outer(q[:, idx], q[:, idx])
+    return sigma
+
+
 def build_perturbed_sigma(
     s: PerturbationScenario, p: int, rng: RngStream
 ) -> np.ndarray:
@@ -144,13 +165,7 @@ def build_perturbed_sigma(
     if p <= s.k:
         raise ValueError(f"need p >= K + 1 = {s.k + 1}, got p = {p}")
     q = random_orthogonal(p, rng)
-    gamma = q[:, 0]
-    shrink = 1.0 - s.k * s.epsilon
-    sigma = shrink * (np.eye(p) + (s.lambda1 - 1.0) * np.outer(gamma, gamma))
-    for idx, eta in enumerate(s.etas, start=1):
-        nu = q[:, idx]
-        sigma += s.epsilon * eta * np.outer(nu, nu)
-    return (sigma + sigma.T) / 2.0
+    return _frame_sigma(s, q, 1.0 - s.k * s.epsilon, s.epsilon, range(1, s.k + 1))
 
 
 def build_perturbed_half_sigmas(
@@ -166,18 +181,9 @@ def build_perturbed_half_sigmas(
         raise ValueError(f"need p >= K + 1 = {s.k + 1}, got p = {p}")
     half_one = _check_assignment(s, assignment)
     q = random_orthogonal(p, rng)
-    gamma = q[:, 0]
-    base = np.eye(p) + (s.lambda1 - 1.0) * np.outer(gamma, gamma)
-    k1, k2 = s.k1, s.k2
-    first = (1.0 - 2.0 * k1 * s.epsilon) * base
-    second = (1.0 - 2.0 * k2 * s.epsilon) * base
-    for idx, eta in enumerate(s.etas, start=1):
-        bump = 2.0 * s.epsilon * eta * np.outer(q[:, idx], q[:, idx])
-        if idx in half_one:
-            first += bump
-        else:
-            second += bump
-    return (first + first.T) / 2.0, (second + second.T) / 2.0
+    rest = [k for k in range(1, s.k + 1) if k not in half_one]
+    first = _frame_sigma(s, q, 1.0 - 2.0 * s.k1 * s.epsilon, 2.0 * s.epsilon, sorted(half_one))
+    return first, _frame_sigma(s, q, 1.0 - 2.0 * s.k2 * s.epsilon, 2.0 * s.epsilon, rest)
 
 
 def pca_perturbed_spectrum(s: PerturbationScenario) -> PerturbedSpectrum:
@@ -219,10 +225,11 @@ def ppca_perturbed_spectrum(
     )
 
 
-def _block_shrink(s: PerturbationScenario, k: int, half_one: frozenset[int]) -> float:
-    """1 - 2 K_l eps for the half that outlier k lands in."""
-    block = s.k1 if k in half_one else s.k2
-    return 1.0 - 2.0 * block * s.epsilon
+def _spectrum(s: PerturbationScenario, method: str, assignment) -> PerturbedSpectrum:
+    """The contaminated spectrum the given estimator sees."""
+    if _check_method(method) == "pca":
+        return pca_perturbed_spectrum(s)
+    return ppca_perturbed_spectrum(s, assignment)
 
 
 def noise_is_spiked(
@@ -231,21 +238,17 @@ def noise_is_spiked(
     """Whether outlier k's sample eigenvalue separates from the bulk.
 
     The contaminated bulk has its own phase-transition threshold; an outlier
-    direction becomes a spurious (distant) spike once eta_k clears it:
+    direction becomes a spurious (distant) spike once its eigenvalue exceeds
+    the bulk level times lambda' (PCA) or lambda* (product PCA), that is once
     eta_k > ((1 - K eps)/eps) sqrt(c) for classical PCA, and
     eta_k > ((1 - 2 K_l eps)/eps) (c + sqrt(c^2 + 4c))/2 for product PCA,
     where K_l counts the outliers sharing k's half.
     """
     k = _check_index(s, k)
-    method = _check_method(method)
-    eta = s.etas[k - 1]
-    if method == "pca":
-        bound = (1.0 - s.k * s.epsilon) / s.epsilon * math.sqrt(s.c)
-        return eta > bound
-    half_one = _check_assignment(s, assignment)
-    shrink = _block_shrink(s, k, half_one)
-    bound = shrink / s.epsilon * (s.c + math.sqrt(s.c * s.c + 4.0 * s.c)) / 2.0
-    return eta > bound
+    spec = _spectrum(s, method, assignment)
+    consts = ssm_closed_forms(SsmParams(c=s.c))
+    threshold = consts.lambda_star if method == "ppca" else consts.lambda_prime
+    return spec.noise_eigenvalues[k - 1][1] > threshold * spec.bulk_level
 
 
 def ordering_breaks(
@@ -259,15 +262,8 @@ def ordering_breaks(
     larger bound for distant signals.
     """
     k = _check_index(s, k)
-    method = _check_method(method)
-    eta = s.etas[k - 1]
-    if method == "pca":
-        bound = (1.0 - s.k * s.epsilon) / s.epsilon * (s.lambda1 - 1.0)
-        return eta > bound
-    half_one = _check_assignment(s, assignment)
-    shrink = _block_shrink(s, k, half_one)
-    bound = shrink / (2.0 * s.epsilon) * (s.lambda1 * s.lambda1 - 1.0)
-    return eta > bound
+    spec = _spectrum(s, method, assignment)
+    return spec.noise_eigenvalues[k - 1][1] > spec.signal_eigenvalue
 
 
 def target_rank(s: PerturbationScenario, method: str, assignment=None) -> int:

@@ -338,6 +338,34 @@ class TestRobustAnalytic:
         assert any(rec["pca"]["ordering_breaks"])
         assert not any(rec["ppca"]["ordering_breaks"])
 
+    def test_unknown_key_is_json_value_error(self, capsys, tmp_path):
+        scenario = {
+            "epsilon": 0.01,
+            "etas": [70.0, 70.0],
+            "k1": 1,
+            "lambda1": 3.0,
+            "c": 0.4,
+            "asignment": [2],
+            "notes": "typo",
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run_cli(capsys, "robust-analytic", "--scenario", str(path))
+        assert code == 1 and out == ""
+        rec = json.loads(err)
+        assert rec["error"] == "ValueError"
+        assert "asignment" in rec["message"] and "notes" in rec["message"]
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '["c"]', "3.0"])
+    def test_non_object_is_json_value_error(self, capsys, tmp_path, text):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "robust-analytic", "--scenario", str(path))
+        assert code == 1 and out == ""
+        rec = json.loads(err)
+        assert rec["error"] == "ValueError"
+        assert "JSON object" in rec["message"]
+
 
 class TestSimulate:
     CONFIG = "n=40\np=16\nmodel=gaussian\nreplicates=2\n"

@@ -142,6 +142,15 @@ class TestMatrixOracles:
         assert eigs[0] == pytest.approx(3.0, abs=1e-10)
         assert np.max(np.abs(eigs[1:] - 1.0)) < 1e-10
 
+    @pytest.mark.parametrize("p", [10, 200])
+    def test_builders_exactly_symmetric(self, p):
+        for etas, k1, assign in (((70.0,), 1, {1}), ((90.0, 50.0, 20.0), 2, {1, 3})):
+            s = scenario(etas=etas, k1=k1)
+            sigma = rb.build_perturbed_sigma(s, p, RngStream(24, p))
+            assert np.array_equal(sigma, sigma.T)
+            for half in rb.build_perturbed_half_sigmas(s, p, RngStream(25, p), assign):
+                assert np.array_equal(half, half.T)
+
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
             rb.build_perturbed_sigma(scenario(), 2, RngStream(0, 0))
@@ -218,6 +227,42 @@ class TestPredicates:
                 for e in np.linspace(10.0, 500.0, 40)
             ]
             assert breaks_eta == sorted(breaks_eta)
+
+    def test_match_explicit_eta_bounds_across_parameter_space(self):
+        # oracle: the paper's eta bounds, with K_l the outliers in k's half
+        rng = np.random.default_rng(1313)
+        checked = 0
+        for _ in range(3000):
+            k = int(rng.integers(1, 5))
+            k1 = int(rng.integers(0, k + 1))
+            c = float(10.0 ** rng.uniform(-3.0, np.log10(30.0)))
+            eps = float(rng.uniform(1e-6, 1.0) / (2.0 * max(k1, k - k1)))
+            etas = tuple(float(10.0 ** rng.uniform(-2.0, 5.0)) for _ in range(k))
+            star = np.sqrt(1.0 + c + np.sqrt(c * c + 4.0 * c))
+            lam = float(star * 10.0 ** rng.uniform(1e-6, 2.0))
+            s = rb.PerturbationScenario(epsilon=eps, etas=etas, k1=k1, lambda1=lam, c=c)
+            half_one = frozenset(
+                rng.choice(np.arange(1, k + 1), size=k1, replace=False).tolist()
+            )
+            for idx, eta in enumerate(etas, start=1):
+                k_l = k1 if idx in half_one else k - k1
+                pca_scale = (1 - k * eps) / eps
+                ppca_scale = (1 - 2 * k_l * eps) / (2 * eps)
+                bounds = {
+                    ("pca", rb.noise_is_spiked): pca_scale * np.sqrt(c),
+                    ("pca", rb.ordering_breaks): pca_scale * (lam - 1),
+                    ("ppca", rb.noise_is_spiked): ppca_scale * (c + np.sqrt(c * c + 4 * c)),
+                    ("ppca", rb.ordering_breaks): ppca_scale * (lam * lam - 1),
+                }
+                for (method, pred), bound in bounds.items():
+                    if abs(eta - bound) <= 1e-9 * bound:
+                        continue
+                    assign = half_one if method == "ppca" else None
+                    assert pred(s, idx, method, assign) == (eta > bound), (
+                        method, pred.__name__, s, idx, half_one
+                    )
+                    checked += 1
+        assert checked > 20000
 
     def test_rejects_bad_index_or_method(self):
         s = scenario()

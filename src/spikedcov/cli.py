@@ -278,7 +278,7 @@ def _cmd_simulate(args) -> int:
     report = runner(cfg)
     files = report.write(args.out_prefix) if args.out_prefix else ()
     # at the precision of the aggregates CSV, so the summary matches the file
-    rounded = lambda v: float(simlab._format_cell(v))
+    rounded = lambda v: float("%.10g" % v)
     summary = {
         "kind": report.kind,
         "replicates": cfg.replicates,
@@ -299,7 +299,7 @@ def _add_bulk_options(parser, with_spectrum: bool = True) -> None:
     if with_spectrum:
         parser.add_argument(
             "--spectrum",
-            help="bulk spectrum file (atom VALUE WEIGHT / spike VALUE lines); overrides --sigma2",
+            help="bulk spectrum file (atom VALUE WEIGHT lines); overrides --sigma2",
         )
 
 

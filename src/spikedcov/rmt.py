@@ -1,8 +1,9 @@
 """Limiting spectral theory for spiked sample covariances and their products.
 
 Two families of limiting laws are computed from a discrete population bulk
-law H (a :class:`~spikedcov.spectra.PopulationSpectrum`; its spikes are
-finite-rank and never affect limits) and an aspect ratio c = lim p/n:
+law H (a :class:`~spikedcov.spectra.PopulationSpectrum`) and an aspect ratio
+c = lim p/n.  Finite-rank spikes never move a law: each spike map below takes
+the population spike as its own argument lam.  The two laws are:
 
 - the classical sample-covariance law, written F throughout, whose Stieltjes
   transform m solves the standard fixed-point (Silverstein) equation; and

@@ -172,72 +172,59 @@ class ExperimentReport:
         return tuple(paths)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.10g" % float(value)
-
-
-# csv may quote a text cell holding one of these characters (whether it
-# quotes a bare carriage return depends on the Python version), and quotes
-# an empty cell alone in its row; it writes any other text cell verbatim
+# a text cell, header included, must be nonempty and hold none of these
+# characters: csv would quote it, and one %-format line cannot
 _CSV_SPECIAL = frozenset(',"\r\n')
 
 
-def _cell_spec(kind: type) -> str | None:
-    """The %-conversion writing a cell of this type as _format_cell does."""
+def _cell_spec(kind: type) -> str:
+    """The %-conversion for a cell of this type: text verbatim, integers as %d, else %.10g."""
     if kind is str:
         return "%s"
     if issubclass(kind, (int, np.integer)):
         return "%d"
-    return "%.10g" if issubclass(kind, float) else None
+    return "%.10g"
 
 
-def _row_format(rows) -> str | None:
-    """One %-format line that fits every row, or None where none does.
+def _csv_text(columns, rows) -> str:
+    """A header and rows as CSV text, every row formatted by one %-format line.
 
-    A line fits when every row gets the same conversions from its cell
-    types and no text cell needs csv quoting.
+    Raises ``ValueError`` if the rows differ in their cell conversions, or if
+    a text cell, header included, is empty or would need csv quoting.
     """
+    rows = list(rows)
     specs = {tuple(map(_cell_spec, kinds)) for kinds in {tuple(map(type, row)) for row in rows}}
-    if len(specs) != 1:
-        return None
-    (spec,) = specs
-    if not spec or None in spec:
-        return None
+    if len(specs) > 1:
+        raise ValueError("table rows differ in their cell conversions")
+    spec = specs.pop() if specs else ()
+    texts = set(columns)
     for j, conversion in enumerate(spec):
-        if conversion == "%s" and not all(
-            text and _CSV_SPECIAL.isdisjoint(text) for text in {row[j] for row in rows}
-        ):
-            return None
-    return ",".join(spec) + "\n"
+        if conversion == "%s":
+            texts.update(row[j] for row in rows)
+    if not all(text and _CSV_SPECIAL.isdisjoint(text) for text in texts):
+        raise ValueError("table text cells must be nonempty, without commas, quotes or line breaks")
+    line = ",".join(spec) + "\n"
+    body = (line * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+    return ",".join(columns) + "\n" + body
 
 
 def _write_rows(fh, columns, rows) -> None:
-    """Write a header and rows to an open text file: LF line endings, %.10g numbers.
-
-    A table whose rows all fit one format line is formatted in one pass;
-    any other goes through the csv writer cell by cell.
-    """
-    rows = list(rows)
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(columns)
-    line = _row_format(rows)
-    if line is None:
-        writer.writerows([_format_cell(v) for v in row] for row in rows)
-    else:
-        fh.write((line * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
+    """Write a header and rows to an open text file: LF line endings, %.10g numbers."""
+    fh.write(_csv_text(columns, rows))
 
 
 def write_csv(path: str, columns, rows) -> str:
-    """Write one CSV table: UTF-8, LF line endings, %.10g numbers."""
+    """Write one CSV table: UTF-8, LF line endings, %.10g numbers.
+
+    The table is checked before the file is opened, so a rejected table
+    leaves no file behind.
+    """
+    text = _csv_text(columns, rows)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_rows(fh, columns, rows)
+        fh.write(text)
     return path
 
 
@@ -414,11 +401,11 @@ def _ks_pair(values: np.ndarray, cdf, mass0: float) -> tuple[float, float]:
     grid = np.unique(positive)
     # the law is evaluated once on the grid; both statistics read that array
     law = np.asarray(cdf(grid), dtype=float)
-    full = max(at_zero, ks_distance(ESD(values=values), lambda t: law, grid))
+    full = max(at_zero, ks_distance(ESD(values=values), law, grid))
     if mass0 <= 0.0:
         return full, full
     conditional = np.maximum(0.0, (law - mass0) / (1.0 - mass0))
-    return full, ks_distance(ESD(values=positive), lambda t: conditional, grid)
+    return full, ks_distance(ESD(values=positive), conditional, grid)
 
 
 def run_spectrum_experiment(cfg: ExperimentConfig) -> ExperimentReport:

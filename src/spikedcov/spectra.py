@@ -2,20 +2,21 @@
 
 Value types shared across the toolkit:
 
-- :class:`PopulationSpectrum` describes a population covariance spectrum as a
-  discrete bulk law (finitely many atoms with weights) plus finitely many
-  spiked eigenvalues sitting strictly above the bulk.
+- :class:`PopulationSpectrum` describes a population bulk law H: finitely
+  many atoms with weights.  Finite-rank spikes never move a limiting law, so
+  a spike is not part of a spectrum; spike maps take it as their own
+  argument.
 - :class:`ESD` is an empirical spectral distribution, i.e. the sorted
   eigenvalue (or squared-singular-value) list of one p x p matrix.
 
 A small text format serializes population spectra for the command line:
-one ``atom VALUE WEIGHT`` line per bulk atom and one ``spike VALUE`` line per
-spike, with ``#`` comments and blank lines ignored.
+one ``atom VALUE WEIGHT`` line per bulk atom, with ``#`` comments and blank
+lines ignored.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,20 +39,16 @@ WEIGHT_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class PopulationSpectrum:
-    """Discrete bulk law plus spiked eigenvalues.
+    """Discrete bulk law.
 
     Attributes
     ----------
     atoms : tuple of (value, weight) pairs
         The bulk law. Values are nonnegative and strictly increasing,
         weights are positive and sum to one.
-    spikes : tuple of float
-        Spiked eigenvalues, each strictly above every bulk atom, sorted in
-        decreasing order.
     """
 
     atoms: tuple[tuple[float, float], ...]
-    spikes: tuple[float, ...] = ()
 
     @property
     def values(self) -> np.ndarray:
@@ -73,25 +70,17 @@ class PopulationSpectrum:
         """First moment of the bulk law."""
         return float(np.dot(self.values, self.weights))
 
-    @property
-    def n_spikes(self) -> int:
-        return len(self.spikes)
-
     def bulk_moment(self, k: int) -> float:
         """k-th moment of the bulk law."""
         return float(np.dot(self.values**k, self.weights))
 
 
-def make_spectrum(
-    atoms: Iterable[tuple[float, float]],
-    spikes: Iterable[float] = (),
-) -> PopulationSpectrum:
+def make_spectrum(atoms: Iterable[tuple[float, float]]) -> PopulationSpectrum:
     """Validate and build a :class:`PopulationSpectrum`.
 
     Atoms may be given in any order; they are sorted by value. Weights must
     be positive and sum to one up to a slack of ``WEIGHT_SLACK``, in which
-    case they are renormalized exactly. Spikes must each exceed the largest
-    bulk atom; they are returned sorted in decreasing order.
+    case they are renormalized exactly.
     """
     pairs = [(float(t), float(w)) for t, w in atoms]
     if not pairs:
@@ -109,30 +98,17 @@ def make_spectrum(
     if abs(total - 1.0) > WEIGHT_SLACK:
         raise ValueError(f"bulk weights sum to {total!r}, expected 1")
     wts = wts / total
-    spk = sorted((float(s) for s in spikes), reverse=True)
-    top = vals[-1]
-    for s in spk:
-        if s <= top:
-            raise ValueError(
-                f"spike {s!r} does not exceed the bulk upper edge {top!r}"
-            )
-    return PopulationSpectrum(
-        atoms=tuple(zip(vals.tolist(), wts.tolist())),
-        spikes=tuple(spk),
-    )
+    return PopulationSpectrum(atoms=tuple(zip(vals.tolist(), wts.tolist())))
 
 
 def square_spectrum(spectrum: PopulationSpectrum) -> PopulationSpectrum:
     """Pushforward of a spectrum under t -> t**2.
 
-    Bulk atoms map to their squares with unchanged weights; spikes map to
-    their squares. Squaring is strictly increasing on the nonnegative axis,
-    so atom ordering, distinctness, and the spike/bulk separation survive.
+    Bulk atoms map to their squares with unchanged weights. Squaring is
+    strictly increasing on the nonnegative axis, so atom ordering and
+    distinctness survive.
     """
-    return PopulationSpectrum(
-        atoms=tuple((t * t, w) for t, w in spectrum.atoms),
-        spikes=tuple(s * s for s in spectrum.spikes),
-    )
+    return PopulationSpectrum(atoms=tuple((t * t, w) for t, w in spectrum.atoms))
 
 
 @dataclass(frozen=True)
@@ -177,53 +153,44 @@ def esd_cdf(esd: ESD, t: float | np.ndarray) -> float | np.ndarray:
 
 def ks_distance(
     esd: ESD,
-    cdf: Callable[[float], float],
+    reference: Sequence[float] | np.ndarray,
     grid: Sequence[float] | np.ndarray,
 ) -> float:
     """Kolmogorov-Smirnov distance between an ESD and a reference CDF.
 
-    Compares ``cdf(t)`` with both F_emp(t-) and F_emp(t) at every grid point.
-    For a law continuous on the range scored, a grid of the ESD's jump points
-    gives the exact supremum.
+    ``reference`` holds the reference CDF's values at ``grid``; each is
+    compared with both F_emp(t-) and F_emp(t) at its grid point.  For a law
+    continuous on the range scored, a grid of the ESD's jump points gives
+    the exact supremum.
     """
     pts = np.asarray(grid, dtype=float)
+    ref = np.asarray(reference, dtype=float)
     if pts.size == 0:
         raise ValueError("ks_distance needs a nonempty grid")
+    if ref.shape != pts.shape:
+        raise ValueError(f"reference shape {ref.shape} differs from grid shape {pts.shape}")
     left = np.searchsorted(esd.values[::-1], pts, side="left") / esd.dim_p
     right = esd_cdf(esd, pts)
-    try:
-        # one vectorized call lets segment-cached reference cdfs amortize
-        ref = np.asarray(cdf(pts), dtype=float)
-        if ref.shape != pts.shape:
-            raise TypeError("cdf is not vectorized")
-    except TypeError:
-        ref = np.array([float(cdf(float(t))) for t in pts])
     return float(max(np.max(np.abs(left - ref)), np.max(np.abs(right - ref))))
 
 
 def parse_spectrum_text(text: str) -> PopulationSpectrum:
-    """Parse the ``atom VALUE WEIGHT`` / ``spike VALUE`` text format."""
+    """Parse the ``atom VALUE WEIGHT`` text format."""
     atoms: list[tuple[float, float]] = []
-    spikes: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         try:
-            if parts[0] == "atom" and len(parts) == 3:
-                atoms.append((float(parts[1]), float(parts[2])))
-            elif parts[0] == "spike" and len(parts) == 2:
-                spikes.append(float(parts[1]))
-            else:
+            if parts[0] != "atom" or len(parts) != 3:
                 raise ValueError
+            atoms.append((float(parts[1]), float(parts[2])))
         except ValueError:
             raise ValueError(f"bad spectrum line {lineno}: {raw!r}") from None
-    return make_spectrum(atoms, spikes)
+    return make_spectrum(atoms)
 
 
 def format_spectrum_text(spectrum: PopulationSpectrum) -> str:
     """Serialize a spectrum to the text format (round-trips with the parser)."""
-    lines = [f"atom {t:.17g} {w:.17g}" for t, w in spectrum.atoms]
-    lines += [f"spike {s:.17g}" for s in spectrum.spikes]
-    return "\n".join(lines) + "\n"
+    return "".join(f"atom {t:.17g} {w:.17g}\n" for t, w in spectrum.atoms)

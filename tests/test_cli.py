@@ -134,6 +134,16 @@ class TestThresholdsAndLimits:
         assert recs[1]["ppca"]["tag"] == "stuck"
         assert recs[1]["ppca"]["value"] == pytest.approx(2.41633, abs=1e-5)
 
+    def test_spike_line_in_spectrum_file_is_json_value_error(self, capsys, tmp_path):
+        # spikes are given as --lam, never as part of the bulk
+        spec_file = tmp_path / "bulk.txt"
+        spec_file.write_text("atom 1.0 1.0\nspike 4.0\n")
+        code, out, err = run_cli(capsys, "thresholds", "--c", "2", "--spectrum", str(spec_file))
+        assert code == 1 and out == ""
+        rec = json.loads(err)
+        assert rec["error"] == "ValueError"
+        assert rec["message"] == "bad spectrum line 2: 'spike 4.0'"
+
 
 class TestDebias:
     def test_matches_library_call(self, capsys, tmp_path):

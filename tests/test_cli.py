@@ -55,6 +55,24 @@ class TestConstants:
         rec = json.loads(path.read_text())
         assert rec["mass0_ppca"] == pytest.approx(0.75)
 
+    @pytest.mark.parametrize("c", ["1e12", "1e50", "1e150"])
+    def test_large_ratio_is_strict_json(self, capsys, c):
+        code, out, _ = run_cli(capsys, "constants", "--c", c)
+        assert code == 0
+
+        def reject(name):
+            raise AssertionError(f"{name} in the constants JSON")
+
+        rec = json.loads(out, parse_constant=reject)
+        assert rec["beta"] == pytest.approx(rec["b"] ** 2, rel=1e-15)
+
+    def test_overflow_is_json_value_error(self, capsys):
+        code, out, err = run_cli(capsys, "constants", "--c", "1e200")
+        assert code == 1 and out == ""
+        rec = json.loads(err)
+        assert rec["error"] == "ValueError"
+        assert "overflow" in rec["message"]
+
 
 class TestRho:
     def test_first_row_is_one(self, capsys):
@@ -67,6 +85,14 @@ class TestRho:
         assert float(rows[0][1]) == 1.0
         vals = [float(r[1]) for r in rows]
         assert vals == sorted(vals)
+
+    def test_huge_ratios_give_no_nan(self, capsys):
+        code, out, _ = run_cli(capsys, "rho", "--grid", "1e150:1e200:3")
+        assert code == 0
+        assert "nan" not in out.lower()
+        _, rows = parse_csv(out)
+        vals = [float(r[1]) for r in rows]
+        assert all(np.isfinite(vals)) and vals == sorted(vals)
 
 
 class TestDensity:

@@ -515,6 +515,40 @@ class TestSingleAtomConstants:
         assert cf.alpha == pytest.approx(float(alpha), rel=1e-14, abs=0.0)
         assert cf.a == pytest.approx(float(a), rel=1e-14, abs=0.0)
 
+    def test_match_decimal_oracle_across_ratios(self):
+        # the textbook forms in decimal arithmetic, with 60 digits left after
+        # the cancellations -c^2 + sqrt(c (c+4)^3) and sqrt(c^2 + 4c) - c,
+        # which lose up to 2 log10(c) digits
+        for c in np.logspace(-12.0, 150.0, 649):
+            cd = decimal.Decimal(c)
+            with decimal.localcontext() as ctx:
+                ctx.prec = 60 + 2 * max(0, cd.adjusted())
+                root = (cd * cd + 4 * cd).sqrt()
+                sqrt_b = (cd * (cd + 4) ** 3).sqrt()
+                alpha = (2 + 10 * cd - cd * cd - sqrt_b) / 2
+                want = {
+                    "lambda_star": (1 + cd + root).sqrt(),
+                    "alpha": alpha,
+                    "beta": (2 + 10 * cd - cd * cd + sqrt_b) / 2,
+                    "b": (1 + cd + root).sqrt() * (1 + (root - cd) / 2),
+                }
+                if c < 0.5:
+                    want["a"] = alpha.sqrt()
+            cf = rmt.ssm_closed_forms(rmt.SsmParams(c=float(c)))
+            for field, value in want.items():
+                assert getattr(cf, field) == pytest.approx(float(value), rel=1e-13, abs=0.0), (
+                    field,
+                    c,
+                )
+            if c >= 0.5:
+                assert cf.a == 0.0
+
+    @pytest.mark.parametrize("c", [2e154, 1e200, np.finfo(float).max])
+    def test_overflow_is_value_error(self, c):
+        # alpha is about -c^2 at large c
+        with pytest.raises(ValueError, match="overflow"):
+            rmt.ssm_closed_forms(rmt.SsmParams(c=c))
+
     def test_internal_identities(self):
         for c in (0.4, 2.0):
             cf = rmt.ssm_closed_forms(rmt.SsmParams(c=c, sigma2=1.0))
@@ -673,6 +707,18 @@ class TestRho:
             (2.0 + cs + root) / (1.0 + cs + root)
         )
         assert np.max(np.abs(got - expect)) < 1e-12
+
+    def test_matches_decimal_oracle_over_the_float_range(self):
+        cs = np.concatenate(([0.0], np.logspace(-12.0, 300.0, 313), [np.finfo(float).max]))
+        got = rmt.rho(cs)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            for c, value in zip(cs, got):
+                cd = decimal.Decimal(c)
+                root = (cd * cd + 4 * cd).sqrt()
+                ratio = (2 + cd + root) / (1 + cd + root)
+                want = (1 + cd.sqrt()) / decimal.Decimal(2).sqrt() * ratio.sqrt()
+                assert value == pytest.approx(float(want), rel=1e-13, abs=0.0), c
 
     def test_unit_at_zero_and_monotone(self):
         cs = np.linspace(0.0, 10.0, 1001)

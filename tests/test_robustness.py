@@ -43,6 +43,13 @@ class TestScenarioValidation:
             scenario(lambda1=star * 0.99)
         scenario(lambda1=star * 1.01)
 
+    def test_huge_ratio_accepted(self):
+        # the distant-signal floor lambda* is about sqrt(2c)
+        s = scenario(c=1e103, lambda1=1e52)
+        assert s.c == 1e103
+        with pytest.raises(ValueError, match="overflow"):
+            scenario(c=1e200, lambda1=1e101)
+
     def test_unit_bulk_only(self):
         with pytest.raises(ValueError):
             rb.PerturbationScenario(

@@ -65,6 +65,11 @@ def density(name: str, law: str, c: float, grid: str, spectrum: str | None = Non
     return ((name, argv, spectrum),)
 
 
+def rho(name: str, grid: str) -> tuple:
+    """One `rho` run on the c grid ``grid``."""
+    return ((name, ("rho", "--grid", grid, "--out", "{out}.csv"), None),)
+
+
 # (name, c, grid, spectrum): the white bulk at three ratios (c = 1/2 is the
 # product law's switch point), two atoms, a zero atom and well-separated atoms.
 LAWS = (
@@ -78,7 +83,8 @@ LAWS = (
 
 # wide and tall spectra and spikes (odd n gives halves of 150 and 151 rows:
 # a non-square wide core), the heavy-tailed robustness study that reads
-# eigenvectors, and both limiting densities of every law above
+# eigenvectors, both limiting densities of every law above, and the
+# closed-form rho curve over a short and a long c range
 PANEL = (
     simulate("spectrum_wide", "spectrum", "n=700\np=1400\nmodel=gaussian\nreplicates=2\n")
     + simulate("spectrum_wide_odd", "spectrum", "n=301\np=700\nmodel=gaussian\nreplicates=2\n")
@@ -91,6 +97,8 @@ PANEL = (
     )
     + sum((density(f"{law}_{name}", law, c, grid, spectrum)
            for name, c, grid, spectrum in LAWS for law in ("ppca", "pca")), ())
+    + rho("rho_c10", "0:10:101")
+    + rho("rho_c1e6", "0:1e6:101")
 )
 
 # Runs a list of `spikedcov` argument lists in one interpreter.

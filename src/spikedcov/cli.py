@@ -82,7 +82,7 @@ def _emit_csv(path: str | None, columns, rows) -> None:
     if path and path != "-":
         simlab.write_csv(path, columns, rows)
     else:
-        simlab._write_rows(sys.stdout, columns, rows)
+        sys.stdout.write(simlab._csv_text(columns, rows))
 
 
 def _emit_json(path: str | None, payload) -> None:

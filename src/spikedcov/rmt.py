@@ -32,9 +32,8 @@ Both laws share one support routine (_support, given the law's criterion
 and the image of its critical points) and one density routine (_density: a
 complex solve just above the real axis, polished by Newton on the axis).
 
-The single-atom closed forms (ssm_closed_forms) and the rho curve avoid
-cancellation and never square or cube c, so they hold a few ulps from tiny
-to huge c; a closed-form constant that would overflow raises ValueError.
+The single-atom closed forms and rho avoid cancellation and never square or
+cube c; a closed-form constant that would overflow raises ValueError.
 """
 from __future__ import annotations
 
@@ -725,18 +724,12 @@ def ppca_lsd_pdf(c: float, h: PopulationSpectrum, t) -> float | np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def ssm_closed_forms(params: SsmParams) -> SsmConstants:
-    """All closed-form constants for a single-atom bulk.
-
-    Every constant is formed without cancellation and without squaring or
-    cubing c, so each is accurate to a few ulps for any c up to about 1e150.
-    Raises ``ValueError`` if a constant overflows.
-    """
+    """All closed-form constants for a single-atom bulk; ValueError if one overflows."""
     # Python floats: an overflow gives inf, never a numpy warning or an error
     c = float(params.c)
     s2 = float(params.sigma2)
     sqrt_c = float(np.sqrt(c))
-    # r = sqrt(c^2 + 4c)
-    r = sqrt_c * float(np.sqrt(c + 4.0))
+    r = sqrt_c * float(np.sqrt(c + 4.0))  # sqrt(c^2 + 4c)
     # big = A + B with A = 2 + 10c - c^2 and B = sqrt(c (c+4)^3) = (c+4) r.
     # B - c^2 = 4c (3c^2 + 12c + 16)/(B + c^2) does not cancel at large c;
     # the ratio is taken with both sides divided by c, so no c^3 is formed
@@ -916,10 +909,8 @@ def rho(c) -> float | np.ndarray:
     arr = np.atleast_1d(np.asarray(c, dtype=float))
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError("rho requires c >= 0")
-    # sqrt(c^2 + 4c) without squaring c, and the ratio as 1 + 1/(1 + c + root):
-    # at large c the textbook quotient is inf/inf
-    root = np.sqrt(arr) * np.sqrt(arr + 4.0)
-    with np.errstate(over="ignore"):  # past c ~ 9e307 the sum is inf and the ratio 1
-        ratio = 1.0 + 1.0 / (1.0 + arr + root)
-    out = ((1.0 + np.sqrt(arr)) / np.sqrt(2.0)) * np.sqrt(ratio)
+    # the ratio is 1 + 1/(1 + c + sqrt(c^2 + 4c)) = 1 + (2/s)/(s - 2/s) with
+    # s = sqrt(c) + sqrt(c + 4): nothing cancels or overflows for any float c
+    s = np.sqrt(arr) + np.sqrt(arr + 4.0)
+    out = ((1.0 + np.sqrt(arr)) / np.sqrt(2.0)) * np.sqrt(1.0 + (2.0 / s) / (s - 2.0 / s))
     return float(out[0]) if np.ndim(c) == 0 else out

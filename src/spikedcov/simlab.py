@@ -158,18 +158,12 @@ class ExperimentReport:
 
     def write(self, prefix: str) -> tuple[str, ...]:
         """Write records, aggregates, and every table under a path prefix."""
-        paths = []
-        paths.append(write_csv(f"{prefix}_records.csv", self.columns, self.records))
-        paths.append(
-            write_csv(
-                f"{prefix}_aggregates.csv",
-                ("column", "mean", "sd"),
-                self.aggregates,
-            )
+        tables = (
+            ("records", self.columns, self.records),
+            ("aggregates", ("column", "mean", "sd"), self.aggregates),
+            *self.tables,
         )
-        for name, cols, rows in self.tables:
-            paths.append(write_csv(f"{prefix}_{name}.csv", cols, rows))
-        return tuple(paths)
+        return tuple(write_csv(f"{prefix}_{name}.csv", cols, rows) for name, cols, rows in tables)
 
 
 # a text cell, header included, must be nonempty and hold none of these
@@ -179,7 +173,7 @@ _CSV_SPECIAL = frozenset(',"\r\n')
 
 def _cell_spec(kind: type) -> str:
     """The %-conversion for a cell of this type: text verbatim, integers as %d, else %.10g."""
-    if kind is str:
+    if issubclass(kind, str):
         return "%s"
     if issubclass(kind, (int, np.integer)):
         return "%d"
@@ -187,10 +181,11 @@ def _cell_spec(kind: type) -> str:
 
 
 def _csv_text(columns, rows) -> str:
-    """A header and rows as CSV text, every row formatted by one %-format line.
+    """A header and rows as CSV text, every row written by one %-format line.
 
-    Raises ``ValueError`` if the rows differ in their cell conversions, or if
-    a text cell, header included, is empty or would need csv quoting.
+    LF line endings and %.10g numbers.  Raises ``ValueError`` if the rows
+    differ in their cell conversions, or if a text cell, header included, is
+    empty or would need csv quoting.
     """
     rows = list(rows)
     specs = {tuple(map(_cell_spec, kinds)) for kinds in {tuple(map(type, row)) for row in rows}}
@@ -208,17 +203,8 @@ def _csv_text(columns, rows) -> str:
     return ",".join(columns) + "\n" + body
 
 
-def _write_rows(fh, columns, rows) -> None:
-    """Write a header and rows to an open text file: LF line endings, %.10g numbers."""
-    fh.write(_csv_text(columns, rows))
-
-
 def write_csv(path: str, columns, rows) -> str:
-    """Write one CSV table: UTF-8, LF line endings, %.10g numbers.
-
-    The table is checked before the file is opened, so a rejected table
-    leaves no file behind.
-    """
+    """Write one CSV table as UTF-8; a table that _csv_text rejects leaves no file."""
     text = _csv_text(columns, rows)
     parent = os.path.dirname(path)
     if parent:

@@ -440,9 +440,7 @@ class TestReportIO:
         for row in rows:
             writer.writerow([cell(v) for v in row])
         for given in (rows, iter(rows)):
-            got = io.StringIO()
-            simlab._write_rows(got, columns, given)
-            assert got.getvalue() == want.getvalue()
+            assert simlab._csv_text(columns, given) == want.getvalue()
 
     @pytest.mark.parametrize(
         "columns, rows",
@@ -462,9 +460,9 @@ class TestReportIO:
             simlab.write_csv(str(path), columns, rows)
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(ValueError):
-            simlab._write_rows(io.StringIO(), columns, iter(rows))
+            simlab._csv_text(columns, iter(rows))
 
     @pytest.mark.parametrize("columns", [("a,b", "v"), ("", "v"), ('"q"', "v"), ("a\nb", "v")])
     def test_odd_header_raises(self, columns):
         with pytest.raises(ValueError, match="text cells"):
-            simlab._write_rows(io.StringIO(), columns, [(1.0, 2.0)])
+            simlab._csv_text(columns, [(1.0, 2.0)])

@@ -419,7 +419,12 @@ class TestReportIO:
             (("t", "v"), [(0.1, 1e-300), (np.float64(2.5), -0.0), (float("inf"), float("nan"))]),
             (("j", "k"), [(1, np.int64(-7)), (True, np.uint8(3))]),
             (("method", "v"), [("ppca", 1.5), ("pca", np.float64(2.0))]),
+            (("name", "v"), [("a b", 1.0), ("say hi!", 2.0), ("tab\there", 3.0), ("\u00fcn\u00efcode", 4.0)]),
+            (("name",), [("x",), ("yz",)]),
+            (("v", "name"), [(1.0, "pca")]),
+            (("a", "b"), [(1, 2.0), (np.int64(3), np.float32(4.5)), (False, np.float64(6.0))]),
             (("a", "b"), [(np.float32(0.1), 1.0)]),
+            (("a", "b", "c"), [(1.0, 2.0, 3.0), (-1e20, 5e-7, 123456789012.0)]),
             (("a",), []),
         ],
     )

@@ -90,7 +90,7 @@ class PPCAFit:
     fit.  A vector fit lifts the core's singular vectors by each half's right
     singular vectors, taken from the half covariance when the half has at
     least p rows (see :func:`ppca_fit`).  ``partition`` holds the two
-    disjoint row-index halves.
+    disjoint row-index halves drawn from the split stream.
     ``fallback_columns`` lists columns where the pair was so anti-aligned
     that fusion fell back to the left vector alone (empty without vectors).
     """
@@ -171,25 +171,8 @@ def _fuse(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     return fused, tuple(int(j) for j in fallback)
 
 
-def _check_partition(
-    first: np.ndarray, second: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    first = np.asarray(first, dtype=int)
-    second = np.asarray(second, dtype=int)
-    merged = np.sort(np.concatenate([first, second]))
-    if merged.size != n or np.any(merged != np.arange(n)):
-        raise ValueError("partition halves must split range(n) exactly")
-    if abs(first.size - second.size) > 1:
-        raise ValueError("partition halves must differ in size by at most one")
-    return first, second
-
-
-def _split(
-    n: int, rng: RngStream, partition: tuple[np.ndarray, np.ndarray] | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted row-index halves: a random equal split from ``rng``, or the checked ``partition``."""
-    if partition is not None:
-        return _check_partition(partition[0], partition[1], n)
+def _split(n: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted row-index halves of a random equal split drawn from ``rng``."""
     perm = rng.generator().permutation(n)
     return np.sort(perm[: n // 2]), np.sort(perm[n // 2 :])
 
@@ -220,17 +203,11 @@ def _half_svd(half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.norm(half @ v, axis=0) / np.sqrt(h), v
 
 
-def ppca_fit(
-    x: np.ndarray,
-    rng: RngStream,
-    partition: tuple[np.ndarray, np.ndarray] | None = None,
-    *,
-    vectors: bool = False,
-) -> PPCAFit:
+def ppca_fit(x: np.ndarray, rng: RngStream, *, vectors: bool = False) -> PPCAFit:
     """Product PCA: SVD of the product of half-covariance square roots.
 
-    The sample is split into two near-equal halves (random equal split drawn
-    from ``rng`` unless an explicit ``partition`` is given).  For any factors
+    The sample is split into two near-equal halves by a random equal split
+    drawn from ``rng``, which depends only on n and the stream.  For any factors
     with B_i^T B_i = S_i, the nonzero singular values of S_1^{1/2} S_2^{1/2}
     are those of B_1 B_2^T, so values only take a values-only SVD of that
     min(h1, p) x min(h2, p) matrix.  With ``vectors``, each scaled half is
@@ -241,7 +218,7 @@ def ppca_fit(
     """
     x = _check_data(x, min_rows=4)
     p = x.shape[1]
-    first, second = _split(x.shape[0], rng, partition)
+    first, second = _split(x.shape[0], rng)
     if not vectors:
         return _ppca_values(_half_core(x, first, second), p, (first, second))
     s1, v1 = _half_svd(x[first])
@@ -264,14 +241,14 @@ def _half_core(x: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarr
     return _half_factor(x[first]) @ _half_factor(x[second]).T
 
 
-def _ppca_values(core: np.ndarray, p: int, partition: tuple[np.ndarray, np.ndarray]) -> PPCAFit:
+def _ppca_values(core: np.ndarray, p: int, halves: tuple[np.ndarray, np.ndarray]) -> PPCAFit:
     """Values-only product-PCA fit: the core's singular values padded to length p."""
     return PPCAFit(
         singular_values=_padded(np.linalg.svd(core, compute_uv=False), p),
         left_vectors=None,
         right_vectors=None,
         fused_vectors=None,
-        partition=partition,
+        partition=halves,
     )
 
 
@@ -288,7 +265,7 @@ def fit_values(x: np.ndarray, rng: RngStream) -> tuple[PPCAFit, PCAFit]:
     """
     x = _check_data(x, min_rows=4)
     n, p = x.shape
-    first, second = _split(n, rng, None)
+    first, second = _split(n, rng)
     if p > n:
         gram = x @ x.T
         core = gram[np.ix_(first, second)]

@@ -26,7 +26,6 @@ __all__ = [
     "fix_signs",
     "svd_full",
     "haar_orthogonal",
-    "random_orthogonal",
 ]
 
 # Relative Frobenius asymmetry above which a matrix is rejected as not
@@ -78,15 +77,15 @@ def _as_matrix(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
-def check_symmetric(s: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
-    """Validate symmetry up to relative Frobenius tolerance ``tol``."""
+def check_symmetric(s: np.ndarray) -> np.ndarray:
+    """Validate symmetry up to relative Frobenius asymmetry SYM_TOL."""
     s = _as_matrix(s, "matrix")
     if s.shape[0] != s.shape[1]:
         raise ValueError(f"matrix must be square, got shape {s.shape}")
     scale = np.linalg.norm(s)
     if scale > 0.0:
         asym = np.linalg.norm(s - s.T) / scale
-        if asym > tol:
+        if asym > SYM_TOL:
             raise ValueError(f"matrix is not symmetric (relative asymmetry {asym:.3e})")
     return s
 
@@ -169,7 +168,3 @@ def haar_orthogonal(
     d[d == 0.0] = 1.0
     return q * np.sign(d)
 
-
-def random_orthogonal(p: int, rng: RngStream) -> np.ndarray:
-    """Haar-distributed p x p orthogonal matrix keyed by an RngStream."""
-    return haar_orthogonal(p, rng.generator())

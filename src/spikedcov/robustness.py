@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkernel import RngStream, random_orthogonal
+from .numkernel import RngStream, haar_orthogonal
 from .rmt import SsmParams, ssm_closed_forms
 
 __all__ = [
@@ -164,7 +164,7 @@ def build_perturbed_sigma(
     """
     if p <= s.k:
         raise ValueError(f"need p >= K + 1 = {s.k + 1}, got p = {p}")
-    q = random_orthogonal(p, rng)
+    q = haar_orthogonal(p, rng.generator())
     return _frame_sigma(s, q, 1.0 - s.k * s.epsilon, s.epsilon, range(1, s.k + 1))
 
 
@@ -180,7 +180,7 @@ def build_perturbed_half_sigmas(
     if p <= s.k:
         raise ValueError(f"need p >= K + 1 = {s.k + 1}, got p = {p}")
     half_one = _check_assignment(s, assignment)
-    q = random_orthogonal(p, rng)
+    q = haar_orthogonal(p, rng.generator())
     rest = [k for k in range(1, s.k + 1) if k not in half_one]
     first = _frame_sigma(s, q, 1.0 - 2.0 * s.k1 * s.epsilon, 2.0 * s.epsilon, sorted(half_one))
     return first, _frame_sigma(s, q, 1.0 - 2.0 * s.k2 * s.epsilon, 2.0 * s.epsilon, rest)

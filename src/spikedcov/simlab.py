@@ -1,11 +1,11 @@
 """Reproducible Monte Carlo harness for the covariance estimators.
 
-Experiments are described by a small key-value config (sample size, aspect
-ratio, tail model, population spikes, replicate count, master seed) and run
-fully deterministically: replicate i draws its data from the Philox stream
-(master_seed, 2i) and its half-split from (master_seed, 2i + 1), so any
-replicate can be regenerated in isolation and results do not depend on
-execution order.
+Experiments are described by a small key-value config (sample size,
+dimension, tail model, population spikes, replicate count) and a master
+seed from the caller, and run fully deterministically: replicate i draws
+its data from the Philox stream (master_seed, 2i) and its half-split from
+(master_seed, 2i + 1), so any replicate can be regenerated in isolation and
+results do not depend on execution order.
 
 Three runners cover the standard studies:
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -72,11 +71,9 @@ _CONFIG_KEYS = (
     "p",
     "model",
     "nu",
-    "c",
     "sigma2",
     "spikes",
     "replicates",
-    "seed",
 )
 
 
@@ -278,15 +275,14 @@ def _parse_spikes(raw: str, n: int, p: int, sigma2: float) -> tuple[float, ...]:
     return tuple(float(part) for part in raw.split(","))
 
 
-def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
-    """Parse a key-value experiment config.
+def parse_config(text: str, seed: int) -> ExperimentConfig:
+    """Parse a key-value experiment config keyed by the master ``seed``.
 
     One ``key = value`` pair per line, ``#`` comments allowed.  Keys: n, p,
-    model, nu, c, sigma2, spikes, replicates, seed.  ``spikes`` is a comma
-    list of positive reals, ``none``, or ``design`` for the two-spike layout
-    (10x and 5x the product-PCA spike threshold).  A ``c`` key is a
-    consistency check only: it must equal p/n.  A ``seed`` argument
-    overrides the file value.
+    model, nu, sigma2, spikes, replicates.  ``spikes`` is a comma list of
+    positive reals, ``none``, or ``design`` for the two-spike layout (10x
+    and 5x the product-PCA spike threshold).  The aspect ratio is always
+    p/n.
     """
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -307,14 +303,6 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
     n = int(pairs["n"])
     p = int(pairs["p"])
     sigma2 = float(pairs.get("sigma2", "1"))
-    if "c" in pairs:
-        stated = float(pairs["c"])
-        if not math.isclose(stated, p / n, rel_tol=1e-9, abs_tol=0.0):
-            raise ValueError(f"config states c = {stated} but p/n = {p / n}")
-    if seed is None:
-        if "seed" not in pairs:
-            raise ValueError("no seed: pass one explicitly or add a seed key")
-        seed = int(pairs["seed"])
     return ExperimentConfig(
         n=n,
         p=p,

@@ -515,6 +515,21 @@ class TestSimulate:
         with open(pa + "_records.csv", "rb") as fa, open(pb + "_records.csv", "rb") as fb:
             assert fa.read() == fb.read()
 
+    @pytest.mark.parametrize("line", ["seed=9", "c=0.4"])
+    def test_seed_or_ratio_line_is_json_value_error(self, capsys, tmp_path, line):
+        # the seed comes only from --seed and the ratio only from p/n
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CONFIG + line + "\n")
+        code, out, err = run_cli(
+            capsys, "simulate", "spectrum", "--config", str(cfg), "--seed", "5"
+        )
+        assert code == 1 and out == ""
+        key = line.split("=")[0]
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": f"config line 5: unknown key {key!r}",
+        }
+
 
 class TestErrorChannel:
     def test_usage_error_is_json_on_stderr(self, capsys):

@@ -67,9 +67,10 @@ class TestPpcaFit:
         # duplicated rows force both half covariances to coincide, and the
         # product factorization collapses onto the plain eigendecomposition
         base = gaussian_data(30, 6, seed=5)
-        x = np.vstack([base, base])
-        part = (np.arange(30), np.arange(30, 60))
-        fit = estimators.ppca_fit(x, RngStream(0, 1), partition=part, vectors=True)
+        first, second = estimators._split(60, RngStream(0, 1))
+        x = np.empty((60, 6))
+        x[first] = x[second] = base
+        fit = estimators.ppca_fit(x, RngStream(0, 1), vectors=True)
         ref = estimators.pca_fit(base, vectors=True)
         assert np.max(np.abs(fit.singular_values - ref.eigenvalues)) < 1e-8
         lead = ref.eigenvalues > 1e-8
@@ -90,6 +91,19 @@ class TestPpcaFit:
         b = estimators.ppca_fit(x, RngStream(3, 9))
         assert np.array_equal(a.singular_values, b.singular_values)
         assert np.array_equal(a.partition[0], b.partition[0])
+
+    @pytest.mark.parametrize("n, p", [(20, 4), (21, 30)])
+    def test_split_depends_only_on_n_and_stream(self, n, p):
+        # the rewritten partition tests build their data on this split
+        rng = RngStream(3, 9)
+        x, y = gaussian_data(n, p, seed=7), gaussian_data(n, 2 * p, seed=8)
+        want = estimators._split(n, rng)
+        for fit in (
+            estimators.ppca_fit(x, rng),
+            estimators.ppca_fit(y, rng, vectors=True),
+            estimators.fit_values(y, rng)[0],
+        ):
+            assert all(np.array_equal(a, b) for a, b in zip(fit.partition, want))
 
     @pytest.mark.parametrize("n", [12, 13])
     def test_zero_singular_count_when_wide(self, n):
@@ -139,9 +153,9 @@ class TestPpcaFit:
         # has rank 4 < p: the product's trailing values are roundoff of the
         # leading one, not of its square root
         x = gaussian_data(40, 8, seed=17)
-        x[4:20] = x[3]
-        part = (np.arange(20), np.arange(20, 40))
-        s = estimators.ppca_fit(x, RngStream(0), partition=part, vectors=True).singular_values
+        first, _ = estimators._split(40, RngStream(0))
+        x[first[4:]] = x[first[3]]
+        s = estimators.ppca_fit(x, RngStream(0), vectors=True).singular_values
         assert np.all(s[:4] > 1e-3 * s[0])
         assert np.all(s[4:] <= 1e-12 * s[0])
 
@@ -154,13 +168,6 @@ class TestPpcaFit:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             estimators.ppca_fit(gaussian_data(3, 2), RngStream(0))
-
-    def test_rejects_bad_partition(self):
-        x = gaussian_data(10, 3, seed=10)
-        with pytest.raises(ValueError):
-            estimators.ppca_fit(x, RngStream(0), partition=(np.arange(3), np.arange(3, 10)))
-        with pytest.raises(ValueError):
-            estimators.ppca_fit(x, RngStream(0), partition=(np.arange(5), np.arange(4, 10)))
 
     def test_fusion_fallback_on_anti_aligned_columns(self):
         u = np.eye(3)

@@ -21,21 +21,20 @@ def config(text=BASE, seed=5, **kw):
 class TestParseConfig:
     def test_key_values_with_comments(self):
         cfg = simlab.parse_config(
-            "# comment\nn = 100\np=40\nmodel=student_t\nnu=30\n"
-            "sigma2=1\nreplicates=3\nseed=9\n"
+            "# comment\nn = 100\np=40\nmodel=student_t\nnu=30\nsigma2=1\nreplicates=3\n",
+            seed=9,
         )
         assert (cfg.n, cfg.p, cfg.model, cfg.nu) == (100, 40, "student_t", 30.0)
         assert cfg.replicates == 3
         assert cfg.master_seed == 9
         assert cfg.c == pytest.approx(0.4)
 
-    def test_seed_argument_overrides_file(self):
-        cfg = simlab.parse_config("n=40\np=16\nseed=1\n", seed=2)
-        assert cfg.master_seed == 2
-
     def test_seed_required_somewhere(self):
-        with pytest.raises(ValueError, match="seed"):
+        # the caller is the seed's only source: a seed line is an unknown key
+        with pytest.raises(TypeError):
             simlab.parse_config("n=40\np=16\n")
+        with pytest.raises(ValueError, match="unknown key 'seed'"):
+            simlab.parse_config("n=40\np=16\nseed=1\n", seed=2)
 
     def test_rejects_unknown_and_duplicate_keys(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -50,10 +49,11 @@ class TestParseConfig:
             config("n=40\n")
 
     def test_rejects_inconsistent_ratio(self):
-        with pytest.raises(ValueError, match="c"):
-            config("n=40\np=16\nc=0.5\n")
-        cfg = config("n=40\np=16\nc=0.4\n")
-        assert cfg.c == pytest.approx(0.4)
+        # the ratio is always p/n: a c line is an unknown key, whatever it states
+        for stated in ("0.5", "0.4"):
+            with pytest.raises(ValueError, match="unknown key 'c'"):
+                config(f"n=40\np=16\nc={stated}\n")
+        assert config("n=40\np=16\n").c == 0.4
 
     def test_malformed_line(self):
         with pytest.raises(ValueError):

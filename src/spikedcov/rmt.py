@@ -33,7 +33,9 @@ and the image of its critical points) and one density routine (_density: a
 complex solve just above the real axis, polished by Newton on the axis).
 
 The single-atom closed forms and rho avoid cancellation and never square or
-cube c; a closed-form constant that would overflow raises ValueError.
+cube c, and the product-law closed-form density works in units of its upper
+edge; a closed-form constant or density that would overflow raises
+ValueError.
 """
 from __future__ import annotations
 
@@ -764,24 +766,36 @@ def _cbrt_sq(x: np.ndarray) -> np.ndarray:
 
 
 def ssm_g_pdf(params: SsmParams, t) -> float | np.ndarray:
-    """Closed-form density of the product law for a single-atom bulk."""
+    """Closed-form density of the product law for a single-atom bulk.
+
+    Lengths are taken in units of the smallest power of two above b, so the
+    products and cube-root arguments are O(c) and O(c^(3/2)) at large c
+    where their raw values reach c^3.  The rescaling is exact, so for
+    sigma2 a power of two the values are bit for bit those of the unscaled
+    form.  A density that cannot be represented (c sigma2 below the
+    smallest float, say) raises ``ValueError``.
+    """
     c = params.c
-    s2 = params.sigma2
     consts = ssm_closed_forms(params)
     pts = _points("ssm_g_pdf", t, positive=True)
-    x = pts * pts
-    inside = (x >= consts.alpha) & (x <= consts.beta)
-    prod = np.clip((x - consts.alpha) * (consts.beta - x), 0.0, None)
-    disc = pts * np.sqrt(prod)
-    shift = (9.0 * (c + 1.0) * s2 * x + (2.0 * c - 1.0) ** 3 * s2**3) / (3.0 * np.sqrt(3.0))
-    kappa = (
-        _cbrt_sq(disc + shift)
-        + _cbrt_sq(disc - shift)
-        + (3.0 * x + (2.0 * c - 1.0) ** 2 * s2 * s2) / 3.0
-    )
+    unit = float(np.ldexp(1.0, np.frexp(consts.b)[1]))
+    s2 = params.sigma2 / unit
+    alpha = consts.alpha / unit / unit
+    beta = consts.beta / unit / unit
+    scaled = pts / unit
+    x = scaled * scaled
+    inside = (x >= alpha) & (x <= beta)
+    prod = np.clip((x - alpha) * (beta - x), 0.0, None)
+    disc = scaled * np.sqrt(prod)
+    w = (2.0 * c - 1.0) * s2
+    shift = (9.0 * (c + 1.0) * s2 * x + w**3) / (3.0 * np.sqrt(3.0))
+    kappa = _cbrt_sq(disc + shift) + _cbrt_sq(disc - shift) + (3.0 * x + w * w) / 3.0
     if np.any(kappa[inside] <= 0.0):
         raise SolverError("cube-root branch failure: kappa <= 0 inside the support")
-    out = np.where(inside, np.sqrt(prod) / (kappa * np.pi * c * s2), 0.0)
+    with np.errstate(all="ignore"):
+        out = np.where(inside, np.sqrt(prod) / (kappa * np.pi * c * params.sigma2), 0.0)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"ssm_g_pdf not representable at c = {c!r}, sigma2 = {params.sigma2!r}")
     return float(out[0]) if np.ndim(t) == 0 else out
 
 

@@ -14,14 +14,15 @@ SMOKE_CONFIG = "n=40\np=60\nmodel=gaussian\nspikes=design\nreplicates=1\n"
 
 def _smoke_panel(parity):
     # one wide spectrum and one robustness run (both fit routes, one seed
-    # each), and a product-law and a classical density of a bulk read from a
-    # spectrum file
+    # each), a product-law and a classical density of a bulk read from a
+    # spectrum file, and the product-PCA vectors of a wide sample with odd n
     two_atom = "atom 0.5 0.4\natom 1.5 0.6\n"
     return (
         parity.simulate("spectrum", "spectrum", SMOKE_CONFIG, (1,))
         + parity.simulate("robustness", "robustness", SMOKE_CONFIG, (1,))
         + parity.density("ppca_two_atom", "ppca", 2.0, "0.01:6:20", two_atom)
         + parity.density("pca_two_atom", "pca", 2.0, "0.01:6:20", two_atom)
+        + parity.fit("fit_ppca", "ppca", parity.data_csv(11, 16, 0), 1)
     )
 
 
@@ -58,7 +59,9 @@ def test_working_tree_reproduces_head_bytes():
     parity = load_script(PARITY)
     report = parity.report("HEAD", _smoke_panel(parity))
     assert report["summary"]["different"] == report["summary"]["roundoff"] == 0, report["files"]
-    # spectrum: records, aggregates, histogram, overlay; robustness: two; densities: two
-    assert report["summary"]["identical"] == 4 + 2 + 2
+    # spectrum: records, aggregates, histogram, overlay; robustness: two;
+    # densities: two; fit: one
+    assert report["summary"]["identical"] == 4 + 2 + 2 + 1
     assert "ppca_two_atom.csv" in report["files"]
     assert "pca_two_atom.csv" in report["files"]
+    assert "fit_ppca.csv" in report["files"]

@@ -1,6 +1,8 @@
 import decimal
 import functools
+import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -597,6 +599,62 @@ class TestSingleAtomConstants:
             rmt.SsmParams(c=0.0, sigma2=1.0)
         with pytest.raises(ValueError):
             rmt.SsmParams(c=0.4, sigma2=-1.0)
+
+
+def ssm_g_pdf_mpmath(c, sigma2, t):
+    """The closed form ssm_g_pdf evaluates, in 60 digits plus 2 log10(c) guard digits.
+
+    alpha and beta are the textbook (A -/+ sqrt(B))/2, whose cancellation
+    loses up to 2 log10(c) digits; the squared real cube roots are |v|^(2/3).
+    """
+    with mpmath.workdps(60 + 2 * max(0, math.ceil(math.log10(c)))):
+        c, s2, t = mpmath.mpf(c), mpmath.mpf(sigma2), mpmath.mpf(t)
+        sqrt_b = mpmath.sqrt(c * (c + 4) ** 3)
+        alpha = (2 + 10 * c - c * c - sqrt_b) / 2 * s2 * s2
+        beta = (2 + 10 * c - c * c + sqrt_b) / 2 * s2 * s2
+        x = t * t
+        prod = (x - alpha) * (beta - x)
+        disc = t * mpmath.sqrt(prod)
+        shift = (9 * (c + 1) * s2 * x + (2 * c - 1) ** 3 * s2**3) / (3 * mpmath.sqrt(3))
+        kappa = (
+            abs(disc + shift) ** (mpmath.mpf(2) / 3)
+            + abs(disc - shift) ** (mpmath.mpf(2) / 3)
+            + (3 * x + (2 * c - 1) ** 2 * s2 * s2) / 3
+        )
+        return float(mpmath.sqrt(prod) / (kappa * mpmath.pi * c * s2))
+
+
+class TestProductDensityAtAllRatios:
+    @pytest.mark.parametrize("sigma2", [1.0, 0.3, 7.0])
+    def test_matches_mpmath_oracle(self, sigma2):
+        # the cube (2c - 1)^3 and the product (x - alpha)(beta - x) overflow
+        # above c ~ 5e102 unless taken in units of the upper edge
+        fractions = np.array([0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+        for c in np.concatenate([np.logspace(-3.0, 150.0, 307), [0.4999, 0.5, 0.5001]]):
+            params = rmt.SsmParams(c=float(c), sigma2=sigma2)
+            cf = rmt.ssm_closed_forms(params)
+            lower = max(cf.alpha, 0.0)
+            grid = np.sqrt(lower + fractions * (cf.beta - lower))
+            want = [ssm_g_pdf_mpmath(c, sigma2, t) for t in grid]
+            assert rmt.ssm_g_pdf(params, grid) == pytest.approx(want, rel=1e-10, abs=0.0), c
+
+    @pytest.mark.parametrize("c", [1e103, 1e150])
+    def test_cdf_nondecreasing_to_one_at_large_ratio(self, c):
+        params = rmt.SsmParams(c=c)
+        cf = rmt.ssm_closed_forms(params)
+        grid = np.linspace(0.0, cf.b, 2001)
+        cdf = rmt.ssm_g_cdf(params, grid)
+        assert cdf[0] == cf.mass0_ppca
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert cdf[-1] == rmt.ssm_g_cdf(params, 1.5 * cf.b) == 1.0
+
+    def test_unrepresentable_density_is_value_error(self):
+        # c sigma2 underflows to 0, and the support collapses to the point b
+        params = rmt.SsmParams(c=1e-200, sigma2=1e-150)
+        b = rmt.ssm_closed_forms(params).b
+        for call in (rmt.ssm_g_pdf, rmt.ssm_g_cdf):
+            with pytest.raises(ValueError, match="ssm_g_pdf not representable"):
+                call(params, b)
 
 
 # law -> (closed-form cdf, independent oracle, lower edge, upper edge, zero

@@ -28,6 +28,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tarfile
@@ -70,6 +71,21 @@ def rho(name: str, grid: str) -> tuple:
     return ((name, ("rho", "--grid", grid, "--out", "{out}.csv"), None),)
 
 
+def fit(name: str, method: str, data: str, seed: int | None = None) -> tuple:
+    """One `fit --vectors` run of ``method`` on the data CSV text ``data``."""
+    split = ("--seed", str(seed)) if seed is not None else ()
+    argv = ("fit", "--input", "{config}", "--method", method, *split, "--vectors",
+            "--out", "{out}.csv")
+    return ((name, argv, data),)
+
+
+def data_csv(n: int, p: int, seed: int) -> str:
+    """An n x p standard normal sample as CSV text, the same on every run."""
+    rng = random.Random(seed)
+    return "".join(",".join(repr(rng.gauss(0.0, 1.0)) for _ in range(p)) + "\n"
+                   for _ in range(n))
+
+
 # (name, c, grid, spectrum): the white bulk at three ratios (c = 1/2 is the
 # product law's switch point), two atoms, a zero atom and well-separated atoms.
 LAWS = (
@@ -83,8 +99,9 @@ LAWS = (
 
 # wide and tall spectra and spikes (odd n gives halves of 150 and 151 rows:
 # a non-square wide core), the heavy-tailed robustness study that reads
-# eigenvectors, both limiting densities of every law above, and the
-# closed-form rho curve over a short and a long c range
+# eigenvectors, both limiting densities of every law above, the closed-form
+# rho curve over a short and a long c range, and the vectors of both fits on
+# a tall sample and on a wide one with odd n (halves of 20 and 21 rows)
 PANEL = (
     simulate("spectrum_wide", "spectrum", "n=700\np=1400\nmodel=gaussian\nreplicates=2\n")
     + simulate("spectrum_wide_odd", "spectrum", "n=301\np=700\nmodel=gaussian\nreplicates=2\n")
@@ -99,6 +116,9 @@ PANEL = (
            for name, c, grid, spectrum in LAWS for law in ("ppca", "pca")), ())
     + rho("rho_c10", "0:10:101")
     + rho("rho_c1e6", "0:1e6:101")
+    + sum((fit(f"fit_{method}_{shape}", method, data_csv(n, p, seed), split)
+           for shape, n, p, seed in (("tall", 120, 30, 1), ("wide_odd", 41, 70, 2))
+           for method, split in (("ppca", 3), ("pca", None))), ())
 )
 
 # Runs a list of `spikedcov` argument lists in one interpreter.

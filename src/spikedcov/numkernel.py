@@ -167,4 +167,3 @@ def haar_orthogonal(
     d = np.diagonal(r).copy()
     d[d == 0.0] = 1.0
     return q * np.sign(d)
-

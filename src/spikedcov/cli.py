@@ -12,6 +12,11 @@ Subcommands:
 * ``fit``: run PCA or product PCA on a data CSV.
 * ``simulate {spectrum,spike,robustness}``: Monte Carlo experiment runners.
 
+Every input has one source, and nothing the user typed is overridden,
+rewritten or ignored: ``--sigma2`` and ``--spectrum`` exclude each other,
+``fit --seed`` is given with ``--method ppca`` and only then, a ``density``
+grid must be positive, ``debias`` reads a descending first column as it
+stands, and the replicate count comes only from the ``simulate`` config.
 Numeric and usage failures exit nonzero with a one-line JSON error record on
 stderr so callers can script against the tool.
 """
@@ -20,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 
@@ -72,43 +78,22 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _load_bulk(args) -> spectra.PopulationSpectrum:
-    if getattr(args, "spectrum", None):
-        with open(args.spectrum, encoding="utf-8") as fh:
-            return spectra.parse_spectrum_text(fh.read())
-    return spectra.make_spectrum(atoms=[(args.sigma2, 1.0)])
+    if args.spectrum is None:
+        return spectra.make_spectrum(atoms=[(args.sigma2, 1.0)])
+    with open(args.spectrum, encoding="utf-8") as fh:
+        return spectra.parse_spectrum_text(fh.read())
 
 
-def _emit_csv(path: str | None, columns, rows) -> None:
+def _emit(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout for none or ``-``."""
     if path and path != "-":
-        simlab.write_csv(path, columns, rows)
+        simlab._write_text(path, text)
     else:
-        sys.stdout.write(simlab._csv_text(columns, rows))
+        sys.stdout.write(text)
 
 
-def _emit_json(path: str | None, payload) -> None:
-    text = json.dumps(payload, indent=2)
-    if path and path != "-":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def _read_value_column(path: str) -> np.ndarray:
-    """First column of a CSV as floats, skipping a non-numeric header row."""
-    values = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip():
-                continue
-            try:
-                values.append(float(row[0]))
-            except ValueError:
-                if values:
-                    raise
-    if not values:
-        raise ValueError(f"no numeric values found in {path}")
-    return np.asarray(values, dtype=float)
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _read_matrix(path: str) -> np.ndarray:
@@ -128,42 +113,30 @@ def _read_matrix(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _cmd_density(args) -> int:
+def _cmd_density(args) -> None:
     bulk = _load_bulk(args)
     grid = _parse_grid(args.grid)
-    if np.any(grid < 0.0):
-        raise ValueError("density grid must be nonnegative")
-    grid = np.where(grid == 0.0, 1e-12, grid)
     if args.law == "ppca":
         dens = np.atleast_1d(rmt.ppca_lsd_pdf(args.c, bulk, grid))
     else:
         dens = np.atleast_1d(rmt.mp_density(args.c, bulk, grid))
-    _emit_csv(args.out, ("t", "density"), list(zip(grid, dens)))
-    return 0
+    _emit(args.out, simlab._csv_text(("t", "density"), list(zip(grid, dens))))
 
 
-def _cmd_constants(args) -> int:
+def _cmd_constants(args) -> None:
     consts = rmt.ssm_closed_forms(rmt.SsmParams(c=args.c, sigma2=args.sigma2))
-    _emit_json(args.out, dataclasses.asdict(consts))
-    return 0
+    _emit(args.out, _json(dataclasses.asdict(consts)))
 
 
-def _cmd_thresholds(args) -> int:
+def _cmd_thresholds(args) -> None:
     bulk = _load_bulk(args)
     ppca = rmt.ppca_threshold(args.c, bulk)
     pca = rmt.pca_threshold(args.c, bulk)
-    _emit_json(
-        args.out,
-        {
-            "c": args.c,
-            "ppca": dataclasses.asdict(ppca),
-            "pca": dataclasses.asdict(pca),
-        },
-    )
-    return 0
+    payload = {"c": args.c, "ppca": dataclasses.asdict(ppca), "pca": dataclasses.asdict(pca)}
+    _emit(args.out, _json(payload))
 
 
-def _cmd_limits(args) -> int:
+def _cmd_limits(args) -> None:
     bulk = _load_bulk(args)
     out = []
     for lam in (float(v) for v in args.lam.split(",")):
@@ -174,27 +147,24 @@ def _cmd_limits(args) -> int:
                 "pca": dataclasses.asdict(rmt.pca_limit(args.c, bulk, lam)),
             }
         )
-    _emit_json(args.out, out)
-    return 0
+    _emit(args.out, _json(out))
 
 
-def _cmd_debias(args) -> int:
-    values = np.sort(_read_value_column(args.input))[::-1]
+def _cmd_debias(args) -> None:
+    values = _read_matrix(args.input)[:, 0]
     debias = estimators.debias_ppca if args.method == "ppca" else estimators.debias_pca
     rows = []
     for j in (int(v) for v in args.j.split(",")):
         # the estimator validates j before the raw value is read
         debiased = debias(values, args.c, j)
         rows.append((j, values[j - 1], debiased))
-    _emit_csv(args.out, ("j", "raw", "debiased"), rows)
-    return 0
+    _emit(args.out, simlab._csv_text(("j", "raw", "debiased"), rows))
 
 
-def _cmd_rho(args) -> int:
+def _cmd_rho(args) -> None:
     grid = _parse_grid(args.grid)
     vals = np.atleast_1d(rmt.rho(grid))
-    _emit_csv(args.out, ("c", "rho"), list(zip(grid, vals)))
-    return 0
+    _emit(args.out, simlab._csv_text(("c", "rho"), list(zip(grid, vals))))
 
 
 def _analytic_block(scenario, method: str, spectrum, assignment) -> dict:
@@ -210,7 +180,7 @@ def _analytic_block(scenario, method: str, spectrum, assignment) -> dict:
     }
 
 
-def _cmd_robust_analytic(args) -> int:
+def _cmd_robust_analytic(args) -> None:
     with open(args.scenario, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -239,17 +209,16 @@ def _cmd_robust_analytic(args) -> int:
         "ppca": _analytic_block(scenario, "ppca", ppca_spec, assignment),
         "comparative": robustness.comparative_conditions(scenario, assignment),
     }
-    _emit_json(args.out, payload)
-    return 0
+    _emit(args.out, _json(payload))
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> None:
+    if (args.seed is None) == (args.method == "ppca"):
+        raise ValueError("--seed is required with --method ppca and not allowed with --method pca")
     x = _read_matrix(args.input)
     if args.center:
         x = x - x.mean(axis=0)
     if args.method == "ppca":
-        if args.seed is None:
-            raise ValueError("product PCA needs --seed for the half split")
         fit = estimators.ppca_fit(x, simlab.RngStream(args.seed, 0), vectors=args.vectors)
         values, vectors = fit.singular_values, fit.fused_vectors
     else:
@@ -261,15 +230,12 @@ def _cmd_fit(args) -> int:
     else:
         columns = ["eigenvalue"]
         rows = [(v,) for v in values]
-    _emit_csv(args.out, columns, rows)
-    return 0
+    _emit(args.out, simlab._csv_text(columns, rows))
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     with open(args.config, encoding="utf-8") as fh:
         cfg = simlab.parse_config(fh.read(), seed=args.seed)
-    if args.replicates is not None:
-        cfg = dataclasses.replace(cfg, replicates=args.replicates)
     runner = {
         "spectrum": simlab.run_spectrum_experiment,
         "spike": simlab.run_spike_experiment,
@@ -289,18 +255,15 @@ def _cmd_simulate(args) -> int:
         "files": list(files),
         "flags": list(report.flags),
     }
-    print(json.dumps(summary, indent=2))
-    return 0
+    sys.stdout.write(_json(summary))
 
 
 def _add_bulk_options(parser, with_spectrum: bool = True) -> None:
     parser.add_argument("--c", type=float, required=True, help="aspect ratio p/n")
-    parser.add_argument("--sigma2", type=float, default=1.0, help="flat bulk level")
+    bulk = parser.add_mutually_exclusive_group() if with_spectrum else parser
+    bulk.add_argument("--sigma2", type=float, default=1.0, help="flat bulk level")
     if with_spectrum:
-        parser.add_argument(
-            "--spectrum",
-            help="bulk spectrum file (atom VALUE WEIGHT lines); overrides --sigma2",
-        )
+        bulk.add_argument("--spectrum", help="bulk spectrum file (atom VALUE WEIGHT lines)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_limits)
 
     p = sub.add_parser("debias", help="bias-correct leading eigenvalues from a CSV")
-    p.add_argument("--input", required=True, help="CSV whose first column holds the spectrum")
+    p.add_argument("--input", required=True, help="CSV, first column the descending spectrum")
     p.add_argument("--method", choices=("ppca", "pca"), required=True)
     p.add_argument("--c", type=float, required=True, help="realized aspect ratio p/n")
     p.add_argument("--j", default="1", help="comma list of 1-based spike indices")
@@ -355,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="data CSV, rows = samples")
     p.add_argument("--method", choices=("ppca", "pca"), required=True)
     p.add_argument("--center", action="store_true", help="subtract column means first")
-    p.add_argument("--seed", type=int, help="half-split seed (product PCA)")
+    p.add_argument("--seed", type=int, help="half-split seed (product PCA only, required there)")
     p.add_argument("--vectors", action="store_true", help="include the rank block's eigenvectors")
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=_cmd_fit)
@@ -365,17 +328,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="experiment config file")
     p.add_argument("--seed", type=int, required=True, help="master seed")
     p.add_argument("--out-prefix", help="output CSV path prefix")
-    p.add_argument("--replicates", type=int, help="override the configured replicate count")
     p.set_defaults(func=_cmd_simulate)
 
     return parser
 
 
+# built on the first main() call, not at import, and shared by later calls
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        args.func(args)
+        return 0
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 0
         return code

@@ -25,7 +25,7 @@ regime the closed-form comparisons are derived in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,6 @@ class PerturbationScenario:
     k1: int
     lambda1: float
     c: float
-    sigma2: float = field(default=1.0)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "etas", tuple(float(v) for v in self.etas))
@@ -81,8 +80,6 @@ class PerturbationScenario:
             raise ValueError("per-half contamination 2*max(K1,K2)*epsilon must stay below 1")
         if not (np.isfinite(self.c) and self.c > 0.0):
             raise ValueError(f"aspect ratio must be positive, got {self.c}")
-        if self.sigma2 != 1.0:
-            raise ValueError("the analytic model is derived at unit noise (sigma2 = 1)")
         floor = ssm_closed_forms(SsmParams(c=self.c)).lambda_star
         if not (np.isfinite(self.lambda1) and self.lambda1 > floor):
             raise ValueError(

@@ -88,12 +88,12 @@ class ExperimentConfig:
 
     n: int
     p: int
+    master_seed: int
     model: str = "gaussian"
     nu: float | None = None
     sigma2: float = 1.0
     spikes: tuple[float, ...] = ()
     replicates: int = 1
-    master_seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "spikes", tuple(float(v) for v in self.spikes))
@@ -202,7 +202,11 @@ def _csv_text(columns, rows) -> str:
 
 def write_csv(path: str, columns, rows) -> str:
     """Write one CSV table as UTF-8; a table that _csv_text rejects leaves no file."""
-    text = _csv_text(columns, rows)
+    return _write_text(path, _csv_text(columns, rows))
+
+
+def _write_text(path: str, text: str) -> str:
+    """Write ``text`` as UTF-8 to ``path``, making its directory if needed."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)

@@ -20,6 +20,18 @@ def parse_csv(text):
     return rows[0], rows[1:]
 
 
+def run_rejected(capsys, tmp_path, *argv):
+    """Run argv with --out; check stdout is empty and no file was written.
+
+    Returns the exit code and the JSON error record from stderr.
+    """
+    out_path = tmp_path / "out"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert out == ""
+    assert not out_path.exists()
+    return code, json.loads(err)
+
+
 class TestVersion:
     def test_prints_solver_constants_json(self, capsys):
         code, out, err = run_cli(capsys, "--version")
@@ -96,6 +108,17 @@ class TestRho:
 
 
 class TestDensity:
+    @pytest.mark.parametrize("law", ["ppca", "pca"])
+    @pytest.mark.parametrize("grid", ["0:1:3", "1:-1:3"])
+    def test_grid_point_not_positive_is_json_value_error(self, capsys, tmp_path, law, grid):
+        # the t column holds the grid as given: a point at or below 0 is
+        # rejected, never moved
+        code, rec = run_rejected(
+            capsys, tmp_path, "density", "--law", law, "--c", "0.4", "--grid", grid
+        )
+        assert code == 1
+        assert rec["error"] == "ValueError" and "t > 0" in rec["message"]
+
     def test_pca_law_at_unit_point(self, capsys):
         code, out, _ = run_cli(
             capsys, "density", "--law", "pca", "--c", "0.4", "--grid", "1:1:1"
@@ -138,6 +161,32 @@ class TestDensity:
         _, rows = parse_csv(out)
         assert len(rows) == 5
         assert all(float(r[1]) >= 0.0 for r in rows)
+
+
+class TestBulkOptions:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("thresholds",),
+            ("limits", "--lam", "3"),
+            ("density", "--law", "pca", "--grid", "1:2:3"),
+        ],
+        ids=["thresholds", "limits", "density"],
+    )
+    def test_sigma2_with_spectrum_is_usage_error(self, capsys, tmp_path, command):
+        # a spectrum file is the whole bulk, so a --sigma2 beside it would
+        # be ignored
+        spec_file = tmp_path / "bulk.txt"
+        spec_file.write_text("atom 2 1\n")
+        code, rec = run_rejected(
+            capsys, tmp_path, *command, "--c", "0.4", "--sigma2", "5",
+            "--spectrum", str(spec_file),
+        )
+        assert code == 2
+        assert rec == {
+            "error": "usage",
+            "message": "argument --spectrum: not allowed with argument --sigma2",
+        }
 
 
 class TestThresholdsAndLimits:
@@ -210,6 +259,26 @@ class TestDebias:
         assert rec["error"] == "ValueError"
         assert "finite" in rec["message"]
 
+    def test_unsorted_spectrum_is_json_value_error(self, capsys, tmp_path):
+        # the spectrum is read as it stands, never sorted
+        path = tmp_path / "spectrum.csv"
+        path.write_text("eigenvalue\n1.9\n3.2\n1.2\n0.8\n0.3\n")
+        code, rec = run_rejected(
+            capsys, tmp_path, "debias", "--input", str(path), "--method", "ppca", "--c", "0.4"
+        )
+        assert code == 1
+        assert rec == {"error": "ValueError", "message": "spectrum must be sorted descending"}
+
+    def test_text_column_is_json_value_error(self, capsys, tmp_path):
+        # fit's reader: every cell after the header row must be a number
+        path = tmp_path / "spectrum.csv"
+        path.write_text("eigenvalue,label\n3.2,a\n1.9,b\n1.2,c\n")
+        code, rec = run_rejected(
+            capsys, tmp_path, "debias", "--input", str(path), "--method", "pca", "--c", "0.4"
+        )
+        assert code == 1
+        assert rec == {"error": "ValueError", "message": f"no numeric rows found in {path}"}
+
     def test_index_past_spectrum_is_json_value_error(self, capsys, tmp_path):
         path = tmp_path / "spectrum.csv"
         path.write_text("eigenvalue\n3.2\n1.9\n1.2\n0.8\n0.3\n")
@@ -268,7 +337,9 @@ class TestFit:
         x = RngStream(11, 0).generator().standard_normal((n, p))
         path = tmp_path / "data.csv"
         np.savetxt(path, x, delimiter=",")
-        argv = ["fit", "--input", str(path), "--method", method, "--seed", "4"]
+        argv = ["fit", "--input", str(path), "--method", method]
+        if method == "ppca":
+            argv += ["--seed", "4"]
         code, out, _ = run_cli(capsys, *argv, "--vectors")
         assert code == 0
         header, rows = parse_csv(out)
@@ -300,12 +371,28 @@ class TestFit:
         got = np.array([float(r[0]) for r in rows])
         assert np.allclose(got, ref, rtol=1e-9)
 
+    @pytest.mark.parametrize("method, seed", [("pca", ("--seed", "1")), ("ppca", ())])
+    def test_seed_only_with_ppca(self, capsys, tmp_path, method, seed):
+        # classical PCA draws nothing, so a seed would be ignored; product
+        # PCA draws its half split from the seed
+        path = tmp_path / "data.csv"
+        path.write_text("1,2\n3,4\n5,6\n7,8\n")
+        code, rec = run_rejected(
+            capsys, tmp_path, "fit", "--input", str(path), "--method", method, *seed
+        )
+        assert code == 1
+        assert rec == {
+            "error": "ValueError",
+            "message": "--seed is required with --method ppca and not allowed with --method pca",
+        }
+
     @pytest.mark.parametrize("method", ["ppca", "pca"])
     def test_nan_cell_is_json_value_error(self, capsys, tmp_path, method):
         path = tmp_path / "data.csv"
         path.write_text("1,2\n3,nan\n5,6\n7,8\n")
+        seed = ("--seed", "1") if method == "ppca" else ()
         code, out, err = run_cli(
-            capsys, "fit", "--input", str(path), "--method", method, "--seed", "1"
+            capsys, "fit", "--input", str(path), "--method", method, *seed
         )
         assert code == 1 and out == ""
         assert json.loads(err) == {
@@ -327,8 +414,9 @@ class TestFit:
     def test_single_column_writes_one_row(self, capsys, tmp_path, method, vectors):
         path = tmp_path / "data.csv"
         path.write_text("1\n2\n3\n4\n5\n")
+        seed = ("--seed", "3") if method == "ppca" else ()
         code, out, _ = run_cli(
-            capsys, "fit", "--input", str(path), "--method", method, "--seed", "3", *vectors
+            capsys, "fit", "--input", str(path), "--method", method, *seed, *vectors
         )
         assert code == 0
         header, rows = parse_csv(out)
@@ -478,22 +566,19 @@ class TestSimulate:
         assert len(files) == 4
         assert written == files
 
-    def test_replicates_override(self, capsys, tmp_path):
+    def test_replicates_flag_is_usage_error(self, capsys, tmp_path):
+        # the replicate count comes only from the config
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(self.CONFIG)
-        code, out, _ = run_cli(
-            capsys,
-            "simulate",
-            "spectrum",
-            "--config",
-            str(cfg),
-            "--seed",
-            "5",
-            "--replicates",
-            "1",
+        code, out, err = run_cli(
+            capsys, "simulate", "spectrum", "--config", str(cfg), "--seed", "5",
+            "--out-prefix", str(tmp_path / "run"), "--replicates", "1",
         )
-        assert code == 0
-        assert json.loads(out)["replicates"] == 1
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "usage", "message": "unrecognized arguments: --replicates 1"
+        }
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
     def test_same_seed_same_bytes(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"

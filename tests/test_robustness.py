@@ -51,7 +51,8 @@ class TestScenarioValidation:
             scenario(c=1e200, lambda1=1e101)
 
     def test_unit_bulk_only(self):
-        with pytest.raises(ValueError):
+        # the analytic model is derived at unit noise: there is no sigma2 to set
+        with pytest.raises(TypeError):
             rb.PerturbationScenario(
                 epsilon=0.01, etas=(70.0,), k1=1, lambda1=3.0, c=0.4, sigma2=2.0
             )

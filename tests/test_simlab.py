@@ -36,6 +36,12 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="unknown key 'seed'"):
             simlab.parse_config("n=40\np=16\nseed=1\n", seed=2)
 
+    def test_config_needs_master_seed(self):
+        # like parse_config, the config has no default seed
+        with pytest.raises(TypeError):
+            simlab.ExperimentConfig(n=40, p=16)
+        assert simlab.ExperimentConfig(n=40, p=16, master_seed=3).master_seed == 3
+
     def test_rejects_unknown_and_duplicate_keys(self):
         with pytest.raises(ValueError, match="unknown"):
             config("n=40\np=16\nwidth=3\n")

@@ -79,6 +79,13 @@ def fit(name: str, method: str, data: str, seed: int | None = None) -> tuple:
     return ((name, argv, data),)
 
 
+def debias(name: str, method: str, spectrum: str) -> tuple:
+    """One `debias` run of ``method`` at c = 0.4 on the spectrum CSV text ``spectrum``."""
+    argv = ("debias", "--input", "{config}", "--method", method, "--c", "0.4", "--j", "1,2",
+            "--out", "{out}.csv")
+    return ((name, argv, spectrum),)
+
+
 def data_csv(n: int, p: int, seed: int) -> str:
     """An n x p standard normal sample as CSV text, the same on every run."""
     rng = random.Random(seed)
@@ -100,8 +107,12 @@ LAWS = (
 # wide and tall spectra and spikes (odd n gives halves of 150 and 151 rows:
 # a non-square wide core), the heavy-tailed robustness study that reads
 # eigenvectors, both limiting densities of every law above, the closed-form
-# rho curve over a short and a long c range, and the vectors of both fits on
-# a tall sample and on a wide one with odd n (halves of 20 and 21 rows)
+# rho curve over a short and a long c range, the vectors of both fits on a
+# tall sample and on a wide one with odd n (halves of 20 and 21 rows), and
+# both debiasing maps on one descending spectrum with a header row
+SPECTRUM_CSV = "eigenvalue\n" + "".join(
+    f"{v!r}\n" for v in (6.0, 4.5, *(2.4 - 2.2 * k / 39 for k in range(40)))
+)
 PANEL = (
     simulate("spectrum_wide", "spectrum", "n=700\np=1400\nmodel=gaussian\nreplicates=2\n")
     + simulate("spectrum_wide_odd", "spectrum", "n=301\np=700\nmodel=gaussian\nreplicates=2\n")
@@ -119,6 +130,8 @@ PANEL = (
     + sum((fit(f"fit_{method}_{shape}", method, data_csv(n, p, seed), split)
            for shape, n, p, seed in (("tall", 120, 30, 1), ("wide_odd", 41, 70, 2))
            for method, split in (("ppca", 3), ("pca", None))), ())
+    + debias("debias_ppca", "ppca", SPECTRUM_CSV)
+    + debias("debias_pca", "pca", SPECTRUM_CSV)
 )
 
 # Runs a list of `spikedcov` argument lists in one interpreter.

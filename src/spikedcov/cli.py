@@ -17,6 +17,9 @@ rewritten or ignored: ``--sigma2`` and ``--spectrum`` exclude each other,
 ``fit --seed`` is given with ``--method ppca`` and only then, a ``density``
 grid must be positive, ``debias`` reads a descending first column as it
 stands, and the replicate count comes only from the ``simulate`` config.
+Each input has one form as well: seeds lie in [0, 2**64), config ``spikes``
+are listed largest first, and ``fit`` and ``debias`` inputs have at most
+one header row before the numbers.
 Numeric and usage failures exit nonzero with a one-line JSON error record on
 stderr so callers can script against the tool.
 """
@@ -97,8 +100,9 @@ def _json(payload) -> str:
 
 
 def _read_matrix(path: str) -> np.ndarray:
-    """Numeric CSV matrix (rows = samples), skipping a header row if present."""
+    """Numeric CSV matrix (rows = samples) after at most one header row."""
     rows = []
+    header = False
     with open(path, encoding="utf-8", newline="") as fh:
         for row in csv.reader(fh):
             if not row:
@@ -106,8 +110,9 @@ def _read_matrix(path: str) -> np.ndarray:
             try:
                 rows.append([float(v) for v in row])
             except ValueError:
-                if rows:
+                if rows or header:
                     raise
+                header = True
     if not rows:
         raise ValueError(f"no numeric rows found in {path}")
     return np.asarray(rows, dtype=float)

@@ -1,9 +1,11 @@
 """Deterministic numerical primitives.
 
 Everything stochastic in the toolkit flows through :class:`RngStream`, a
-counter-based Philox generator keyed by (master seed, stream index): the same
-key always reproduces the same draws, bit for bit, independent of call order,
-so experiment replicates can be regenerated or reordered freely.
+counter-based Philox generator keyed by (master seed, stream index), each in
+[0, 2**64): the same key always reproduces the same draws, bit for bit,
+independent of call order, so experiment replicates can be regenerated or
+reordered freely.  A key outside that range raises ``ValueError`` rather
+than wrapping onto another stream.
 
 The linear-algebra helpers wrap LAPACK (via numpy) with the conventions the
 rest of the package relies on: descending eigenvalue order, a deterministic
@@ -32,13 +34,12 @@ __all__ = [
 # symmetric.
 SYM_TOL = 1e-10
 
-_MASK64 = (1 << 64) - 1
-
 
 @dataclass(frozen=True)
 class RngStream:
     """Reproducible random stream: Philox keyed by (master_seed, index).
 
+    Both parts of the key lie in [0, 2**64), Philox's two key words.
     Streams with distinct (seed, index) pairs are statistically independent;
     equal pairs reproduce draws exactly. ``generator()`` returns a fresh
     generator positioned at the start of the stream every time.
@@ -48,14 +49,11 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        if self.master_seed < 0 or self.stream_index < 0:
-            raise ValueError("seed and stream index must be nonnegative")
+        if not (0 <= self.master_seed < 2**64 and 0 <= self.stream_index < 2**64):
+            raise ValueError("seed and stream index must lie in [0, 2**64)")
 
     def generator(self) -> np.random.Generator:
-        key = np.array(
-            [self.master_seed & _MASK64, self.stream_index & _MASK64],
-            dtype=np.uint64,
-        )
+        key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -5,7 +5,10 @@ dimension, tail model, population spikes, replicate count) and a master
 seed from the caller, and run fully deterministically: replicate i draws
 its data from the Philox stream (master_seed, 2i) and its half-split from
 (master_seed, 2i + 1), so any replicate can be regenerated in isolation and
-results do not depend on execution order.
+results do not depend on execution order.  The master seed lies in
+[0, 2**64), and spikes are listed largest first, so that the spike runner's
+theory table pairs spike j of the config with the j-th largest sample
+eigenvalue of every record.
 
 Three runners cover the standard studies:
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 import csv
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,8 +85,9 @@ class ExperimentConfig:
     """One deterministic experiment description.
 
     ``spikes`` are absolute population spike eigenvalues placed above a flat
-    bulk at level ``sigma2``; ``master_seed`` keys every random draw.  The
-    aspect ratio is always the realized p/n.
+    bulk at level ``sigma2``, largest first (ties allowed); ``master_seed``,
+    in [0, 2**64), keys every random draw.  The aspect ratio is always the
+    realized p/n.
     """
 
     n: int
@@ -117,12 +121,14 @@ class ExperimentConfig:
             raise ValueError(f"bulk level sigma2 must be positive, got {self.sigma2}")
         if any(not np.isfinite(v) or v <= 0.0 for v in self.spikes):
             raise ValueError("population spikes must be positive and finite")
+        # records pair spike j with the j-th largest sample eigenvalue
+        if any(a < b for a, b in zip(self.spikes, self.spikes[1:])):
+            raise ValueError("population spikes must be listed largest first")
         if len(self.spikes) >= self.p:
             raise ValueError("fewer spikes than dimensions required")
         if self.replicates < 1:
             raise ValueError(f"need at least one replicate, got {self.replicates}")
-        if self.master_seed < 0:
-            raise ValueError("master seed must be nonnegative")
+        RngStream(self.master_seed)  # raises ValueError outside [0, 2**64)
 
     @property
     def c(self) -> float:
@@ -284,9 +290,9 @@ def parse_config(text: str, seed: int) -> ExperimentConfig:
 
     One ``key = value`` pair per line, ``#`` comments allowed.  Keys: n, p,
     model, nu, sigma2, spikes, replicates.  ``spikes`` is a comma list of
-    positive reals, ``none``, or ``design`` for the two-spike layout (10x
-    and 5x the product-PCA spike threshold).  The aspect ratio is always
-    p/n.
+    positive reals listed largest first, ``none``, or ``design`` for the
+    two-spike layout (10x and 5x the product-PCA spike threshold).  The
+    aspect ratio is always p/n, and ``seed`` lies in [0, 2**64).
     """
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -9,7 +9,7 @@ Value types shared across the toolkit:
 - :class:`ESD` is an empirical spectral distribution, i.e. the sorted
   eigenvalue (or squared-singular-value) list of one p x p matrix.
 
-A small text format serializes population spectra for the command line:
+A small text format describes population spectra for the command line:
 one ``atom VALUE WEIGHT`` line per bulk atom, with ``#`` comments and blank
 lines ignored.
 """
@@ -29,7 +29,6 @@ __all__ = [
     "esd_cdf",
     "ks_distance",
     "parse_spectrum_text",
-    "format_spectrum_text",
 ]
 
 # Bulk weights may miss 1 by at most this much before the input is rejected;
@@ -69,10 +68,6 @@ class PopulationSpectrum:
     def bulk_mean(self) -> float:
         """First moment of the bulk law."""
         return float(np.dot(self.values, self.weights))
-
-    def bulk_moment(self, k: int) -> float:
-        """k-th moment of the bulk law."""
-        return float(np.dot(self.values**k, self.weights))
 
 
 def make_spectrum(atoms: Iterable[tuple[float, float]]) -> PopulationSpectrum:
@@ -189,8 +184,3 @@ def parse_spectrum_text(text: str) -> PopulationSpectrum:
         except ValueError:
             raise ValueError(f"bad spectrum line {lineno}: {raw!r}") from None
     return make_spectrum(atoms)
-
-
-def format_spectrum_text(spectrum: PopulationSpectrum) -> str:
-    """Serialize a spectrum to the text format (round-trips with the parser)."""
-    return "".join(f"atom {t:.17g} {w:.17g}\n" for t, w in spectrum.atoms)

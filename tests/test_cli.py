@@ -20,16 +20,20 @@ def parse_csv(text):
     return rows[0], rows[1:]
 
 
-def run_rejected(capsys, tmp_path, *argv):
-    """Run argv with --out; check stdout is empty and no file was written.
+def run_rejected(capsys, tmp_path, *argv, out_flag="--out"):
+    """Run argv with ``out_flag`` naming ``tmp_path / "out"``; check stdout is
+    empty and no output file was written.
 
     Returns the exit code and the JSON error record from stderr.
     """
-    out_path = tmp_path / "out"
-    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    code, out, err = run_cli(capsys, *argv, out_flag, str(tmp_path / "out"))
     assert out == ""
-    assert not out_path.exists()
+    assert not list(tmp_path.glob("out*"))
     return code, json.loads(err)
+
+
+# past Philox's 64-bit key word: 2**64 + 5, whose low 64 bits are the seed 5
+WIDE_SEED = "18446744073709551621"
 
 
 class TestVersion:
@@ -277,7 +281,7 @@ class TestDebias:
             capsys, tmp_path, "debias", "--input", str(path), "--method", "pca", "--c", "0.4"
         )
         assert code == 1
-        assert rec == {"error": "ValueError", "message": f"no numeric rows found in {path}"}
+        assert rec == {"error": "ValueError", "message": "could not convert string to float: 'a'"}
 
     def test_index_past_spectrum_is_json_value_error(self, capsys, tmp_path):
         path = tmp_path / "spectrum.csv"
@@ -399,6 +403,17 @@ class TestFit:
             "error": "ValueError", "message": "data must have finite entries"
         }
 
+    def test_seed_past_64_bits_is_json_value_error(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1,2\n3,4\n5,6\n7,8\n")
+        code, rec = run_rejected(
+            capsys, tmp_path, "fit", "--input", str(path), "--method", "ppca", "--seed", WIDE_SEED
+        )
+        assert code == 1
+        assert rec == {
+            "error": "ValueError", "message": "seed and stream index must lie in [0, 2**64)"
+        }
+
     def test_three_rows_are_json_value_error(self, capsys, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("1,2\n3,4\n5,6\n")
@@ -423,6 +438,36 @@ class TestFit:
         assert header == ["eigenvalue"] + (["component_1"] if vectors else [])
         assert len(rows) == 1
         assert float(rows[0][0]) > 0.0
+
+
+class TestInputHeader:
+    # fit and debias read one CSV format: at most one header row, then numbers
+    RUNS = {
+        "fit": ("fit", "--method", "pca"),
+        "debias": ("debias", "--method", "pca", "--c", "0.4"),
+    }
+    DATA = {"fit": ["1,2", "3,4", "5,6", "7,8"], "debias": ["4", "3", "2", "1"]}
+
+    @pytest.mark.parametrize("command", ["fit", "debias"])
+    def test_two_header_rows_are_json_value_error(self, capsys, tmp_path, command):
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(["x,y", "notes,here", *self.DATA[command]]) + "\n")
+        code, rec = run_rejected(capsys, tmp_path, *self.RUNS[command], "--input", str(path))
+        assert code == 1
+        assert rec == {
+            "error": "ValueError", "message": "could not convert string to float: 'notes'"
+        }
+
+    @pytest.mark.parametrize("command", ["fit", "debias"])
+    def test_one_header_row_reads_as_none(self, capsys, tmp_path, command):
+        outputs = []
+        for header in ([], ["x,y"]):
+            path = tmp_path / "data.csv"
+            path.write_text("\n".join([*header, *self.DATA[command]]) + "\n")
+            code, out, _ = run_cli(capsys, *self.RUNS[command], "--input", str(path))
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
 
 class TestRobustAnalytic:
@@ -579,6 +624,32 @@ class TestSimulate:
             "error": "usage", "message": "unrecognized arguments: --replicates 1"
         }
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+    def test_seed_past_64_bits_is_json_value_error(self, capsys, tmp_path):
+        # not wrapped onto seed 5, which has the same low 64 bits
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CONFIG)
+        code, rec = run_rejected(
+            capsys, tmp_path, "simulate", "spectrum", "--config", str(cfg), "--seed", WIDE_SEED,
+            out_flag="--out-prefix",
+        )
+        assert code == 1
+        assert rec == {
+            "error": "ValueError", "message": "seed and stream index must lie in [0, 2**64)"
+        }
+
+    def test_ascending_spikes_are_json_value_error(self, capsys, tmp_path):
+        # the records pair spike j with the j-th largest sample eigenvalue
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n=40\np=16\nspikes=4,8\nreplicates=1\n")
+        code, rec = run_rejected(
+            capsys, tmp_path, "simulate", "spike", "--config", str(cfg), "--seed", "1",
+            out_flag="--out-prefix",
+        )
+        assert code == 1
+        assert rec == {
+            "error": "ValueError", "message": "population spikes must be listed largest first"
+        }
 
     def test_same_seed_same_bytes(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"

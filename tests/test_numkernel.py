@@ -33,6 +33,19 @@ class TestRngStream:
     def test_default_index(self):
         assert RngStream(5).stream_index == 0
 
+    @pytest.mark.parametrize("key", [(2**64, 0), (0, 2**64), (2**64 + 5, 0)])
+    def test_rejects_key_past_64_bits(self, key):
+        # Philox takes two 64-bit key words: a wider key is not wrapped onto
+        # the stream of its low bits
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            RngStream(*key)
+
+    def test_largest_key_draws(self):
+        top = 2**64 - 1
+        a = RngStream(top, top).generator().standard_normal(8)
+        assert np.all(np.isfinite(a))
+        assert np.array_equal(a, RngStream(top, top).generator().standard_normal(8))
+
 
 class TestCheckSymmetric:
     def test_accepts_symmetric(self):

@@ -251,7 +251,7 @@ class TestPsiMaps:
     def test_large_spike_bias_decay(self, two_atom_bulk):
         # product-side map: lam * (psi - lam) -> 2c * E[T^2]
         c = 0.4
-        mu2 = two_atom_bulk.bulk_moment(2)
+        mu2 = float(np.dot(two_atom_bulk.values**2, two_atom_bulk.weights))
         lam = 1e4
         val = lam * (rmt.ppca_psi(c, two_atom_bulk, lam) - lam)
         assert val == pytest.approx(2.0 * c * mu2, rel=1e-5)

@@ -75,6 +75,21 @@ class TestParseConfig:
         assert cfg.spikes == (7.5, 3.25)
         assert config("n=40\np=16\nspikes=none\n").spikes == ()
 
+    def test_spikes_listed_largest_first(self):
+        # records pair spike j with the j-th largest sample eigenvalue, so
+        # the config lists spikes in that order
+        with pytest.raises(ValueError, match="largest first"):
+            config("n=40\np=16\nspikes=4,8\n")
+        assert config("n=40\np=16\nspikes=8,4\n").spikes == (8.0, 4.0)
+        assert config("n=40\np=16\nspikes=5,5\n").spikes == (5.0, 5.0)
+
+    def test_seed_within_64_bits(self):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            config(seed=2**64 + 5)
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            config(seed=-1)
+        assert config(seed=2**64 - 1).master_seed == 2**64 - 1
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             config("n=3\np=16\n")

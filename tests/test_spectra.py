@@ -37,7 +37,6 @@ class TestMakeSpectrum:
     def test_moments(self):
         s = spectra.make_spectrum(atoms=[(1.0, 0.25), (2.0, 0.75)])
         assert s.bulk_mean == pytest.approx(1.75)
-        assert s.bulk_moment(2) == pytest.approx(0.25 + 4 * 0.75)
 
 
 class TestSquareSpectrum:
@@ -112,12 +111,6 @@ class TestKsDistance:
 
 
 class TestTextFormat:
-    def test_roundtrip(self):
-        s = spectra.make_spectrum(atoms=[(1.25, 0.75), (0.5, 0.25)])
-        text = spectra.format_spectrum_text(s)
-        back = spectra.parse_spectrum_text(text)
-        assert back == s
-
     def test_comments_and_blank_lines(self):
         text = "# population\n\natom 1.0 0.5  # two atoms\n  \natom 2.0 0.5\n"
         s = spectra.parse_spectrum_text(text)

@@ -105,11 +105,13 @@ LAWS = (
 )
 
 # wide and tall spectra and spikes (odd n gives halves of 150 and 151 rows:
-# a non-square wide core), the heavy-tailed robustness study that reads
-# eigenvectors, both limiting densities of every law above, the closed-form
-# rho curve over a short and a long c range, the vectors of both fits on a
-# tall sample and on a wide one with odd n (halves of 20 and 21 rows), and
-# both debiasing maps on one descending spectrum with a header row
+# a non-square wide core), spikes listed in the config rather than by
+# `design` (the theory table pairs spike j with record column j), the
+# heavy-tailed robustness study that reads eigenvectors, both limiting
+# densities of every law above, the closed-form rho curve over a short and a
+# long c range, the vectors of both fits on a tall sample and on a wide one
+# with odd n (halves of 20 and 21 rows), and both debiasing maps on one
+# descending spectrum with a header row
 SPECTRUM_CSV = "eigenvalue\n" + "".join(
     f"{v!r}\n" for v in (6.0, 4.5, *(2.4 - 2.2 * k / 39 for k in range(40)))
 )
@@ -119,6 +121,7 @@ PANEL = (
     + simulate("spectrum_tall", "spectrum", "n=2000\np=800\nmodel=gaussian\nreplicates=2\n")
     + simulate("spike_wide", "spike", "n=200\np=400\nmodel=gaussian\nspikes=design\nreplicates=5\n")
     + simulate("spike_tall", "spike", "n=600\np=240\nmodel=gaussian\nspikes=design\nreplicates=5\n")
+    + simulate("spike_explicit", "spike", "n=400\np=100\nmodel=gaussian\nspikes=8,4\nreplicates=3\n")
     + simulate(
         "robustness", "robustness",
         "n=500\np=200\nmodel=student_t\nnu=2.5\nspikes=design\nreplicates=20\n",

@@ -9,12 +9,12 @@ import argparse
 
 import numpy as np
 
-from spikedcov import estimators, rmt
+from spikedcov import estimators, make_spectrum, rmt
 from spikedcov.numkernel import RngStream
 
 
 def print_limits(c: float, spikes: tuple[float, ...]) -> None:
-    bulk = rmt.make_spectrum(atoms=[(1.0, 1.0)])
+    bulk = make_spectrum(atoms=[(1.0, 1.0)])
     star = rmt.ppca_threshold(c, bulk)
     prime = rmt.pca_threshold(c, bulk)
     print(f"detection thresholds at c={c}: product {star.threshold:.4f}, "

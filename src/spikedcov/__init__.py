@@ -50,7 +50,7 @@ from .rmt import (
 )
 from .robustness import PerturbationScenario, PerturbedSpectrum
 from .simlab import ExperimentConfig, ExperimentReport, gen_data, parse_config
-from .spectra import ESD, PopulationSpectrum, esd_cdf, ks_distance, make_spectrum
+from .spectra import PopulationSpectrum, esd_cdf, ks_distance, make_spectrum
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,6 @@ __all__ = [
     "robustness",
     "simlab",
     "PopulationSpectrum",
-    "ESD",
     "make_spectrum",
     "esd_cdf",
     "ks_distance",

@@ -172,7 +172,7 @@ def _cmd_rho(args) -> None:
     _emit(args.out, simlab._csv_text(("c", "rho"), list(zip(grid, vals))))
 
 
-def _analytic_block(scenario, method: str, spectrum, assignment) -> dict:
+def _analytic_block(scenario, method: str, spectrum, assignment=None) -> dict:
     """Perturbed spectrum and outlier predicates of one method."""
     ks = range(1, scenario.k + 1)
     return {
@@ -199,7 +199,6 @@ def _cmd_robust_analytic(args) -> None:
         assignment = tuple(range(1, scenario.k1 + 1))
     pca_spec = robustness.pca_perturbed_spectrum(scenario)
     ppca_spec = robustness.ppca_perturbed_spectrum(scenario, assignment)
-    # the classical predicates ignore the assignment
     payload = {
         "scenario": {
             "epsilon": scenario.epsilon,
@@ -210,9 +209,9 @@ def _cmd_robust_analytic(args) -> None:
             "c": scenario.c,
             "assignment": list(assignment),
         },
-        "pca": _analytic_block(scenario, "pca", pca_spec, assignment),
+        "pca": _analytic_block(scenario, "pca", pca_spec),
         "ppca": _analytic_block(scenario, "ppca", ppca_spec, assignment),
-        "comparative": robustness.comparative_conditions(scenario, assignment),
+        "comparative": robustness.comparative_conditions(scenario),
     }
     _emit(args.out, _json(payload))
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import RngStream, fix_signs, svd_full, sym_eig
+from .spectra import _check_spectrum
 
 __all__ = [
     "FUSION_NORM_TOL",
@@ -277,20 +278,15 @@ def fit_values(x: np.ndarray, rng: RngStream) -> tuple[PPCAFit, PCAFit]:
     return ppca, PCAFit(eigenvalues=_gram_eigenvalues(gram, n, p), eigenvectors=None)
 
 
-def _check_spike_args(values: np.ndarray, c: float, j: int) -> tuple[np.ndarray, int]:
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size < 2:
-        raise ValueError("need a 1-d spectrum with at least two entries")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("spectrum must be finite")
-    if np.any(np.diff(values) > 0.0):
-        raise ValueError("spectrum must be sorted descending")
+def _check_spike_args(values: np.ndarray, c: float, j: int) -> np.ndarray:
+    values = _check_spectrum(values)
+    if values.size < 2:
+        raise ValueError("need a spectrum with at least two entries")
     if not np.isfinite(c) or c <= 0.0:
         raise ValueError(f"aspect ratio must be positive, got {c}")
-    p = values.size
-    if not 1 <= j < p:
-        raise ValueError(f"spike index must satisfy 1 <= j < {p}, got {j}")
-    return values, p
+    if not 1 <= j < values.size:
+        raise ValueError(f"spike index must satisfy 1 <= j < {values.size}, got {j}")
+    return values
 
 
 def _tail_companion(spike: float, z: float, tail: np.ndarray, ratio: float, noun: str) -> float:
@@ -315,7 +311,7 @@ def debias_ppca(singular_values: np.ndarray, c: float, j: int) -> float:
     2c s(z) + (2c - 1)/z evaluated at the spike gives the corrected
     eigenvalue -1 / (companion * s_j).  Here c should be the realized p/n.
     """
-    values, _ = _check_spike_args(singular_values, c, j)
+    values = _check_spike_args(singular_values, c, j)
     top = values[j - 1]
     companion = _tail_companion(top, top * top, values[j:] ** 2, 2.0 * c, "singular value")
     return -1.0 / (companion * top)
@@ -328,16 +324,14 @@ def debias_pca(eigenvalues: np.ndarray, c: float, j: int) -> float:
     z = lam_j and m(z) = mean of 1/(lam_l - z) over l > j, returns
     -1 / (c m(z) + (c - 1)/z).
     """
-    values, _ = _check_spike_args(eigenvalues, c, j)
+    values = _check_spike_args(eigenvalues, c, j)
     z = values[j - 1]
     return -1.0 / _tail_companion(z, z, values[j:], c, "eigenvalue")
 
 
 def estimate_rank(eigenvalues: np.ndarray, edge: float) -> int:
     """Number of eigenvalues strictly above the bulk edge."""
-    values = np.asarray(eigenvalues, dtype=float)
-    if values.ndim != 1:
-        raise ValueError("need a 1-d spectrum")
+    values = _check_spectrum(eigenvalues)
     if not np.isfinite(edge) or edge < 0.0:
         raise ValueError(f"edge must be a nonnegative real, got {edge}")
     return int(np.count_nonzero(values > edge))
@@ -347,6 +341,8 @@ def _check_orthonormal(mat: np.ndarray, name: str) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] < mat.shape[1] or mat.shape[1] < 1:
         raise ValueError(f"{name} must be a tall p-by-k matrix, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{name} must have finite entries")
     gram = mat.T @ mat
     dev = float(np.max(np.abs(gram - np.eye(mat.shape[1]))))
     if dev > ORTHONORMAL_TOL:

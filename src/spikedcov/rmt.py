@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .spectra import PopulationSpectrum, make_spectrum, square_spectrum
+from .spectra import PopulationSpectrum, square_spectrum
 
 __all__ = [
     "SOLVER_TOL",

@@ -13,6 +13,8 @@ perturbed spectra for both estimators, predicates for when an outlier
 direction turns into a spurious spike or overtakes the signal in the
 eigenvalue ordering, the resulting target ranks, and the comparative
 conditions under which product PCA is the more outlier-tolerant method.
+The product-PCA results take an assignment of outliers to halves; classical
+PCA splits no sample, and its predicates reject an assignment.
 
 An outlier direction becomes a distant spike once its eigenvalue exceeds the
 contaminated bulk level times the estimator's spike threshold (lambda' for
@@ -129,9 +131,11 @@ def _check_index(s: PerturbationScenario, k: int) -> int:
     return int(k)
 
 
-def _check_method(method: str) -> str:
+def _check_method(method: str, assignment) -> str:
     if method not in ("pca", "ppca"):
         raise ValueError(f"method must be 'pca' or 'ppca', got {method!r}")
+    if method == "pca" and assignment is not None:
+        raise ValueError("classical PCA splits no sample and takes no assignment")
     return method
 
 
@@ -224,7 +228,7 @@ def ppca_perturbed_spectrum(
 
 def _spectrum(s: PerturbationScenario, method: str, assignment) -> PerturbedSpectrum:
     """The contaminated spectrum the given estimator sees."""
-    if _check_method(method) == "pca":
+    if _check_method(method, assignment) == "pca":
         return pca_perturbed_spectrum(s)
     return ppca_perturbed_spectrum(s, assignment)
 
@@ -265,14 +269,14 @@ def ordering_breaks(
 
 def target_rank(s: PerturbationScenario, method: str, assignment=None) -> int:
     """Apparent number of distant spikes: 1 signal plus spiked outliers."""
-    method = _check_method(method)
+    method = _check_method(method, assignment)
     extra = sum(
         noise_is_spiked(s, k, method, assignment) for k in range(1, s.k + 1)
     )
     return 1 + int(extra)
 
 
-def comparative_conditions(s: PerturbationScenario, assignment=None) -> dict[str, bool]:
+def comparative_conditions(s: PerturbationScenario) -> dict[str, bool]:
     """The three product-PCA-advantage conditions for a scenario.
 
     ``eta_win``: the product-PCA spurious-spike threshold exceeds the
@@ -280,10 +284,9 @@ def comparative_conditions(s: PerturbationScenario, assignment=None) -> dict[str
     is above 1.  ``a_win``: the signal stays on top of the contaminated
     product bulk ordering, lambda1 > (1 - 2 K2 eps)/(1 - 2 K1 eps).
     ``worst_case_ok``: both conditions at the most lopsided allocation
-    K1 = K, which requires 2 K eps < 1 to be admissible at all.
+    K1 = K, which requires 2 K eps < 1 to be admissible at all.  They read
+    the scenario's K1, not which outliers land in half one.
     """
-    if assignment is not None:
-        _check_assignment(s, assignment)
     eps, k, k1, k2 = s.epsilon, s.k, s.k1, s.k2
     ratio = (math.sqrt(s.c) + math.sqrt(s.c + 4.0)) / 2.0
     eta_win = (1.0 - 2.0 * k1 * eps) / (1.0 - k * eps) * ratio > 1.0

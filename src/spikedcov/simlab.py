@@ -43,7 +43,7 @@ from .estimators import (
     similarity_xi,
 )
 from .numkernel import RngStream, haar_orthogonal
-from .spectra import ESD, ks_distance
+from .spectra import ks_distance
 
 __all__ = [
     "MODELS",
@@ -385,11 +385,11 @@ def _ks_pair(values: np.ndarray, cdf, mass0: float) -> tuple[float, float]:
     grid = np.unique(positive)
     # the law is evaluated once on the grid; both statistics read that array
     law = np.asarray(cdf(grid), dtype=float)
-    full = max(at_zero, ks_distance(ESD(values=values), law, grid))
+    full = max(at_zero, ks_distance(values, law, grid))
     if mass0 <= 0.0:
         return full, full
     conditional = np.maximum(0.0, (law - mass0) / (1.0 - mass0))
-    return full, ks_distance(ESD(values=positive), conditional, grid)
+    return full, ks_distance(positive, conditional, grid)
 
 
 def run_spectrum_experiment(cfg: ExperimentConfig) -> ExperimentReport:

@@ -1,13 +1,15 @@
 """Population and empirical spectral distributions.
 
-Value types shared across the toolkit:
+:class:`PopulationSpectrum` describes a population bulk law H: finitely many
+atoms with weights.  Finite-rank spikes never move a limiting law, so a
+spike is not part of a spectrum; spike maps take it as their own argument.
 
-- :class:`PopulationSpectrum` describes a population bulk law H: finitely
-  many atoms with weights.  Finite-rank spikes never move a limiting law, so
-  a spike is not part of a spectrum; spike maps take it as their own
-  argument.
-- :class:`ESD` is an empirical spectral distribution, i.e. the sorted
-  eigenvalue (or squared-singular-value) list of one p x p matrix.
+A sample spectrum, the eigenvalues or singular values of one p x p matrix,
+has one form: a nonempty, finite, non-increasing 1-d float array, which is
+what both fits return.  :func:`esd_cdf` and :func:`ks_distance` read its
+empirical distribution, and every function that takes a sample spectrum,
+the debiasing maps and the rank estimator included, raises ``ValueError``
+for anything else; a rising spectrum is rejected, never re-sorted.
 
 A small text format describes population spectra for the command line:
 one ``atom VALUE WEIGHT`` line per bulk atom, with ``#`` comments and blank
@@ -15,7 +17,7 @@ lines ignored.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,7 +25,6 @@ import numpy as np
 __all__ = [
     "WEIGHT_SLACK",
     "PopulationSpectrum",
-    "ESD",
     "make_spectrum",
     "square_spectrum",
     "esd_cdf",
@@ -106,66 +107,52 @@ def square_spectrum(spectrum: PopulationSpectrum) -> PopulationSpectrum:
     return PopulationSpectrum(atoms=tuple((t * t, w) for t, w in spectrum.atoms))
 
 
-@dataclass(frozen=True)
-class ESD:
-    """Empirical spectral distribution of one p x p matrix.
-
-    Attributes
-    ----------
-    values : np.ndarray
-        Eigenvalues in decreasing order.
-    """
-
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("ESD needs a nonempty 1-d eigenvalue array")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("ESD eigenvalues must be finite")
-        if np.any(np.diff(vals) > 0.0):
-            vals = np.sort(vals)[::-1]
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def dim_p(self) -> int:
-        return int(self.values.size)
+def _check_spectrum(values) -> np.ndarray:
+    """A sample spectrum as a nonempty, finite, non-increasing 1-d float array."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 1 or vals.size == 0:
+        raise ValueError(f"spectrum must be a nonempty 1-d array, got shape {vals.shape}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("spectrum must be finite")
+    if np.any(np.diff(vals) > 0.0):
+        raise ValueError("spectrum must be sorted descending")
+    return vals
 
 
-def esd_cdf(esd: ESD, t: float | np.ndarray) -> float | np.ndarray:
-    """Empirical CDF of ``esd`` at ``t``: fraction of eigenvalues <= t.
+def esd_cdf(values, t: float | np.ndarray) -> float | np.ndarray:
+    """Empirical CDF of the sample spectrum ``values`` at ``t``: fraction <= t.
 
     Right-continuous step function; accepts scalars or arrays, not NaN.
     """
+    vals = _check_spectrum(values)
     pts = np.asarray(t, dtype=float)
     if np.isnan(pts).any():
         raise ValueError("esd_cdf requires t that is not NaN")
-    idx = np.searchsorted(esd.values[::-1], pts, side="right")
-    out = idx / esd.dim_p
+    out = np.searchsorted(vals[::-1], pts, side="right") / vals.size
     return float(out) if np.isscalar(t) else out
 
 
 def ks_distance(
-    esd: ESD,
+    values,
     reference: Sequence[float] | np.ndarray,
     grid: Sequence[float] | np.ndarray,
 ) -> float:
-    """Kolmogorov-Smirnov distance between an ESD and a reference CDF.
+    """Kolmogorov-Smirnov distance between a sample spectrum and a reference CDF.
 
-    ``reference`` holds the reference CDF's values at ``grid``; each is
-    compared with both F_emp(t-) and F_emp(t) at its grid point.  For a law
-    continuous on the range scored, a grid of the ESD's jump points gives
-    the exact supremum.
+    ``values`` is the sample spectrum, ``reference`` holds the reference
+    CDF's values at ``grid``; each is compared with both F_emp(t-) and
+    F_emp(t) at its grid point.  For a law continuous on the range scored, a
+    grid of the spectrum's jump points gives the exact supremum.
     """
+    vals = _check_spectrum(values)
     pts = np.asarray(grid, dtype=float)
     ref = np.asarray(reference, dtype=float)
     if pts.size == 0:
         raise ValueError("ks_distance needs a nonempty grid")
     if ref.shape != pts.shape:
         raise ValueError(f"reference shape {ref.shape} differs from grid shape {pts.shape}")
-    left = np.searchsorted(esd.values[::-1], pts, side="left") / esd.dim_p
-    right = esd_cdf(esd, pts)
+    left = np.searchsorted(vals[::-1], pts, side="left") / vals.size
+    right = esd_cdf(vals, pts)
     return float(max(np.max(np.abs(left - ref)), np.max(np.abs(right - ref))))
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spikedcov import estimators
+from spikedcov import estimators, rmt, spectra
 from spikedcov.numkernel import RngStream, psd_sqrt
 
 
@@ -314,6 +314,32 @@ class TestDebias:
         with pytest.raises(ValueError, match="finite"):
             estimators.debias_pca(np.array(lam), 0.4, 1)
 
+    # worst relative error at p = 2000 over lam in {3, 6}, measured: 3.1e-8
+    # (c = 0.1), 9.1e-7 (c = 0.4) and 1.04e-3 (c = 2, lam = 3, product PCA);
+    # each tolerance is at least 1.9 times its worst case
+    @pytest.mark.parametrize("c, tol", [(0.1, 1e-7), (0.4, 2e-6), (2.0, 2e-3)])
+    def test_recovers_spike_from_limiting_spectrum(self, c, tol):
+        # the spike's limit on top of p - 1 midpoint quantiles of the flat
+        # bulk's limiting law debiases back to the spike
+        p = 2000
+        params = rmt.SsmParams(c=c)
+        consts = rmt.ssm_closed_forms(params)
+        levels = (np.arange(p - 1, 0, -1) - 0.5) / (p - 1)
+        flat = spectra.make_spectrum(atoms=[(1.0, 1.0)])
+        for cdf, upper, mass0, forward, debias in (
+            (rmt.ssm_g_cdf, consts.b, consts.mass0_ppca, rmt.ppca_psi, estimators.debias_ppca),
+            (rmt.ssm_f_cdf, consts.b_prime, consts.mass0_pca, rmt.psi, estimators.debias_pca),
+        ):
+            lo, hi = np.zeros(p - 1), np.full(p - 1, upper)
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                below = cdf(params, mid) < levels
+                lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+            bulk = np.where(levels <= mass0, 0.0, hi)
+            for lam in (3.0, 6.0):
+                values = np.concatenate(([forward(c, flat, lam)], bulk))
+                assert debias(values, c, 1) == pytest.approx(lam, rel=tol)
+
     def test_moves_estimate_toward_population_value(self):
         # spiked gaussian sample: raw top eigenvalue overshoots the spike,
         # the corrected one comes back near it
@@ -397,3 +423,14 @@ class TestSimilarityXi:
         skew[0, 1] = 0.5
         with pytest.raises(ValueError):
             estimators.similarity_xi(skew, np.eye(4)[:, :2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_frames(self, bad):
+        # a NaN basis used to pass the orthonormality check (NaN > tol is
+        # false) and reach the SVD, which raised LinAlgError
+        frame = np.eye(4)[:, :2].copy()
+        frame[1, 0] = bad
+        with pytest.raises(ValueError, match="basis must have finite entries"):
+            estimators.similarity_xi(frame, np.eye(4)[:, :2])
+        with pytest.raises(ValueError, match="targets must have finite entries"):
+            estimators.similarity_xi(np.eye(4)[:, :2], frame)

@@ -42,6 +42,31 @@ class TestCompareCsv:
         ):
             assert parity.compare_csv(base, other)["status"] == "different"
 
+    def test_json_byte_for_byte(self, tmp_path):
+        # JSON output is compared as bytes: no roundoff class, and a changed
+        # indent is a difference
+        parity = load_script(PARITY)
+        base, change = tmp_path / "base", tmp_path / "change"
+        base.mkdir()
+        change.mkdir()
+        text = '{\n  "c": 0.4,\n  "eta_win": true\n}\n'
+        moved = '{\n  "c": 0.4000000001,\n  "eta_win": true\n}\n'
+        for name, a, b in (
+            ("same.json", text, text),
+            ("moved.json", text, moved),
+            ("indent.json", text, text.replace("  ", " ")),
+            ("one_side.json", text, None),
+            ("run.cfg", text, moved),
+        ):
+            (base / name).write_text(a)
+            if b is not None:
+                (change / name).write_text(b)
+        files = parity.compare_dirs(base, change)
+        assert sorted(files) == ["indent.json", "moved.json", "one_side.json", "same.json"]
+        assert files["same.json"] == {"status": "identical"}
+        for name in ("moved.json", "indent.json", "one_side.json"):
+            assert files[name]["status"] == "different"
+
 
 def _head_available() -> bool:
     if shutil.which("git") is None:

@@ -9,7 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from spikedcov import rmt, spectra
-from conftest import mp_cdf_oracle, mp_density_oracle, mp_stieltjes_oracle, ssm_g_cdf_oracle
+from conftest import (
+    mp_cdf_oracle,
+    mp_density_oracle,
+    mp_stieltjes_oracle,
+    random_bulk,
+    ssm_g_cdf_oracle,
+)
 
 FLAT = spectra.make_spectrum(atoms=[(1.0, 1.0)])
 
@@ -854,6 +860,20 @@ class TestEngineProperties:
             lower, upper = limit(c, h, lam), limit(c, h, lam * (1.0 + v))
             assert lower.is_distant and upper.is_distant
             assert lower.value < upper.value
+
+    @PROPERTY
+    @given(c=RATIOS, seed=st.integers(0, 2**32 - 1), atoms=st.integers(1, 5))
+    @example(c=0.5, seed=0, atoms=2)
+    @example(c=1e-3, seed=1, atoms=5)
+    @example(c=50.0, seed=2, atoms=1)
+    def test_spike_maps_increase_above_threshold(self, c, seed, atoms):
+        # psi and ppca_psi are strictly increasing from just above their
+        # thresholds (where their slope vanishes) to 1e3 times them
+        h = random_bulk(np.random.default_rng(seed), atoms)
+        maps = ((rmt.pca_threshold, rmt.psi), (rmt.ppca_threshold, rmt.ppca_psi))
+        for threshold, forward in maps:
+            lam = threshold(c, h).threshold * (1.0 + np.geomspace(1e-6, 1e3, 60))
+            assert np.all(np.diff(forward(c, h, lam)) > 0.0)
 
     @PROPERTY
     @given(c=RATIOS, h=two_atom_bulks(), u=st.floats(0.0, 1.0), v=st.floats(np.log(1e-9), 0.0))

@@ -281,6 +281,20 @@ class TestPredicates:
         with pytest.raises(ValueError):
             rb.noise_is_spiked(s, 1, "robust")
 
+    @pytest.mark.parametrize("assignment", [{1}, frozenset(), ()])
+    def test_pca_rejects_assignment(self, assignment):
+        # classical PCA splits no sample; an assignment given to it used to
+        # be ignored, even one that product PCA would reject
+        s = scenario()
+        for call in (
+            lambda: rb.noise_is_spiked(s, 1, "pca", assignment),
+            lambda: rb.ordering_breaks(s, 1, "pca", assignment),
+            lambda: rb.target_rank(s, "pca", assignment),
+            lambda: rb.target_rank(scenario(etas=(), k1=0), "pca", assignment),
+        ):
+            with pytest.raises(ValueError, match="takes no assignment"):
+                call()
+
 
 class TestTargetRank:
     def test_worked_examples(self):
@@ -309,7 +323,7 @@ class TestTargetRank:
                 epsilon=eps, etas=etas, k1=k1, lambda1=star * 2.0, c=c
             )
             assign = frozenset(range(1, k1 + 1))
-            cond = rb.comparative_conditions(s, assignment=assign)
+            cond = rb.comparative_conditions(s)
             if cond["eta_win"]:
                 assert rb.target_rank(s, "ppca", assignment=assign) <= rb.target_rank(
                     s, "pca"
@@ -327,18 +341,18 @@ class TestComparativeConditions:
                     lambda1=3.0 * np.sqrt(1.0 + c + np.sqrt(c * c + 4 * c)),
                     c=c,
                 )
-                cond = rb.comparative_conditions(s, assignment={1})
+                cond = rb.comparative_conditions(s)
                 assert cond["eta_win"]
                 assert cond["a_win"]
 
     def test_small_epsilon_all_true(self):
         s = scenario(epsilon=1e-6)
-        cond = rb.comparative_conditions(s, assignment={1})
+        cond = rb.comparative_conditions(s)
         assert cond == {"eta_win": True, "a_win": True, "worst_case_ok": True}
 
     def test_worst_case_worked_example(self):
         s = scenario(etas=(70.0, 70.0), k1=2)
-        cond = rb.comparative_conditions(s, assignment={1, 2})
+        cond = rb.comparative_conditions(s)
         assert cond["worst_case_ok"]
 
     def test_eta_win_can_fail_when_one_half_takes_all(self):
@@ -347,5 +361,5 @@ class TestComparativeConditions:
         s = rb.PerturbationScenario(
             epsilon=0.155, etas=(50.0, 50.0, 50.0), k1=3, lambda1=9.0, c=0.05
         )
-        cond = rb.comparative_conditions(s, assignment={1, 2, 3})
+        cond = rb.comparative_conditions(s)
         assert not cond["eta_win"]

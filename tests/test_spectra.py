@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spikedcov import spectra
+from spikedcov import estimators, spectra
 
 
 class TestMakeSpectrum:
@@ -47,19 +47,15 @@ class TestSquareSpectrum:
 
 
 class TestESD:
-    def test_sorts_descending(self):
-        e = spectra.ESD(values=np.array([1.0, 3.0, 2.0]))
-        assert list(e.values) == [3.0, 2.0, 1.0]
-        assert e.dim_p == 3
-
+    # the empirical distribution of a sample spectrum, passed as its array
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):
-            spectra.ESD(values=np.array([]))
+            spectra.esd_cdf(np.array([]), 1.0)
         with pytest.raises(ValueError):
-            spectra.ESD(values=np.array([1.0, np.nan]))
+            spectra.esd_cdf(np.array([1.0, np.nan]), 1.0)
 
     def test_cdf_step_values(self):
-        e = spectra.ESD(values=np.array([3.0, 2.0, 1.0, 0.0]))
+        e = np.array([3.0, 2.0, 1.0, 0.0])
         assert spectra.esd_cdf(e, -0.5) == 0.0
         assert spectra.esd_cdf(e, 0.0) == 0.25
         assert spectra.esd_cdf(e, 2.0) == 0.75
@@ -67,21 +63,20 @@ class TestESD:
         assert spectra.esd_cdf(e, 10.0) == 1.0
 
     def test_cdf_rejects_nan(self):
-        e = spectra.ESD(values=np.array([2.0, 1.0]))
+        e = np.array([2.0, 1.0])
         with pytest.raises(ValueError, match="NaN"):
             spectra.esd_cdf(e, np.nan)
         with pytest.raises(ValueError, match="NaN"):
             spectra.esd_cdf(e, np.array([1.5, np.nan]))
 
     def test_cdf_vectorized(self):
-        e = spectra.ESD(values=np.array([2.0, 1.0]))
-        out = spectra.esd_cdf(e, np.array([0.5, 1.5, 2.5]))
+        out = spectra.esd_cdf(np.array([2.0, 1.0]), np.array([0.5, 1.5, 2.5]))
         assert np.allclose(out, [0.0, 0.5, 1.0])
 
 
 class TestKsDistance:
     def test_zero_iff_equal_on_grid(self):
-        e = spectra.ESD(values=np.array([2.0, 1.0]))
+        e = np.array([2.0, 1.0])
         grid = np.array([0.5, 1.5, 2.5])
         exact = spectra.esd_cdf(e, grid)
         assert spectra.ks_distance(e, exact, grid) == 0.0
@@ -89,25 +84,58 @@ class TestKsDistance:
         assert spectra.ks_distance(e, shifted, grid) > 0.0
 
     def test_known_value(self):
-        e = spectra.ESD(values=np.array([1.0]))
-        assert spectra.ks_distance(e, [0.5], [2.0]) == pytest.approx(0.5)
+        assert spectra.ks_distance(np.array([1.0]), [0.5], [2.0]) == pytest.approx(0.5)
 
     def test_scores_left_limit_at_jump(self):
         # just below the jump at 3 the ESD is 0 and the law 3/4
-        e = spectra.ESD(values=np.array([3.0]))
         grid = np.array([3.0])
-        assert spectra.ks_distance(e, grid / 4.0, grid) == pytest.approx(0.75)
+        assert spectra.ks_distance(np.array([3.0]), grid / 4.0, grid) == pytest.approx(0.75)
 
     def test_rejects_empty_grid(self):
-        e = spectra.ESD(values=np.array([1.0]))
         with pytest.raises(ValueError):
-            spectra.ks_distance(e, [], [])
+            spectra.ks_distance(np.array([1.0]), [], [])
 
     def test_rejects_shape_mismatch(self):
-        e = spectra.ESD(values=np.array([2.0, 1.0]))
+        e = np.array([2.0, 1.0])
         for reference in ([0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]], 0.5):
             with pytest.raises(ValueError, match="shape"):
                 spectra.ks_distance(e, reference, [1.5, 2.5])
+
+
+class TestSpectrumRule:
+    # every function that takes a sample spectrum reads it by one rule:
+    # nonempty, finite, non-increasing, never re-sorted
+    CALLS = {
+        "esd_cdf": lambda v: spectra.esd_cdf(v, 1.5),
+        "ks_distance": lambda v: spectra.ks_distance(v, [0.5], [1.5]),
+        "debias_ppca": lambda v: estimators.debias_ppca(v, 0.4, 1),
+        "debias_pca": lambda v: estimators.debias_pca(v, 0.4, 1),
+        "estimate_rank": lambda v: estimators.estimate_rank(v, 2.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_rejects_rising(self, name):
+        with pytest.raises(ValueError, match="^spectrum must be sorted descending$"):
+            self.CALLS[name](np.array([3.0, 1.0, 2.0]))
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, name, bad):
+        # estimate_rank used to check the shape only: [nan, 3, 1] over the
+        # edge 2 counted one eigenvalue
+        with pytest.raises(ValueError, match="^spectrum must be finite$"):
+            self.CALLS[name](np.array([bad, 3.0, 1.0]))
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_rejects_empty_and_2d(self, name):
+        for bad in (np.array([]), np.array([[3.0, 2.0, 1.0]])):
+            with pytest.raises(ValueError, match="nonempty 1-d"):
+                self.CALLS[name](bad)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_accepts_ties_and_lists(self, name):
+        call = self.CALLS[name]
+        assert call([3.0, 2.0, 2.0, 1.0]) == call(np.array([3.0, 2.0, 2.0, 1.0]))
 
 
 class TestTextFormat:

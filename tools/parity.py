@@ -9,12 +9,12 @@ temporary directory, so the repository itself is left untouched (no
 worktree is registered, even if the run is interrupted).  The fixed panel
 below runs once on that copy and once on the working tree, each in a fresh
 interpreter with the tree's ``src/`` first on the path.  The report is one
-JSON object on stdout that marks every CSV the panel writes as
+JSON object on stdout that marks every CSV and JSON file the panel writes as
 
 * ``identical``: the same bytes;
-* ``roundoff``: the same header, shape and text cells, and every numeric
-  cell within ROUNDOFF_REL relative or ROUNDOFF_ABS absolute; the largest
-  absolute and relative delta of each column that moved is listed;
+* ``roundoff`` (CSV only): the same header, shape and text cells, and every
+  numeric cell within ROUNDOFF_REL relative or ROUNDOFF_ABS absolute; the
+  largest absolute and relative delta of each column that moved is listed;
 * ``different``: anything else, including a file written on one side only.
 
 The exit code is 1 when any file is ``different``, else 0.
@@ -86,6 +86,18 @@ def debias(name: str, method: str, spectrum: str) -> tuple:
     return ((name, argv, spectrum),)
 
 
+def bulk_json(name: str, command: str, c: float, spectrum: str, *extra: str) -> tuple:
+    """One JSON `thresholds` or `limits` run at ``c`` on the bulk file text ``spectrum``."""
+    argv = (command, "--c", str(c), "--spectrum", "{config}", *extra, "--out", "{out}.json")
+    return ((name, argv, spectrum),)
+
+
+def robust_analytic(name: str, scenario: dict) -> tuple:
+    """One `robust-analytic` run of the contamination ``scenario``."""
+    argv = ("robust-analytic", "--scenario", "{config}", "--out", "{out}.json")
+    return ((name, argv, json.dumps(scenario)),)
+
+
 def data_csv(n: int, p: int, seed: int) -> str:
     """An n x p standard normal sample as CSV text, the same on every run."""
     rng = random.Random(seed)
@@ -93,13 +105,15 @@ def data_csv(n: int, p: int, seed: int) -> str:
                    for _ in range(n))
 
 
+TWO_ATOM = "atom 0.5 0.4\natom 1.5 0.6\n"
+
 # (name, c, grid, spectrum): the white bulk at three ratios (c = 1/2 is the
 # product law's switch point), two atoms, a zero atom and well-separated atoms.
 LAWS = (
     ("white_c0.4", 0.4, "0.01:3:150", None),
     ("white_c0.5", 0.5, "0.01:3.2:160", None),
     ("white_c5", 5.0, "0.01:11:200", None),
-    ("two_atom_c2", 2.0, "0.01:8:160", "atom 0.5 0.4\natom 1.5 0.6\n"),
+    ("two_atom_c2", 2.0, "0.01:8:160", TWO_ATOM),
     ("zero_atom_c0.7", 0.7, "0.01:3.2:160", "atom 0 0.3\natom 1 0.7\n"),
     ("split_c0.01", 0.01, "0.01:6:200", "atom 0.2 0.5\natom 5 0.5\n"),
 )
@@ -111,7 +125,10 @@ LAWS = (
 # densities of every law above, the closed-form rho curve over a short and a
 # long c range, the vectors of both fits on a tall sample and on a wide one
 # with odd n (halves of 20 and 21 rows), and both debiasing maps on one
-# descending spectrum with a header row
+# descending spectrum with a header row; the thresholds of the two-atom bulk
+# at two ratios and its spike limits, stuck and distant, and the worked
+# (eta = 70) and loud (eta = 200) contamination scenarios
+SCENARIO = {"epsilon": 0.01, "k1": 1, "lambda1": 3.0, "c": 0.4, "assignment": [1]}
 SPECTRUM_CSV = "eigenvalue\n" + "".join(
     f"{v!r}\n" for v in (6.0, 4.5, *(2.4 - 2.2 * k / 39 for k in range(40)))
 )
@@ -135,6 +152,11 @@ PANEL = (
            for method, split in (("ppca", 3), ("pca", None))), ())
     + debias("debias_ppca", "ppca", SPECTRUM_CSV)
     + debias("debias_pca", "pca", SPECTRUM_CSV)
+    + bulk_json("thresholds_two_atom_c0.4", "thresholds", 0.4, TWO_ATOM)
+    + bulk_json("thresholds_two_atom_c2", "thresholds", 2.0, TWO_ATOM)
+    + bulk_json("limits_two_atom_c2", "limits", 2.0, TWO_ATOM, "--lam", "2,3.2,6")
+    + robust_analytic("robust_worked", dict(SCENARIO, etas=[70.0, 70.0]))
+    + robust_analytic("robust_loud", dict(SCENARIO, etas=[200.0, 200.0]))
 )
 
 # Runs a list of `spikedcov` argument lists in one interpreter.
@@ -218,16 +240,24 @@ def compare_csv(a: bytes, b: bytes) -> dict:
     return {"status": "roundoff" if within else "different", "columns": deltas}
 
 
+def compare_json(a: bytes, b: bytes) -> dict:
+    """Classify two JSON files as identical or different, byte for byte."""
+    return {"status": "identical" if a == b else "different"}
+
+
+COMPARE = {".csv": compare_csv, ".json": compare_json}
+
+
 def compare_dirs(base: pathlib.Path, change: pathlib.Path) -> dict:
-    """Per-file classification of the CSVs under two panel output dirs."""
-    names = sorted({p.name for p in base.glob("*.csv")} | {p.name for p in change.glob("*.csv")})
+    """Per-file classification of the CSV and JSON files under two panel output dirs."""
+    names = sorted({p.name for d in (base, change) for p in d.iterdir() if p.suffix in COMPARE})
     files = {}
     for name in names:
         a, b = base / name, change / name
         if not (a.is_file() and b.is_file()):
             files[name] = {"status": "different", "reason": "written on one side only"}
         else:
-            files[name] = compare_csv(a.read_bytes(), b.read_bytes())
+            files[name] = COMPARE[a.suffix](a.read_bytes(), b.read_bytes())
     return files
 
 

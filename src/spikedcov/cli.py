@@ -35,6 +35,7 @@ import sys
 import numpy as np
 
 from . import __version__, estimators, rmt, robustness, simlab, spectra
+from .numkernel import RngStream
 
 __all__ = ["main", "build_parser"]
 
@@ -223,7 +224,7 @@ def _cmd_fit(args) -> None:
     if args.center:
         x = x - x.mean(axis=0)
     if args.method == "ppca":
-        fit = estimators.ppca_fit(x, simlab.RngStream(args.seed, 0), vectors=args.vectors)
+        fit = estimators.ppca_fit(x, RngStream(args.seed, 0), vectors=args.vectors)
         values, vectors = fit.singular_values, fit.fused_vectors
     else:
         fit = estimators.pca_fit(x, vectors=args.vectors)
@@ -248,7 +249,7 @@ def _cmd_simulate(args) -> None:
     report = runner(cfg)
     files = report.write(args.out_prefix) if args.out_prefix else ()
     # at the precision of the aggregates CSV, so the summary matches the file
-    rounded = lambda v: float("%.10g" % v)
+    rounded = lambda v: float(simlab._NUMBER_FORMAT % v)
     summary = {
         "kind": report.kind,
         "replicates": cfg.replicates,

@@ -901,17 +901,10 @@ def bias_report(c: float, h: PopulationSpectrum, lam: float) -> BiasReport:
     Requires the spike to be distant for both methods (above the product
     threshold, which dominates the classical one).
     """
-    lam = float(lam)
-    ppca_thr = ppca_threshold(c, h)
-    pca_thr = pca_threshold(c, h)
-    if not (lam > ppca_thr.threshold and lam > pca_thr.threshold):
-        raise ValueError(
-            f"spike {lam!r} is not distant for both methods "
-            f"(thresholds {ppca_thr.threshold!r}, {pca_thr.threshold!r})"
-        )
-    ppca_val = float(ppca_psi(c, h, lam))
-    pca_val = float(psi(c, h, lam))
-    return BiasReport(spike=lam, ppca=ppca_val, pca=pca_val, gap=pca_val - ppca_val)
+    ppca, pca = ppca_limit(c, h, lam), pca_limit(c, h, lam)
+    if not (ppca.is_distant and pca.is_distant):
+        raise ValueError(f"spike {float(lam)!r} is not distant for both methods")
+    return BiasReport(spike=float(lam), ppca=ppca.value, pca=pca.value, gap=pca.value - ppca.value)
 
 
 def rho(c) -> float | np.ndarray:

@@ -20,15 +20,16 @@ Three runners cover the standard studies:
 * robustness: estimated target ranks and subspace-similarity curves under
   heavy-tailed data.
 
-Reports are written as UTF-8, LF-terminated CSV with %.10g numbers, so
-repeated runs are byte-identical.
+Reports are written as UTF-8, LF-terminated CSV with ten-digit numbers
+(``_NUMBER_FORMAT``), so repeated runs are byte-identical; a report's
+aggregates are derived from its records.
 """
 from __future__ import annotations
 
 import csv
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .estimators import (
     similarity_xi,
 )
 from .numkernel import RngStream, haar_orthogonal
-from .spectra import ks_distance
+from .spectra import ks_distance, make_spectrum
 
 __all__ = [
     "MODELS",
@@ -69,15 +70,8 @@ XI_Q_MAX = 8
 # allowed but flagged, since eigenvalue fluctuations are then outlier-driven.
 INFINITE_KURTOSIS_NU = 4.0
 
-_CONFIG_KEYS = (
-    "n",
-    "p",
-    "model",
-    "nu",
-    "sigma2",
-    "spikes",
-    "replicates",
-)
+# Every number a CSV cell or the simulate summary prints: ten significant digits.
+_NUMBER_FORMAT = "%.10g"
 
 
 @dataclass(frozen=True)
@@ -145,19 +139,36 @@ class ExperimentConfig:
 class ExperimentReport:
     """Runner output: per-replicate records plus derived artifacts.
 
-    ``records`` rows align with ``columns`` (first column is the replicate
-    index); ``aggregates`` holds (column, mean, sd) for every other column
-    and is always recomputable from the records; ``tables`` are extra named
-    CSV payloads (histograms, overlays, theory values) as
+    ``records``, at least one, have one cell per column (first column is
+    the replicate index) and are stored as float tuples; ``tables`` are
+    extra named CSV payloads (histograms, overlays, theory values) as
     (name, columns, rows) triples.
     """
 
     kind: str
     columns: tuple[str, ...]
     records: tuple[tuple[float, ...], ...]
-    aggregates: tuple[tuple[str, float, float], ...]
     tables: tuple[tuple[str, tuple[str, ...], tuple[tuple[float, ...], ...]], ...] = ()
     flags: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        records = tuple(tuple(map(float, row)) for row in self.records)
+        if not records or any(len(row) != len(self.columns) for row in records):
+            raise ValueError("a report needs at least one record, each with one cell per column")
+        object.__setattr__(self, "records", records)
+
+    @property
+    def aggregates(self) -> tuple[tuple[str, float, float], ...]:
+        """(column, mean, sd) of every column but the replicate index; sd is 0 for one record."""
+        data = np.asarray(self.records, dtype=float)
+        out = []
+        for j, name in enumerate(self.columns):
+            if name == "replicate":
+                continue
+            col = data[:, j]
+            sd = float(np.std(col, ddof=1)) if col.size > 1 else 0.0
+            out.append((name, float(np.mean(col)), sd))
+        return tuple(out)
 
     def write(self, prefix: str) -> tuple[str, ...]:
         """Write records, aggregates, and every table under a path prefix."""
@@ -175,18 +186,18 @@ _CSV_SPECIAL = frozenset(',"\r\n')
 
 
 def _cell_spec(kind: type) -> str:
-    """The %-conversion for a cell of this type: text verbatim, integers as %d, else %.10g."""
+    """The %-conversion for a cell of this type: text verbatim, integers as %d, else a number."""
     if issubclass(kind, str):
         return "%s"
     if issubclass(kind, (int, np.integer)):
         return "%d"
-    return "%.10g"
+    return _NUMBER_FORMAT
 
 
 def _csv_text(columns, rows) -> str:
     """A header and rows as CSV text, every row written by one %-format line.
 
-    LF line endings and %.10g numbers.  Raises ``ValueError`` if the rows
+    LF line endings and _NUMBER_FORMAT numbers.  Raises ``ValueError`` if the rows
     differ in their cell conversions, or if a text cell, header included, is
     empty or would need csv quoting.
     """
@@ -221,47 +232,25 @@ def _write_text(path: str, text: str) -> str:
     return path
 
 
-def _aggregate(columns, records) -> tuple[tuple[str, float, float], ...]:
-    data = np.asarray(records, dtype=float)
-    out = []
-    for j, name in enumerate(columns):
-        if name == "replicate":
-            continue
-        col = data[:, j]
-        sd = float(np.std(col, ddof=1)) if col.size > 1 else 0.0
-        out.append((name, float(np.mean(col)), sd))
-    return tuple(out)
-
-
-def _build_report(kind, columns, records, tables=(), flags=()) -> ExperimentReport:
-    report = ExperimentReport(
-        kind=kind,
-        columns=tuple(columns),
-        records=tuple(tuple(float(v) for v in row) for row in records),
-        aggregates=_aggregate(columns, records),
-        tables=tuple(tables),
-        flags=tuple(flags),
-    )
-    return report
-
-
 def load_report(prefix: str) -> ExperimentReport:
-    """Read back records and aggregates, verifying the aggregates recompute.
+    """Read back records and check the stored aggregates against them.
 
     Raises if the stored means/SDs disagree with recomputation from the
-    stored records beyond text-roundtrip precision.
+    stored records beyond text-roundtrip precision.  The returned report's
+    aggregates are those recomputed from the records.
     """
     with open(f"{prefix}_records.csv", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        columns = tuple(next(reader))
-        records = tuple(tuple(float(v) for v in row) for row in reader)
+        columns = tuple(next(reader, ()))
+        records = tuple(reader)
     with open(f"{prefix}_aggregates.csv", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        stored = tuple((row[0], float(row[1]), float(row[2])) for row in reader)
+        next(reader, None)
+        stored = tuple((name, float(mean), float(sd)) for name, mean, sd in reader)
     if not records:
         raise ValueError(f"{prefix}_records.csv holds no records")
-    recomputed = _aggregate(columns, records)
+    report = ExperimentReport(kind="loaded", columns=columns, records=records)
+    recomputed = report.aggregates
     if len(stored) != len(recomputed):
         raise ValueError("aggregates row count does not match the record columns")
     for (name_s, mean_s, sd_s), (name_r, mean_r, sd_r) in zip(stored, recomputed):
@@ -270,29 +259,40 @@ def load_report(prefix: str) -> ExperimentReport:
         scale = max(1.0, abs(mean_r), abs(sd_r))
         if abs(mean_s - mean_r) > 1e-8 * scale or abs(sd_s - sd_r) > 1e-8 * scale:
             raise ValueError(f"stored aggregates for {name_s!r} do not recompute from records")
-    return ExperimentReport(
-        kind="loaded", columns=columns, records=records, aggregates=stored
-    )
+    return report
 
 
-def _parse_spikes(raw: str, n: int, p: int, sigma2: float) -> tuple[float, ...]:
-    raw = raw.strip()
-    if not raw or raw == "none":
+def _parse_spikes(text: str) -> tuple[float, ...] | str:
+    """A comma list of spikes, or ``none`` (or nothing) for none; ``design`` stays text."""
+    if text == "design":
+        return text
+    if text in ("", "none"):
         return ()
-    if raw == "design":
-        star = rmt.ssm_closed_forms(rmt.SsmParams(c=p / n, sigma2=sigma2)).lambda_star
-        return (10.0 * star, 5.0 * star)
-    return tuple(float(part) for part in raw.split(","))
+    return tuple(float(part) for part in text.split(","))
+
+
+# The conversion of every config key's text; ExperimentConfig holds the defaults.
+_CONFIG_KEYS = {
+    "n": int,
+    "p": int,
+    "model": str,
+    "nu": float,
+    "sigma2": float,
+    "spikes": _parse_spikes,
+    "replicates": int,
+}
 
 
 def parse_config(text: str, seed: int) -> ExperimentConfig:
     """Parse a key-value experiment config keyed by the master ``seed``.
 
     One ``key = value`` pair per line, ``#`` comments allowed.  Keys: n, p,
-    model, nu, sigma2, spikes, replicates.  ``spikes`` is a comma list of
-    positive reals listed largest first, ``none``, or ``design`` for the
-    two-spike layout (10x and 5x the product-PCA spike threshold).  The
-    aspect ratio is always p/n, and ``seed`` lies in [0, 2**64).
+    model, nu, sigma2, spikes, replicates; an absent key takes the
+    ``ExperimentConfig`` default.  ``spikes`` is a comma list of positive
+    reals listed largest first, ``none``, or ``design`` for the two-spike
+    layout (10x and 5x the product-PCA spike threshold at the config's c
+    and sigma2).  The aspect ratio is always p/n, and ``seed`` lies in
+    [0, 2**64).
     """
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -310,19 +310,15 @@ def parse_config(text: str, seed: int) -> ExperimentConfig:
     for required in ("n", "p"):
         if required not in pairs:
             raise ValueError(f"config is missing the required key {required!r}")
-    n = int(pairs["n"])
-    p = int(pairs["p"])
-    sigma2 = float(pairs.get("sigma2", "1"))
-    return ExperimentConfig(
-        n=n,
-        p=p,
-        model=pairs.get("model", "gaussian"),
-        nu=float(pairs["nu"]) if "nu" in pairs else None,
-        sigma2=sigma2,
-        spikes=_parse_spikes(pairs.get("spikes", ""), n, p, sigma2),
-        replicates=int(pairs.get("replicates", "1")),
-        master_seed=seed,
-    )
+    fields = {key: _CONFIG_KEYS[key](value) for key, value in pairs.items()}
+    design = fields.get("spikes") == "design"
+    if design:
+        del fields["spikes"]
+    cfg = ExperimentConfig(master_seed=seed, **fields)
+    if design:
+        star = rmt.ssm_closed_forms(rmt.SsmParams(c=cfg.c, sigma2=cfg.sigma2)).lambda_star
+        cfg = replace(cfg, spikes=(10.0 * star, 5.0 * star))
+    return cfg
 
 
 def _gen_data_full(cfg: ExperimentConfig, replicate_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -434,11 +430,8 @@ def run_spectrum_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         )
         pooled["ppca"].append(sing)
         pooled["pca"].append(eig)
-    tables = [
-        _histogram_table(pooled, consts),
-        _overlay_table(params, consts),
-    ]
-    return _build_report("spectrum", columns, records, tables, cfg.flags)
+    tables = (_histogram_table(pooled, consts), _overlay_table(params, consts))
+    return ExperimentReport("spectrum", columns, records, tables, cfg.flags)
 
 
 def _histogram_table(pooled, consts):
@@ -486,8 +479,6 @@ def _spike_theory_table(cfg: ExperimentConfig):
     Computed through the generic bulk engine (point-mass bulk), not the
     closed forms, so the table doubles as an end-to-end engine check.
     """
-    from .spectra import make_spectrum
-
     bulk = make_spectrum(atoms=[(cfg.sigma2, 1.0)])
     c = cfg.c
     rows = [
@@ -538,8 +529,8 @@ def run_spike_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             row += [debias(values, ratio, j) for j in range(1, r + 1)]
             row += [float(values[r]), float(values[-1])]
         records.append(tuple(row))
-    tables = [_spike_theory_table(cfg)]
-    return _build_report("spike", columns, records, tables, cfg.flags)
+    tables = (_spike_theory_table(cfg),)
+    return ExperimentReport("spike", tuple(columns), records, tables, cfg.flags)
 
 
 def _orthonormal_leading(matrix: np.ndarray, q: int) -> np.ndarray:
@@ -585,4 +576,4 @@ def run_robustness_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             similarity_xi(cfit.eigenvectors[:, :q], signal) for q in q_values
         ]
         records.append(tuple(row))
-    return _build_report("robustness", columns, records, flags=cfg.flags)
+    return ExperimentReport("robustness", tuple(columns), records, flags=cfg.flags)

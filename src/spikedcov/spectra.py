@@ -74,13 +74,15 @@ class PopulationSpectrum:
 def make_spectrum(atoms: Iterable[tuple[float, float]]) -> PopulationSpectrum:
     """Validate and build a :class:`PopulationSpectrum`.
 
-    Atoms may be given in any order; they are sorted by value. Weights must
-    be positive and sum to one up to a slack of ``WEIGHT_SLACK``, in which
-    case they are renormalized exactly.
+    Atoms may be given in any order; they are sorted by value. Atoms and
+    weights must be finite, and weights positive and summing to one up to a
+    slack of ``WEIGHT_SLACK``, in which case they are renormalized exactly.
     """
     pairs = [(float(t), float(w)) for t, w in atoms]
     if not pairs:
         raise ValueError("spectrum needs at least one bulk atom")
+    if not np.all(np.isfinite(pairs)):
+        raise ValueError("bulk atoms and weights must be finite")
     pairs.sort(key=lambda p: p[0])
     vals = np.array([t for t, _ in pairs])
     wts = np.array([w for _, w in pairs])
@@ -140,9 +142,10 @@ def ks_distance(
     """Kolmogorov-Smirnov distance between a sample spectrum and a reference CDF.
 
     ``values`` is the sample spectrum, ``reference`` holds the reference
-    CDF's values at ``grid``; each is compared with both F_emp(t-) and
-    F_emp(t) at its grid point.  For a law continuous on the range scored, a
-    grid of the spectrum's jump points gives the exact supremum.
+    CDF's values at ``grid``, each finite and in [0, 1]; each is compared
+    with both F_emp(t-) and F_emp(t) at its grid point.  For a law
+    continuous on the range scored, a grid of the spectrum's jump points
+    gives the exact supremum.
     """
     vals = _check_spectrum(values)
     pts = np.asarray(grid, dtype=float)
@@ -151,6 +154,8 @@ def ks_distance(
         raise ValueError("ks_distance needs a nonempty grid")
     if ref.shape != pts.shape:
         raise ValueError(f"reference shape {ref.shape} differs from grid shape {pts.shape}")
+    if not np.all((ref >= 0.0) & (ref <= 1.0)):
+        raise ValueError("reference CDF values must be finite and in [0, 1]")
     left = np.searchsorted(vals[::-1], pts, side="left") / vals.size
     right = esd_cdf(vals, pts)
     return float(max(np.max(np.abs(left - ref)), np.max(np.abs(right - ref))))

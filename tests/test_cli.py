@@ -223,6 +223,20 @@ class TestThresholdsAndLimits:
         assert rec["error"] == "ValueError"
         assert rec["message"] == "bad spectrum line 2: 'spike 4.0'"
 
+    @pytest.mark.parametrize("line", ["atom 1 nan", "atom nan 1", "atom inf 1"])
+    def test_non_finite_atom_is_json_value_error(self, capsys, tmp_path, line):
+        # a NaN weight used to reach the solver and fail as a SolverError
+        spec_file = tmp_path / "bulk.txt"
+        spec_file.write_text(line + "\n")
+        code, out, err = run_cli(
+            capsys, "limits", "--c", "0.4", "--lam", "3", "--spectrum", str(spec_file)
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "bulk atoms and weights must be finite",
+        }
+
 
 class TestDebias:
     def test_matches_library_call(self, capsys, tmp_path):

@@ -84,9 +84,10 @@ def test_working_tree_reproduces_head_bytes():
     parity = load_script(PARITY)
     report = parity.report("HEAD", _smoke_panel(parity))
     assert report["summary"]["different"] == report["summary"]["roundoff"] == 0, report["files"]
-    # spectrum: records, aggregates, histogram, overlay; robustness: two;
-    # densities: two; fit: one
-    assert report["summary"]["identical"] == 4 + 2 + 2 + 1
+    # spectrum: records, aggregates, histogram, overlay and the summary;
+    # robustness: two and the summary; densities: two; fit: one
+    assert report["summary"]["identical"] == 5 + 3 + 2 + 1
+    assert "spectrum_s1_stdout.json" in report["files"]
     assert "ppca_two_atom.csv" in report["files"]
     assert "pca_two_atom.csv" in report["files"]
     assert "fit_ppca.csv" in report["files"]

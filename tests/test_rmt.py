@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate
 
 from spikedcov import rmt, spectra
@@ -874,6 +874,41 @@ class TestEngineProperties:
         for threshold, forward in maps:
             lam = threshold(c, h).threshold * (1.0 + np.geomspace(1e-6, 1e3, 60))
             assert np.all(np.diff(forward(c, h, lam)) > 0.0)
+
+    @PROPERTY
+    @given(
+        c=RATIOS,
+        seed=st.integers(0, 2**32 - 1),
+        atoms=st.integers(1, 5),
+        zero=st.booleans(),
+        w0=st.floats(0.05, 0.5),
+    )
+    @example(c=0.25, seed=0, atoms=1, zero=False, w0=0.05)
+    @example(c=0.75, seed=1, atoms=3, zero=True, w0=0.5)
+    @example(c=3.0, seed=2, atoms=2, zero=True, w0=0.2)
+    def test_edges_and_zero_mass_between_switch_points(self, c, seed, atoms, zero, w0):
+        # Between the switch points c (1 - w0) = 1/2 and 1 the lower edges and
+        # the zero masses follow the effective ratio c (1 - w0): the classical
+        # lower edge stays positive, the product one is positive exactly below
+        # 1/2.  Both flat-bulk laws match their closed forms at the same c.
+        bulk = random_bulk(np.random.default_rng(seed), atoms)
+        if zero:
+            h = spectra.make_spectrum([(0.0, w0)] + [(t, (1.0 - w0) * w) for t, w in bulk.atoms])
+            w0 = h.atoms[0][1]
+        else:
+            h, w0 = bulk, 0.0
+        for ratio in (c * (1.0 - w0), c):
+            assume(abs(ratio - 1.0) > 1e-6 and abs(2.0 * ratio - 1.0) > 1e-6)
+        assert rmt.support_edges(c, h)[0] > 0.0
+        assert (rmt.ppca_support_edges(c, h)[0] > 0.0) == (2.0 * c * (1.0 - w0) < 1.0)
+        assert rmt.mass_at_zero(c, h) == max(1.0 - 1.0 / c, w0, 0.0)
+        assert rmt.ppca_mass_at_zero(c, h) == max(1.0 - 1.0 / (2.0 * c), w0, 0.0)
+        consts = rmt.ssm_closed_forms(rmt.SsmParams(c=c))
+        for edges, want in (
+            (rmt.support_edges(c, FLAT), (consts.a_prime, consts.b_prime)),
+            (rmt.ppca_support_edges(c, FLAT), (consts.a, consts.b)),
+        ):
+            assert np.max(np.abs(np.subtract(edges, want))) <= 1e-12 * want[1]
 
     @PROPERTY
     @given(c=RATIOS, h=two_atom_bulks(), u=st.floats(0.0, 1.0), v=st.floats(np.log(1e-9), 0.0))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import io
 import os
@@ -69,6 +70,38 @@ class TestParseConfig:
         cfg = config("n=40\np=16\nspikes=design\n")
         star = rmt.ssm_closed_forms(rmt.SsmParams(c=0.4, sigma2=1.0)).lambda_star
         assert cfg.spikes == pytest.approx((10.0 * star, 5.0 * star))
+
+    def test_config_keys_are_the_config_fields(self):
+        # one table converts each key's text and ExperimentConfig holds every
+        # default; the seed comes only from the caller
+        fields = {field.name for field in dataclasses.fields(simlab.ExperimentConfig)}
+        assert set(simlab._CONFIG_KEYS) == fields - {"master_seed"}
+
+    def test_absent_keys_take_the_config_defaults(self):
+        cfg = config("# n and p only\nn = 40\n\np = 16\n", seed=5)
+        assert cfg == simlab.ExperimentConfig(40, 16, 5)
+
+    @pytest.mark.parametrize(
+        "text, sigma2",
+        [
+            ("spikes=design\n", 1.0),
+            ("sigma2=2\nspikes=design\n", 2.0),
+            ("spikes=design\nsigma2=2\n", 2.0),
+        ],
+    )
+    def test_design_spikes_read_the_bulk_level(self, text, sigma2):
+        # an absent sigma2 is the ExperimentConfig default, and the line order
+        # does not matter
+        cfg = config("n=40\np=16\n" + text)
+        star = rmt.ssm_closed_forms(rmt.SsmParams(c=0.4, sigma2=sigma2)).lambda_star
+        assert (cfg.sigma2, cfg.spikes) == (sigma2, (10.0 * star, 5.0 * star))
+
+    def test_design_spikes_need_a_valid_config(self):
+        # n = 0 used to divide by zero while placing the design spikes
+        with pytest.raises(ValueError, match="n >= 4"):
+            config("n=0\np=16\nspikes=design\n")
+        with pytest.raises(ValueError, match="fewer spikes"):
+            config("n=40\np=2\nspikes=design\n")
 
     def test_explicit_and_empty_spikes(self):
         cfg = config("n=40\np=16\nspikes=7.5,3.25\n")
@@ -377,6 +410,31 @@ class TestRobustnessRunner:
         assert agg["xi_pca_2"] >= 0.95
 
 
+class TestReport:
+    def test_aggregates_derive_from_records(self):
+        # records are stored as float tuples; aggregates are not a field
+        rep = simlab.ExperimentReport(
+            "spike", ("replicate", "a", "b"), [(0, 1, 2.0), (np.int64(1), 3, np.float32(2.5))]
+        )
+        assert rep.records == ((0.0, 1.0, 2.0), (1.0, 3.0, 2.5))
+        assert {type(v) for row in rep.records for v in row} == {float}
+        assert rep.aggregates == (
+            ("a", 2.0, float(np.std([1.0, 3.0], ddof=1))),
+            ("b", 2.25, float(np.std([2.0, 2.5], ddof=1))),
+        )
+        one = simlab.ExperimentReport("spike", ("replicate", "a"), [(0, 4.0)])
+        assert one.aggregates == (("a", 4.0, 0.0),)
+        fields = [field.name for field in dataclasses.fields(simlab.ExperimentReport)]
+        assert fields == ["kind", "columns", "records", "tables", "flags"]
+
+    @pytest.mark.parametrize("records", [(), [(0, 1.0, 5.0)], [(0, 1.0), (1,)]])
+    def test_records_fill_the_columns(self, records):
+        # the aggregates are derived from the records, so a report needs some,
+        # and a cell past the columns would be written but never aggregated
+        with pytest.raises(ValueError, match="one cell per column"):
+            simlab.ExperimentReport("spike", ("replicate", "a"), records)
+
+
 class TestReportIO:
     def test_write_and_load_roundtrip(self, tmp_path):
         prefix = str(tmp_path / "exp")
@@ -417,6 +475,46 @@ class TestReportIO:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="aggregate"):
+            simlab.load_report(prefix)
+
+    def test_load_returns_aggregates_of_the_records(self, tmp_path):
+        # stored aggregates within the 1e-8 rule pass the check, and the
+        # loaded report derives its own from the records it read
+        prefix = str(tmp_path / "exp")
+        simlab.run_spectrum_experiment(config(seed=5)).write(prefix)
+        path = prefix + "_aggregates.csv"
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        name, mean, sd = lines[1].split(",")
+        lines[1] = ",".join([name, repr(float(mean) + 1e-10), sd])
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+        back = simlab.load_report(prefix)
+        data = np.array(back.records)
+        assert back.aggregates[0] == (
+            name,
+            float(np.mean(data[:, 1])),
+            float(np.std(data[:, 1], ddof=1)),
+        )
+
+    @pytest.mark.parametrize(
+        "records, aggregates",
+        [
+            ("replicate,a\n0,1,5\n1,2,6\n", "column,mean,sd\na,1.5,0.7071067812\n"),
+            ("replicate,a\n0,1\n1,2\n", "column,mean,sd\na,1.5\n"),
+            ("", "column,mean,sd\na,1.5,0.7071067812\n"),
+            ("replicate,a\n0,1\n1,2\n", ""),
+        ],
+    )
+    def test_load_rejects_malformed_files(self, tmp_path, records, aggregates):
+        # a wide record row used to load with its extra cell ignored, and a
+        # short aggregates row or an empty file raised IndexError or
+        # StopIteration
+        prefix = str(tmp_path / "exp")
+        for name, text in (("records", records), ("aggregates", aggregates)):
+            with open(f"{prefix}_{name}.csv", "w", encoding="utf-8") as fh:
+                fh.write(text)
+        with pytest.raises(ValueError):
             simlab.load_report(prefix)
 
     def test_csv_format_contract(self, tmp_path):

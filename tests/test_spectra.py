@@ -34,6 +34,20 @@ class TestMakeSpectrum:
         with pytest.raises(ValueError):
             spectra.make_spectrum(atoms=[])
 
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            [(np.nan, 1.0)],
+            [(np.inf, 1.0)],
+            [(1.0, np.nan)],
+            [(0.5, 0.5), (2.0, 0.5 - 1e-12), (np.inf, 1e-12)],
+        ],
+    )
+    def test_rejects_non_finite(self, atoms):
+        # a NaN weight used to pass the weight-sum check, and psi then gave NaN
+        with pytest.raises(ValueError, match="^bulk atoms and weights must be finite$"):
+            spectra.make_spectrum(atoms=atoms)
+
     def test_moments(self):
         s = spectra.make_spectrum(atoms=[(1.0, 0.25), (2.0, 0.75)])
         assert s.bulk_mean == pytest.approx(1.75)
@@ -94,6 +108,13 @@ class TestKsDistance:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             spectra.ks_distance(np.array([1.0]), [], [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.25, 1.7])
+    def test_rejects_reference_outside_unit_interval(self, bad):
+        # a NaN reference used to give a NaN distance, and 1.7 a distance of 1.7
+        with pytest.raises(ValueError, match=r"^reference CDF values must be finite and in \["):
+            spectra.ks_distance([2.0, 1.0], [bad, 0.5], [1.0, 2.0])
+        assert spectra.ks_distance([2.0, 1.0], [0.0, 1.0], [1.0, 2.0]) == 0.5
 
     def test_rejects_shape_mismatch(self):
         e = np.array([2.0, 1.0])

@@ -8,8 +8,10 @@ The library source of ``<rev>`` is exported with ``git archive`` into a
 temporary directory, so the repository itself is left untouched (no
 worktree is registered, even if the run is interrupted).  The fixed panel
 below runs once on that copy and once on the working tree, each in a fresh
-interpreter with the tree's ``src/`` first on the path.  The report is one
-JSON object on stdout that marks every CSV and JSON file the panel writes as
+interpreter with the tree's ``src/`` first on the path.  A run's nonempty
+stdout (the ``simulate`` summary) is saved as ``<name>_stdout.json``.  The
+report is one JSON object on stdout that marks every CSV and JSON file the
+panel writes as
 
 * ``identical``: the same bytes;
 * ``roundoff`` (CSV only): the same header, shape and text cells, and every
@@ -47,7 +49,8 @@ SEEDS = (0, 1, 2, 3, 4)
 
 # A panel is a tuple of runs (name, argv, config): `spikedcov *argv`, where
 # "{config}" stands for a file holding the text config and "{out}" for the
-# run's output path prefix.
+# run's output path prefix, relative to the run directory so that the paths
+# a summary lists are the same on both sides.
 def simulate(name: str, experiment: str, config: str, seeds=SEEDS) -> tuple:
     """One `simulate` run per seed, writing CSVs under ``{name}_s{seed}``."""
     return tuple(
@@ -127,8 +130,18 @@ LAWS = (
 # with odd n (halves of 20 and 21 rows), and both debiasing maps on one
 # descending spectrum with a header row; the thresholds of the two-atom bulk
 # at two ratios and its spike limits, stuck and distant, and the worked
-# (eta = 70) and loud (eta = 200) contamination scenarios
+# (eta = 70) and loud (eta = 200) contamination scenarios; a spike config
+# with comments, a blank line, sigma2 = 2 and design spikes, whose model and
+# replicate count are the defaults
 SCENARIO = {"epsilon": 0.01, "k1": 1, "lambda1": 3.0, "c": 0.4, "assignment": [1]}
+DESIGN_CONFIG = (
+    "# design spikes over a bulk at level 2\n"
+    "n = 300\n"
+    "p = 120\n"
+    "\n"
+    "sigma2 = 2  # absent model and replicates take the defaults\n"
+    "spikes = design\n"
+)
 SPECTRUM_CSV = "eigenvalue\n" + "".join(
     f"{v!r}\n" for v in (6.0, 4.5, *(2.4 - 2.2 * k / 39 for k in range(40)))
 )
@@ -139,6 +152,7 @@ PANEL = (
     + simulate("spike_wide", "spike", "n=200\np=400\nmodel=gaussian\nspikes=design\nreplicates=5\n")
     + simulate("spike_tall", "spike", "n=600\np=240\nmodel=gaussian\nspikes=design\nreplicates=5\n")
     + simulate("spike_explicit", "spike", "n=400\np=100\nmodel=gaussian\nspikes=8,4\nreplicates=3\n")
+    + simulate("spike_design_sigma2", "spike", DESIGN_CONFIG, (0, 1))
     + simulate(
         "robustness", "robustness",
         "n=500\np=200\nmodel=student_t\nnu=2.5\nspikes=design\nreplicates=20\n",
@@ -159,15 +173,19 @@ PANEL = (
     + robust_analytic("robust_loud", dict(SCENARIO, etas=[200.0, 200.0]))
 )
 
-# Runs a list of `spikedcov` argument lists in one interpreter.
+# Runs a list of named `spikedcov` argument lists in one interpreter, saving
+# each nonempty stdout as <name>_stdout.json.
 _RUNNER = """
 import contextlib, io, json, sys
 from spikedcov import cli
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
+for name, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
         code = cli.main(argv)
     if code:
         sys.exit(code)
+    if stdout.getvalue():
+        with open(name + "_stdout.json", "w", encoding="utf-8", newline="") as fh:
+            fh.write(stdout.getvalue())
 """
 
 
@@ -187,7 +205,7 @@ def export_src(rev: str, dest: pathlib.Path, repo: pathlib.Path = REPO) -> str:
 
 
 def run_panel(tree: pathlib.Path, out: pathlib.Path, panel=PANEL) -> None:
-    """Run every run of ``panel`` on the library under ``tree/src``."""
+    """Run every run of ``panel`` on the library under ``tree/src``, in the directory ``out``."""
     out.mkdir(parents=True, exist_ok=True)
     runs = []
     for name, argv, config in panel:
@@ -195,7 +213,7 @@ def run_panel(tree: pathlib.Path, out: pathlib.Path, panel=PANEL) -> None:
         if config is not None:
             cfg.write_text(config, encoding="utf-8")
         runs.append(
-            [arg.replace("{config}", str(cfg)).replace("{out}", str(out / name)) for arg in argv]
+            [name, [arg.replace("{config}", str(cfg)).replace("{out}", name) for arg in argv]]
         )
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(

@@ -59,17 +59,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-class _VersionAction(argparse.Action):
-    """Print the version/tolerance record verbatim (no help-text wrapping)."""
-
-    def __init__(self, option_strings, dest, **kwargs):
-        super().__init__(option_strings, dest, nargs=0, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        print(_VERSION_TEXT)
-        raise SystemExit(0)
-
-
 def _parse_grid(spec: str) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) != 3:
@@ -101,19 +90,22 @@ def _json(payload) -> str:
 
 
 def _read_matrix(path: str) -> np.ndarray:
-    """Numeric CSV matrix (rows = samples) after at most one header row."""
+    """Numeric CSV matrix (rows = samples, all of one length) after at most one header row."""
     rows = []
     header = False
     with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
+        reader = csv.reader(fh)
+        for row in filter(None, reader):
             try:
                 rows.append([float(v) for v in row])
             except ValueError:
                 if rows or header:
                     raise
                 header = True
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(
+                    f"{path} line {reader.line_num}: expected {len(rows[0])} values, got {len(row)}"
+                )
     if not rows:
         raise ValueError(f"no numeric rows found in {path}")
     return np.asarray(rows, dtype=float)
@@ -272,9 +264,15 @@ def _add_bulk_options(parser, with_spectrum: bool = True) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="spikedcov", description=__doc__.splitlines()[0])
+    # raw text: the version record is printed verbatim, never wrapped
+    parser = _Parser(
+        prog="spikedcov",
+        description=__doc__.splitlines()[0],
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     parser.add_argument(
-        "--version", action=_VersionAction, help="print version and solver tolerances"
+        "--version", action="version", version=_VERSION_TEXT,
+        help="print version and solver tolerances",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import RngStream, fix_signs, svd_full, sym_eig
+from .numkernel import RngStream, _as_matrix, fix_signs, svd_full, sym_eig
+from .rmt import _check_ratio
 from .spectra import _check_spectrum
 
 __all__ = [
@@ -105,13 +106,12 @@ class PPCAFit:
 
 
 def _check_data(x: np.ndarray, min_rows: int = 1) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ValueError(f"data must be a 2-d samples-by-features array, got shape {x.shape}")
+    """Data as a finite samples-by-features matrix with a feature and ``min_rows`` rows."""
+    x = _as_matrix(x, "data")
+    if x.shape[1] < 1:
+        raise ValueError(f"data needs at least one feature column, got shape {x.shape}")
     if x.shape[0] < min_rows:
         raise ValueError(f"need at least {min_rows} samples, got {x.shape[0]}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("data must have finite entries")
     return x
 
 
@@ -282,8 +282,7 @@ def _check_spike_args(values: np.ndarray, c: float, j: int) -> np.ndarray:
     values = _check_spectrum(values)
     if values.size < 2:
         raise ValueError("need a spectrum with at least two entries")
-    if not np.isfinite(c) or c <= 0.0:
-        raise ValueError(f"aspect ratio must be positive, got {c}")
+    _check_ratio(c)
     if not 1 <= j < values.size:
         raise ValueError(f"spike index must satisfy 1 <= j < {values.size}, got {j}")
     return values
@@ -338,11 +337,9 @@ def estimate_rank(eigenvalues: np.ndarray, edge: float) -> int:
 
 
 def _check_orthonormal(mat: np.ndarray, name: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] < mat.shape[1] or mat.shape[1] < 1:
+    mat = _as_matrix(mat, name)
+    if mat.shape[0] < mat.shape[1] or mat.shape[1] < 1:
         raise ValueError(f"{name} must be a tall p-by-k matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError(f"{name} must have finite entries")
     gram = mat.T @ mat
     dev = float(np.max(np.abs(gram - np.eye(mat.shape[1]))))
     if dev > ORTHONORMAL_TOL:

@@ -173,8 +173,7 @@ class SsmParams:
     sigma2: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.c) and self.c > 0.0):
-            raise ValueError("aspect ratio c must be positive and finite")
+        _check_ratio(self.c)
         if not (np.isfinite(self.sigma2) and self.sigma2 > 0.0):
             raise ValueError("sigma2 must be positive and finite")
 
@@ -223,6 +222,7 @@ def _bulk(h: PopulationSpectrum) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_ratio(c: float) -> float:
+    """The aspect-ratio rule: c finite and positive; returns it as a float."""
     c = float(c)
     if not (np.isfinite(c) and c > 0.0):
         raise ValueError("aspect ratio c must be positive and finite")
@@ -294,8 +294,6 @@ def _g_raw(c: float, t: np.ndarray, w: np.ndarray, y, slope: bool = False):
 def _upper_critical(crit, c: float, t: np.ndarray, w: np.ndarray) -> float:
     """Root of crit(c, t, w, .) = 1 above the largest bulk atom."""
     u = float(t[-1])
-    if u <= 0.0:
-        raise SolverError("bulk law has no positive atoms")
     crit_minus_one = lambda x: crit(c, t, w, x) - 1.0
     lo = u * (1.0 + 1e-12)
     hi = _grow(crit_minus_one, u * (1.0 + np.sqrt(c)) * 10.0, f"no critical point above {lo:.3e}")
@@ -311,10 +309,7 @@ def _lower_critical(crit, c: float, t: np.ndarray, w: np.ndarray) -> float | Non
     """
     w0 = float(w[t == 0.0].sum())
     c_pos = c * (1.0 - w0)
-    pos = t[t > 0.0]
-    if pos.size == 0:
-        return None
-    tmin = float(pos[0])
+    tmin = float(t[t > 0.0][0])
     crit_minus_one = lambda x: crit(c, t, w, x) - 1.0
     if c_pos < 1.0 - 1e-12:
         return _root(crit_minus_one, tmin * 1e-12, tmin * (1.0 - 1e-12))
@@ -654,11 +649,12 @@ def ppca_threshold(c: float, h: PopulationSpectrum) -> Threshold:
     return Threshold(threshold=lambda_star, bulk_edge=float(ppca_psi(c, h, lambda_star)))
 
 
-def _spike_limit(threshold, forward, c: float, h: PopulationSpectrum, lam: float) -> SpikedLimit:
+def _spike_limit(
+    name: str, threshold, forward, c: float, h: PopulationSpectrum, lam: float
+) -> SpikedLimit:
     """Distant value forward(c, h, lam) above threshold(c, h), else the stuck edge."""
     lam = float(lam)
-    if not (np.isfinite(lam) and lam > h.bulk_upper):
-        raise ValueError("spike must be finite and exceed the bulk upper edge")
+    _check_spike_map(name, c, h, lam)
     thr = threshold(c, h)
     if lam > thr.threshold:
         return SpikedLimit.distant(forward(c, h, lam))
@@ -667,12 +663,12 @@ def _spike_limit(threshold, forward, c: float, h: PopulationSpectrum, lam: float
 
 def pca_limit(c: float, h: PopulationSpectrum, lam: float) -> SpikedLimit:
     """Limit of the sample eigenvalue for a population spike lam (classical)."""
-    return _spike_limit(pca_threshold, psi, c, h, lam)
+    return _spike_limit("pca_limit", pca_threshold, psi, c, h, lam)
 
 
 def ppca_limit(c: float, h: PopulationSpectrum, lam: float) -> SpikedLimit:
     """Limit of the sample singular value for a population spike lam (product)."""
-    return _spike_limit(ppca_threshold, ppca_psi, c, h, lam)
+    return _spike_limit("ppca_limit", ppca_threshold, ppca_psi, c, h, lam)
 
 
 def ppca_mass_at_zero(c: float, h: PopulationSpectrum) -> float:

@@ -80,8 +80,6 @@ class PerturbationScenario:
             raise ValueError("contamination K*epsilon must stay below 1")
         if 2.0 * max(self.k1, k - self.k1) * eps >= 1.0:
             raise ValueError("per-half contamination 2*max(K1,K2)*epsilon must stay below 1")
-        if not (np.isfinite(self.c) and self.c > 0.0):
-            raise ValueError(f"aspect ratio must be positive, got {self.c}")
         floor = ssm_closed_forms(SsmParams(c=self.c)).lambda_star
         if not (np.isfinite(self.lambda1) and self.lambda1 > floor):
             raise ValueError(
@@ -154,6 +152,13 @@ def _frame_sigma(
     return sigma
 
 
+def _frame(s: PerturbationScenario, p: int, rng: RngStream) -> np.ndarray:
+    """The Haar p x p direction frame: the signal in column 0, outlier k in column k."""
+    if p <= s.k:
+        raise ValueError(f"need p >= K + 1 = {s.k + 1}, got p = {p}")
+    return haar_orthogonal(p, rng.generator())
+
+
 def build_perturbed_sigma(
     s: PerturbationScenario, p: int, rng: RngStream
 ) -> np.ndarray:
@@ -163,9 +168,7 @@ def build_perturbed_sigma(
     orthonormal columns of a Haar orthogonal matrix, so the returned matrix's
     eigenvalues equal :func:`pca_perturbed_spectrum` exactly.
     """
-    if p <= s.k:
-        raise ValueError(f"need p >= K + 1 = {s.k + 1}, got p = {p}")
-    q = haar_orthogonal(p, rng.generator())
+    q = _frame(s, p, rng)
     return _frame_sigma(s, q, 1.0 - s.k * s.epsilon, s.epsilon, range(1, s.k + 1))
 
 
@@ -178,10 +181,8 @@ def build_perturbed_half_sigmas(
     the same exactly-orthonormal direction frame, so the singular values of
     sqrt(first) @ sqrt(second) equal :func:`ppca_perturbed_spectrum` exactly.
     """
-    if p <= s.k:
-        raise ValueError(f"need p >= K + 1 = {s.k + 1}, got p = {p}")
     half_one = _check_assignment(s, assignment)
-    q = haar_orthogonal(p, rng.generator())
+    q = _frame(s, p, rng)
     rest = [k for k in range(1, s.k + 1) if k not in half_one]
     first = _frame_sigma(s, q, 1.0 - 2.0 * s.k1 * s.epsilon, 2.0 * s.epsilon, sorted(half_one))
     return first, _frame_sigma(s, q, 1.0 - 2.0 * s.k2 * s.epsilon, 2.0 * s.epsilon, rest)

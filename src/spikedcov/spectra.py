@@ -1,8 +1,10 @@
 """Population and empirical spectral distributions.
 
 :class:`PopulationSpectrum` describes a population bulk law H: finitely many
-atoms with weights.  Finite-rank spikes never move a limiting law, so a
-spike is not part of a spectrum; spike maps take it as their own argument.
+atoms with weights.  It checks itself however it is built, so the squared
+bulk of :func:`square_spectrum` is rejected when its squares overflow or
+underflow.  Finite-rank spikes never move a limiting law, so a spike is not
+part of a spectrum; spike maps take it as their own argument.
 
 A sample spectrum, the eigenvalues or singular values of one p x p matrix,
 has one form: a nonempty, finite, non-increasing 1-d float array, which is
@@ -39,16 +41,33 @@ WEIGHT_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class PopulationSpectrum:
-    """Discrete bulk law.
+    """Discrete bulk law: (value, weight) pairs as floats, checked when built.
 
-    Attributes
-    ----------
-    atoms : tuple of (value, weight) pairs
-        The bulk law. Values are nonnegative and strictly increasing,
-        weights are positive and sum to one.
+    Values are finite, nonnegative and strictly increasing, at least one of
+    them positive; weights are finite, positive and sum to one up to
+    ``WEIGHT_SLACK``.  Anything else raises ``ValueError``.
     """
 
     atoms: tuple[tuple[float, float], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "atoms", tuple((float(t), float(w)) for t, w in self.atoms))
+        if not self.atoms:
+            raise ValueError("spectrum needs at least one bulk atom")
+        if not np.all(np.isfinite(self.atoms)):
+            raise ValueError("bulk atoms and weights must be finite")
+        vals, wts = self.values, self.weights
+        if np.any(vals < 0.0):
+            raise ValueError("bulk atoms must be nonnegative")
+        if np.any(np.diff(vals) <= 0.0):
+            raise ValueError("bulk atoms must be distinct and increasing")
+        if vals[-1] <= 0.0:
+            raise ValueError("bulk law needs a positive atom")
+        if np.any(wts <= 0.0):
+            raise ValueError("bulk weights must be positive")
+        total = float(wts.sum())
+        if abs(total - 1.0) > WEIGHT_SLACK:
+            raise ValueError(f"bulk weights sum to {total!r}, expected 1")
 
     @property
     def values(self) -> np.ndarray:
@@ -72,39 +91,18 @@ class PopulationSpectrum:
 
 
 def make_spectrum(atoms: Iterable[tuple[float, float]]) -> PopulationSpectrum:
-    """Validate and build a :class:`PopulationSpectrum`.
-
-    Atoms may be given in any order; they are sorted by value. Atoms and
-    weights must be finite, and weights positive and summing to one up to a
-    slack of ``WEIGHT_SLACK``, in which case they are renormalized exactly.
-    """
-    pairs = [(float(t), float(w)) for t, w in atoms]
-    if not pairs:
-        raise ValueError("spectrum needs at least one bulk atom")
-    if not np.all(np.isfinite(pairs)):
-        raise ValueError("bulk atoms and weights must be finite")
-    pairs.sort(key=lambda p: p[0])
-    vals = np.array([t for t, _ in pairs])
-    wts = np.array([w for _, w in pairs])
-    if np.any(vals < 0.0):
-        raise ValueError("bulk atoms must be nonnegative")
-    if np.any(np.diff(vals) <= 0.0):
-        raise ValueError("bulk atoms must be distinct")
-    if np.any(wts <= 0.0):
-        raise ValueError("bulk weights must be positive")
-    total = float(wts.sum())
-    if abs(total - 1.0) > WEIGHT_SLACK:
-        raise ValueError(f"bulk weights sum to {total!r}, expected 1")
-    wts = wts / total
-    return PopulationSpectrum(atoms=tuple(zip(vals.tolist(), wts.tolist())))
+    """The spectrum of atoms in any order: sorted, checked, weights renormalized exactly."""
+    spec = PopulationSpectrum(atoms=tuple(sorted((float(t), float(w)) for t, w in atoms)))
+    wts = spec.weights
+    return PopulationSpectrum(atoms=tuple(zip(spec.values.tolist(), (wts / wts.sum()).tolist())))
 
 
 def square_spectrum(spectrum: PopulationSpectrum) -> PopulationSpectrum:
     """Pushforward of a spectrum under t -> t**2.
 
-    Bulk atoms map to their squares with unchanged weights. Squaring is
-    strictly increasing on the nonnegative axis, so atom ordering and
-    distinctness survive.
+    Bulk atoms map to their squares with unchanged weights.  Squaring keeps
+    the atoms increasing unless it overflows or underflows, and then the
+    squared law is rejected like any other malformed bulk.
     """
     return PopulationSpectrum(atoms=tuple((t * t, w) for t, w in spectrum.atoms))
 
@@ -131,7 +129,7 @@ def esd_cdf(values, t: float | np.ndarray) -> float | np.ndarray:
     if np.isnan(pts).any():
         raise ValueError("esd_cdf requires t that is not NaN")
     out = np.searchsorted(vals[::-1], pts, side="right") / vals.size
-    return float(out) if np.isscalar(t) else out
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def ks_distance(

@@ -51,6 +51,14 @@ class TestVersion:
         assert info["fp_max_iter"] == rmt.FP_MAX_ITER
         assert info["newton_max_iter"] == rmt.NEWTON_MAX_ITER
 
+    @pytest.mark.parametrize("columns", ["20", "200"])
+    def test_record_is_one_unwrapped_line(self, capsys, monkeypatch, columns):
+        # argparse wraps help text to the terminal width; the record never is
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, err = run_cli(capsys, "--version")
+        assert (code, err) == (0, "")
+        assert out == cli._VERSION_TEXT + "\n"
+
 
 class TestConstants:
     def test_reference_values(self, capsys):
@@ -109,6 +117,21 @@ class TestRho:
         _, rows = parse_csv(out)
         vals = [float(r[1]) for r in rows]
         assert all(np.isfinite(vals)) and vals == sorted(vals)
+
+
+class TestGrid:
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("0:1", "grid must be start:stop:count, got '0:1'"),
+            ("0:1:2:3", "grid must be start:stop:count, got '0:1:2:3'"),
+            ("0:1:0", "grid count must be positive"),
+        ],
+    )
+    def test_bad_grid_is_json_value_error(self, capsys, tmp_path, grid, message):
+        code, rec = run_rejected(capsys, tmp_path, "rho", "--grid", grid)
+        assert code == 1
+        assert rec == {"error": "ValueError", "message": message}
 
 
 class TestDensity:
@@ -236,6 +259,43 @@ class TestThresholdsAndLimits:
             "error": "ValueError",
             "message": "bulk atoms and weights must be finite",
         }
+
+
+    def test_zero_bulk_is_json_value_error(self, capsys, tmp_path):
+        # a bulk with no positive atom used to reach the solver as a SolverError
+        spec_file = tmp_path / "bulk.txt"
+        spec_file.write_text("atom 0 1\n")
+        code, rec = run_rejected(
+            capsys, tmp_path, "thresholds", "--c", "0.4", "--spectrum", str(spec_file)
+        )
+        assert code == 1
+        assert rec == {"error": "ValueError", "message": "bulk law needs a positive atom"}
+
+    @pytest.mark.parametrize(
+        "atoms, message",
+        [
+            # squares overflow: a SolverError or scipy's NaN message before
+            ("atom 1e200 1\n", "bulk atoms and weights must be finite"),
+            # squares underflow to two zeros: a SolverError before
+            ("atom 1e-170 0.5\natom 1e-165 0.5\n", "bulk atoms must be distinct and increasing"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("thresholds", "--c", "0.4"),
+            ("limits", "--c", "0.4", "--lam", "1e201"),
+            ("density", "--law", "ppca", "--c", "0.4", "--grid", "0.1:1:3"),
+        ],
+    )
+    def test_squared_bulk_out_of_range_is_json_value_error(
+        self, capsys, tmp_path, atoms, message, argv
+    ):
+        spec_file = tmp_path / "bulk.txt"
+        spec_file.write_text(atoms)
+        code, rec = run_rejected(capsys, tmp_path, *argv, "--spectrum", str(spec_file))
+        assert code == 1
+        assert rec == {"error": "ValueError", "message": message}
 
 
 class TestDebias:
@@ -428,6 +488,14 @@ class TestFit:
             "error": "ValueError", "message": "seed and stream index must lie in [0, 2**64)"
         }
 
+    def test_ragged_row_is_json_value_error(self, capsys, tmp_path):
+        # numpy used to report an "inhomogeneous shape" here
+        path = tmp_path / "data.csv"
+        path.write_text("x,y,z\n1,2,3\n\n4,5\n6,7,8\n")
+        code, rec = run_rejected(capsys, tmp_path, "fit", "--input", str(path), "--method", "pca")
+        assert code == 1
+        assert rec == {"error": "ValueError", "message": f"{path} line 4: expected 3 values, got 2"}
+
     def test_three_rows_are_json_value_error(self, capsys, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("1,2\n3,4\n5,6\n")
@@ -471,6 +539,14 @@ class TestInputHeader:
         assert rec == {
             "error": "ValueError", "message": "could not convert string to float: 'notes'"
         }
+
+    @pytest.mark.parametrize("command", ["fit", "debias"])
+    def test_header_only_is_json_value_error(self, capsys, tmp_path, command):
+        path = tmp_path / "data.csv"
+        path.write_text("x,y\n\n")
+        code, rec = run_rejected(capsys, tmp_path, *self.RUNS[command], "--input", str(path))
+        assert code == 1
+        assert rec == {"error": "ValueError", "message": f"no numeric rows found in {path}"}
 
     @pytest.mark.parametrize("command", ["fit", "debias"])
     def test_one_header_row_reads_as_none(self, capsys, tmp_path, command):

@@ -39,6 +39,33 @@ class TestSampleCov:
             estimators.sample_cov(np.array([[np.nan, 1.0]]))
 
 
+class TestDataRule:
+    # every fit reads its data by numkernel's matrix rule plus a shape rule
+    FITS = {
+        "sample_cov": estimators.sample_cov,
+        "pca_fit": estimators.pca_fit,
+        "ppca_fit": lambda x: estimators.ppca_fit(x, RngStream(1)),
+        "fit_values": lambda x: estimators.fit_values(x, RngStream(1)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FITS))
+    def test_rejects_1d_data(self, name):
+        with pytest.raises(ValueError, match=r"^data must be a 2-d array, got shape \(8,\)$"):
+            self.FITS[name](np.arange(8.0))
+
+    @pytest.mark.parametrize("name", sorted(FITS))
+    def test_rejects_no_feature_column(self, name):
+        with pytest.raises(ValueError, match="^data needs at least one feature column"):
+            self.FITS[name](np.empty((8, 0)))
+
+    @pytest.mark.parametrize("name", sorted(FITS))
+    def test_rejects_non_finite(self, name):
+        x = gaussian_data(8, 3)
+        x[2, 1] = np.inf
+        with pytest.raises(ValueError, match="^data must have finite entries$"):
+            self.FITS[name](x)
+
+
 class TestPcaFit:
     def test_repeated_coordinate_row(self):
         s = 3.0
@@ -285,6 +312,22 @@ class TestDebias:
             -1.0 / m_under, rel=1e-12
         )
 
+    @pytest.mark.parametrize("debias", [estimators.debias_ppca, estimators.debias_pca])
+    def test_rejects_one_entry_spectrum(self, debias):
+        with pytest.raises(ValueError, match="^need a spectrum with at least two entries$"):
+            debias(np.array([3.0]), 0.4, 1)
+
+    @pytest.mark.parametrize("debias", [estimators.debias_ppca, estimators.debias_pca])
+    @pytest.mark.parametrize("c", [0.0, -0.4, np.nan, np.inf])
+    def test_rejects_bad_ratio(self, debias, c):
+        with pytest.raises(ValueError, match="^aspect ratio c must be positive and finite$"):
+            debias(np.array([3.0, 1.0, 0.5]), c, 1)
+
+    @pytest.mark.parametrize("debias", [estimators.debias_ppca, estimators.debias_pca])
+    def test_rejects_nonpositive_spike(self, debias):
+        with pytest.raises(ValueError, match="^spike must be positive$"):
+            debias(np.array([0.0, -1.0]), 0.4, 1)
+
     def test_rejects_empty_tail(self):
         lam = np.array([3.0, 1.0])
         with pytest.raises(ValueError):
@@ -387,6 +430,12 @@ class TestEstimateRank:
         assert ranks == [4, 3, 2, 1, 0]
 
 
+    @pytest.mark.parametrize("edge", [-1.0, np.nan, np.inf])
+    def test_rejects_bad_edge(self, edge):
+        with pytest.raises(ValueError, match="^edge must be a nonnegative real"):
+            estimators.estimate_rank(np.array([2.0, 1.0]), edge)
+
+
 class TestSimilarityXi:
     def test_same_basis_is_one(self):
         b = np.eye(5)[:, :3]
@@ -423,6 +472,17 @@ class TestSimilarityXi:
         skew[0, 1] = 0.5
         with pytest.raises(ValueError):
             estimators.similarity_xi(skew, np.eye(4)[:, :2])
+
+    def test_rejects_wide_frame(self):
+        wide = r"^basis must be a tall p-by-k matrix, got shape \(2, 3\)$"
+        with pytest.raises(ValueError, match=wide):
+            estimators.similarity_xi(np.eye(3)[:2], np.eye(3)[:, :1])
+        with pytest.raises(ValueError, match=r"^targets must be a tall p-by-k matrix"):
+            estimators.similarity_xi(np.eye(3), np.empty((3, 0)))
+
+    def test_rejects_ambient_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="^basis and targets must share the ambient"):
+            estimators.similarity_xi(np.eye(4)[:, :2], np.eye(3)[:, :1])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_frames(self, bad):

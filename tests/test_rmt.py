@@ -227,6 +227,29 @@ class TestSupportAndMass:
         assert rmt.ppca_mass_at_zero(0.75, FLAT) == pytest.approx(1.0 - 1.0 / 1.5)
 
 
+    def test_atoms_closer_than_the_bracket_have_no_gap(self):
+        # neighbours within 2e-12 relative leave no bracket between them and
+        # are skipped: the laws match the single atom at 1 to ~1e-12
+        close = spectra.make_spectrum(atoms=[(1.0, 0.5), (1.0 + 1e-12, 0.5)])
+        for c in (0.1, 0.4, 2.0):
+            lo, hi = rmt.support_edges(c, close)
+            elo, ehi = flat_mp_edges(c)
+            assert lo == pytest.approx(elo, rel=1e-9)
+            assert hi == pytest.approx(ehi, rel=1e-9)
+            plo, phi = rmt.ppca_support_edges(c, close)
+            flat = rmt.ppca_support_edges(c, FLAT)
+            assert (plo, phi) == pytest.approx(flat, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [rmt.support_edges, rmt.ppca_support_edges, rmt.mass_at_zero, rmt.pca_threshold],
+    )
+    def test_law_functions_reject_bad_ratio(self, call, c):
+        with pytest.raises(ValueError, match="^aspect ratio c must be positive and finite$"):
+            call(c, FLAT)
+
+
 class TestPsiMaps:
     def test_flat_closed_forms(self):
         c = 0.4
@@ -267,6 +290,12 @@ class TestPsiMaps:
             rmt.psi(0.4, FLAT, 1.0)
         with pytest.raises(ValueError):
             rmt.ppca_psi(0.4, FLAT, 0.2)
+
+    @pytest.mark.parametrize("name", ["psi", "ppca_psi", "pca_limit", "ppca_limit"])
+    def test_rejects_negative_ratio(self, name):
+        # the spike rule: c = 0 is the identity map, c < 0 is rejected
+        with pytest.raises(ValueError, match="^aspect ratio c must be nonnegative and finite$"):
+            getattr(rmt, name)(-0.1, FLAT, 2.5)
 
     @pytest.mark.parametrize("lam", NON_FINITE)
     @pytest.mark.parametrize("name", ["psi", "ppca_psi"])
@@ -328,10 +357,14 @@ class TestSpikedLimits:
             assert abs(above.value - below.value) < 1e-6
 
     def test_rejects_spike_in_bulk(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^pca_limit requires finite lam above the bulk"):
             rmt.pca_limit(0.4, FLAT, 0.9)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^ppca_limit requires finite lam above the bulk"):
             rmt.ppca_limit(0.4, FLAT, 1.0)
+
+    def test_zero_ratio_passes_the_spike_rule_but_not_the_threshold(self):
+        with pytest.raises(ValueError, match="^aspect ratio c must be positive and finite$"):
+            rmt.pca_limit(0.0, FLAT, 2.0)
 
     @pytest.mark.parametrize("lam", NON_FINITE)
     @pytest.mark.parametrize("name", ["pca_limit", "ppca_limit"])

@@ -43,6 +43,12 @@ class TestScenarioValidation:
             scenario(lambda1=star * 0.99)
         scenario(lambda1=star * 1.01)
 
+    @pytest.mark.parametrize("c", [0.0, -0.4, np.nan, np.inf])
+    def test_ratio_rule(self, c):
+        # the SsmParams the scenario builds for its threshold holds the rule
+        with pytest.raises(ValueError, match="^aspect ratio c must be positive and finite$"):
+            scenario(c=c)
+
     def test_huge_ratio_accepted(self):
         # the distant-signal floor lambda* is about sqrt(2c)
         s = scenario(c=1e103, lambda1=1e52)
@@ -160,8 +166,19 @@ class TestMatrixOracles:
                 assert np.array_equal(half, half.T)
 
     def test_rejects_small_dimension(self):
-        with pytest.raises(ValueError):
+        # both builders hold the signal and the K outlier directions in one frame
+        with pytest.raises(ValueError, match=r"^need p >= K \+ 1 = 3, got p = 2$"):
             rb.build_perturbed_sigma(scenario(), 2, RngStream(0, 0))
+        with pytest.raises(ValueError, match=r"^need p >= K \+ 1 = 3, got p = 2$"):
+            rb.build_perturbed_half_sigmas(scenario(), 2, RngStream(0, 0), (1,))
+
+    def test_rejects_repeated_assignment_indices(self):
+        for call in (
+            lambda a: rb.build_perturbed_half_sigmas(scenario(), 10, RngStream(0, 0), a),
+            lambda a: rb.ppca_perturbed_spectrum(scenario(), a),
+        ):
+            with pytest.raises(ValueError, match="^assignment indices must be distinct$"):
+                call((1, 1))
 
 
 class TestPredicates:

@@ -137,6 +137,21 @@ class TestParseConfig:
         with pytest.raises(ValueError):
             config("n=40\np=2\nspikes=9.0,8.0\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n=40\np=0\n", "^need p >= 1 features, got 0$"),
+            ("n=40\np=16\nsigma2=0\n", "^bulk level sigma2 must be positive, got 0.0$"),
+            ("n=40\np=16\nsigma2=-1\n", "^bulk level sigma2 must be positive"),
+            ("n=40\np=16\nspikes=4,0\n", "^population spikes must be positive and finite$"),
+            ("n=40\np=16\nspikes=4,-1\n", "^population spikes must be positive and finite$"),
+            ("n=40\np=16\nreplicates=0\n", "^need at least one replicate, got 0$"),
+        ],
+    )
+    def test_config_value_messages(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            config(text)
+
     def test_infinite_kurtosis_flag(self):
         cfg = config("n=40\np=16\nmodel=student_t\nnu=2.5\n")
         assert "infinite-kurtosis" in cfg.flags
@@ -155,6 +170,10 @@ class TestGenData:
     def test_shape(self):
         x = simlab.gen_data(config(), 0)
         assert x.shape == (40, 16)
+
+    def test_rejects_negative_replicate_index(self):
+        with pytest.raises(ValueError, match="^replicate index must be nonnegative$"):
+            simlab.gen_data(config(), -1)
 
     def test_gaussian_identity_lln(self):
         cfg = config("n=20000\np=4\nmodel=gaussian\nreplicates=1\n", seed=11)
@@ -475,6 +494,19 @@ class TestReportIO:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="aggregate"):
+            simlab.load_report(prefix)
+
+    def test_load_rejects_renamed_aggregate_column(self, tmp_path):
+        prefix = str(tmp_path / "exp")
+        simlab.run_spectrum_experiment(config(seed=5)).write(prefix)
+        path = prefix + "_aggregates.csv"
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text.replace("\nks_ppca,", "\nks_other,"))
+        with pytest.raises(
+            ValueError, match="^aggregate column mismatch: 'ks_other' vs 'ks_ppca'$"
+        ):
             simlab.load_report(prefix)
 
     def test_load_returns_aggregates_of_the_records(self, tmp_path):

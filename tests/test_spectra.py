@@ -53,11 +53,85 @@ class TestMakeSpectrum:
         assert s.bulk_mean == pytest.approx(1.75)
 
 
+def _old_make_spectrum_atoms(atoms):
+    """Atoms of the pre-check make_spectrum on an input it accepts: sort, renormalize."""
+    pairs = sorted(((float(t), float(w)) for t, w in atoms), key=lambda p: p[0])
+    vals = np.array([t for t, _ in pairs])
+    wts = np.array([w for _, w in pairs])
+    wts = wts / float(wts.sum())
+    return tuple(zip(vals.tolist(), wts.tolist()))
+
+
+class TestPopulationSpectrum:
+    # a bulk checks itself however it is built, not only through make_spectrum
+    @pytest.mark.parametrize(
+        "atoms, message",
+        [
+            (((2.0, 0.5), (1.0, 0.5)), "^bulk atoms must be distinct and increasing$"),
+            (((1.0, 0.5), (1.0, 0.5)), "^bulk atoms must be distinct and increasing$"),
+            (((-1.0, 0.5), (1.0, 0.5)), "^bulk atoms must be nonnegative$"),
+            (((1.0, 0.5), (np.inf, 0.5)), "^bulk atoms and weights must be finite$"),
+            (((np.nan, 1.0),), "^bulk atoms and weights must be finite$"),
+            (((1.0, 1.0), (2.0, 0.0)), "^bulk weights must be positive$"),
+            (((1.0, 1.5), (2.0, -0.5)), "^bulk weights must be positive$"),
+            (((1.0, 0.5), (2.0, 0.5 + 2e-9)), "^bulk weights sum to"),
+            (((0.0, 1.0),), "^bulk law needs a positive atom$"),
+            ((), "^spectrum needs at least one bulk atom$"),
+        ],
+    )
+    def test_direct_construction_is_checked(self, atoms, message):
+        with pytest.raises(ValueError, match=message):
+            spectra.PopulationSpectrum(atoms=atoms)
+
+    def test_unsorted_bulk_reports_no_wrong_edge(self):
+        # built directly, this bulk used to report bulk_upper == 1.0
+        with pytest.raises(ValueError):
+            spectra.PopulationSpectrum(atoms=((2.0, 0.5), (1.0, 0.7)))
+
+    def test_holds_float_pairs(self):
+        s = spectra.PopulationSpectrum(atoms=[[0, 0.5], [np.float64(2.0), 0.5]])
+        assert s.atoms == ((0.0, 0.5), (2.0, 0.5))
+        assert all(type(v) is float for atom in s.atoms for v in atom)
+
+    def test_make_spectrum_atoms_unchanged(self):
+        # sort, check, renormalize: bit for bit the atoms of the old builder
+        rng = np.random.default_rng(3)
+        inputs = [
+            [(1.0, 0.5 + 2e-10), (2.0, 0.5)],
+            [(2.0, 0.5), (1.0, 0.5 - 9e-10)],
+            [(0.0, 0.3), (1.0, 0.7)],
+            [(0.2, 0.5), (5.0, 0.5)],
+        ]
+        for k in range(1, 6):
+            for _ in range(20):
+                w = rng.uniform(0.1, 1.0, k)
+                w = w / w.sum() * (1.0 + rng.uniform(-9e-10, 9e-10))
+                vals = rng.permutation(rng.choice(np.arange(0.25, 50.0, 0.25), k, replace=False))
+                inputs.append(list(zip(vals.tolist(), w.tolist())))
+        for atoms in inputs:
+            assert spectra.make_spectrum(atoms).atoms == _old_make_spectrum_atoms(atoms)
+
+
 class TestSquareSpectrum:
     def test_squares_atoms_and_spikes(self):
         s = spectra.make_spectrum(atoms=[(0.5, 0.5), (2.0, 0.5)])
         sq = spectra.square_spectrum(s)
         assert sq == spectra.make_spectrum(atoms=[(0.25, 0.5), (4.0, 0.5)])
+
+    @pytest.mark.parametrize(
+        "atoms, message",
+        [
+            # squares overflow to inf
+            ([(1e200, 1.0)], "^bulk atoms and weights must be finite$"),
+            # squares underflow to two zeros, then to one
+            ([(1e-170, 0.5), (1e-165, 0.5)], "^bulk atoms must be distinct and increasing$"),
+            ([(1e-170, 1.0)], "^bulk law needs a positive atom$"),
+        ],
+    )
+    def test_rejects_squares_out_of_range(self, atoms, message):
+        s = spectra.make_spectrum(atoms=atoms)
+        with pytest.raises(ValueError, match=message):
+            spectra.square_spectrum(s)
 
 
 class TestESD:
@@ -82,6 +156,14 @@ class TestESD:
             spectra.esd_cdf(e, np.nan)
         with pytest.raises(ValueError, match="NaN"):
             spectra.esd_cdf(e, np.array([1.5, np.nan]))
+
+    def test_cdf_scalar_is_float(self):
+        # a 0-d array is a scalar point, as in every law function of rmt
+        e = np.array([2.0, 1.0])
+        for t in (1.5, np.float64(1.5), np.array(1.5)):
+            out = spectra.esd_cdf(e, t)
+            assert type(out) is float and out == 0.5
+        assert isinstance(spectra.esd_cdf(e, np.array([1.5])), np.ndarray)
 
     def test_cdf_vectorized(self):
         out = spectra.esd_cdf(np.array([2.0, 1.0]), np.array([0.5, 1.5, 2.5]))

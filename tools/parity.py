@@ -109,6 +109,8 @@ def data_csv(n: int, p: int, seed: int) -> str:
 
 
 TWO_ATOM = "atom 0.5 0.4\natom 1.5 0.6\n"
+# the same bulk with its atom lines in reverse order
+TWO_ATOM_REVERSED = "atom 1.5 0.6\natom 0.5 0.4\n"
 
 # (name, c, grid, spectrum): the white bulk at three ratios (c = 1/2 is the
 # product law's switch point), two atoms, a zero atom and well-separated atoms.
@@ -129,10 +131,11 @@ LAWS = (
 # long c range, the vectors of both fits on a tall sample and on a wide one
 # with odd n (halves of 20 and 21 rows), and both debiasing maps on one
 # descending spectrum with a header row; the thresholds of the two-atom bulk
-# at two ratios and its spike limits, stuck and distant, and the worked
-# (eta = 70) and loud (eta = 200) contamination scenarios; a spike config
-# with comments, a blank line, sigma2 = 2 and design spikes, whose model and
-# replicate count are the defaults
+# at two ratios (at c = 0.4 also with its atom lines reversed) and its spike
+# limits, stuck and distant, and the worked (eta = 70) and loud (eta = 200)
+# contamination scenarios; a spike config with comments, a blank line,
+# sigma2 = 2 and design spikes, whose model and replicate count are the
+# defaults
 SCENARIO = {"epsilon": 0.01, "k1": 1, "lambda1": 3.0, "c": 0.4, "assignment": [1]}
 DESIGN_CONFIG = (
     "# design spikes over a bulk at level 2\n"
@@ -168,6 +171,7 @@ PANEL = (
     + debias("debias_pca", "pca", SPECTRUM_CSV)
     + bulk_json("thresholds_two_atom_c0.4", "thresholds", 0.4, TWO_ATOM)
     + bulk_json("thresholds_two_atom_c2", "thresholds", 2.0, TWO_ATOM)
+    + bulk_json("thresholds_two_atom_reversed_c0.4", "thresholds", 0.4, TWO_ATOM_REVERSED)
     + bulk_json("limits_two_atom_c2", "limits", 2.0, TWO_ATOM, "--lam", "2,3.2,6")
     + robust_analytic("robust_worked", dict(SCENARIO, etas=[70.0, 70.0]))
     + robust_analytic("robust_loud", dict(SCENARIO, etas=[200.0, 200.0]))

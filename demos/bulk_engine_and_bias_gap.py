@@ -21,11 +21,15 @@ def two_atom_walkthrough(c: float) -> None:
     lo_p, hi_p = rmt.support_edges(c, bulk)
     print(f"  product law support  [{lo:.4f}, {hi:.4f}]")
     print(f"  classical law support [{lo_p:.4f}, {hi_p:.4f}]")
-    # the CDF integrates the density over the support; just below the upper
+    # each CDF integrates its density over the support; just below the upper
     # edge it holds the zero mass plus the whole integral
     mass0 = rmt.ppca_mass_at_zero(c, bulk)
     mass = rmt.ppca_lsd_cdf(c, bulk, np.nextafter(hi, 0.0)) - mass0
     print(f"  product density integrates to {mass:.6f} "
+          f"(expected {1.0 - mass0:.6f})")
+    mass0 = rmt.mass_at_zero(c, bulk)
+    mass = rmt.mp_cdf(c, bulk, np.nextafter(hi_p, 0.0)) - mass0
+    print(f"  classical density integrates to {mass:.6f} "
           f"(expected {1.0 - mass0:.6f})")
 
     lam = 2.0 * rmt.ppca_threshold(c, bulk).threshold

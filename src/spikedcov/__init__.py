@@ -36,6 +36,7 @@ from .rmt import (
     StieltjesEval,
     Threshold,
     bias_report,
+    mp_cdf,
     mp_density,
     pca_limit,
     pca_threshold,
@@ -74,6 +75,7 @@ __all__ = [
     "SsmConstants",
     "stieltjes",
     "mp_density",
+    "mp_cdf",
     "psi",
     "pca_threshold",
     "ppca_threshold",

@@ -114,11 +114,8 @@ def _read_matrix(path: str) -> np.ndarray:
 def _cmd_density(args) -> None:
     bulk = _load_bulk(args)
     grid = _parse_grid(args.grid)
-    if args.law == "ppca":
-        dens = np.atleast_1d(rmt.ppca_lsd_pdf(args.c, bulk, grid))
-    else:
-        dens = np.atleast_1d(rmt.mp_density(args.c, bulk, grid))
-    _emit(args.out, simlab._csv_text(("t", "density"), list(zip(grid, dens))))
+    pdf = rmt.ppca_lsd_pdf if args.law == "ppca" else rmt.mp_density
+    _emit(args.out, simlab._csv_text(("t", "density"), list(zip(grid, pdf(args.c, bulk, grid)))))
 
 
 def _cmd_constants(args) -> None:

@@ -28,9 +28,10 @@ transform and U(k) = -1/k + 2c * sum w t/(1 + t k) over H^2, the outer one is
 (ratio 2c, bulk H^2), and the critical points 2 y psi'(y) = psi(y) of
 x(y) = psi(y)^2/y give the product thresholds, support edges and gaps.
 
-Both laws share one support routine (_support, given the law's criterion
-and the image of its critical points) and one density routine (_density: a
-complex solve just above the real axis, polished by Newton on the axis).
+One routine (_law) describes either law: its companion map, support, density
+dips and zero mass.  Both laws share its density routine (_density: a complex
+solve just above the real axis, polished by Newton on the axis), one CDF
+routine (_cdf) and one residual rule for the solve (_residual).
 
 The single-atom closed forms and rho avoid cancellation and never square or
 cube c, and the product-law closed-form density works in units of its upper
@@ -40,6 +41,7 @@ ValueError.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +64,7 @@ __all__ = [
     "BiasReport",
     "stieltjes",
     "mp_density",
+    "mp_cdf",
     "mass_at_zero",
     "support_edges",
     "psi",
@@ -123,8 +126,8 @@ class StieltjesEval:
     """One solve of the fixed-point equation at a complex point z.
 
     m is the Stieltjes transform of the sample law, m_under the companion
-    transform of the dual Gram law; residual is the absolute defect of the
-    fixed-point equation at the returned root.
+    transform of the dual Gram law; residual is the scaled defect
+    (_residual) of the fixed-point equation at the returned root.
     """
 
     z: complex
@@ -174,8 +177,7 @@ class SsmParams:
 
     def __post_init__(self) -> None:
         _check_ratio(self.c)
-        if not (np.isfinite(self.sigma2) and self.sigma2 > 0.0):
-            raise ValueError("sigma2 must be positive and finite")
+        _check_sigma2(self.sigma2)
 
 
 @dataclass(frozen=True)
@@ -227,6 +229,12 @@ def _check_ratio(c: float) -> float:
     if not (np.isfinite(c) and c > 0.0):
         raise ValueError("aspect ratio c must be positive and finite")
     return c
+
+
+def _check_sigma2(sigma2: float) -> None:
+    """The bulk-level rule of a single-atom bulk: sigma2 finite and positive."""
+    if not (np.isfinite(sigma2) and sigma2 > 0.0):
+        raise ValueError(f"bulk level sigma2 must be positive and finite, got {sigma2}")
 
 
 def _points(name: str, t, positive: bool) -> np.ndarray:
@@ -342,20 +350,6 @@ def _between_atoms(crit, c: float, t: np.ndarray, w: np.ndarray) -> tuple[list[f
     return roots, dips
 
 
-def _support(crit, image, c: float, t: np.ndarray, w: np.ndarray):
-    """Support intervals of a law and the dips of its density, as images of critical points.
-
-    The ends are image(.) of the roots of crit(c, t, w, .) = 1: one above the
-    bulk, pairs between atoms (_between_atoms), and one below the bulk, or
-    zero when there is none (an effective ratio of exactly one).
-    """
-    lower = _lower_critical(crit, c, t, w)
-    roots, dips = _between_atoms(crit, c, t, w)
-    edges = [image(lower) if lower is not None else 0.0]
-    edges += [image(y) for y in roots + [_upper_critical(crit, c, t, w)]]
-    return list(zip(edges[::2], edges[1::2])), [image(y) for y in dips]
-
-
 def _m_from_comp(c: float, t: np.ndarray, w: np.ndarray, z, m_comp):
     """Sample-law transform from the companion one, cancellation-free.
 
@@ -377,7 +371,7 @@ class _SampleMap:
 
     z(m) is evaluated as (c - 1 - c sum w/(1+tm))/m, whose terms do not
     cancel where those of -1/m + c S(m) do (|m| large at an effective ratio
-    of one).  Residuals are absolute.
+    of one).
     """
 
     walk_top = 0.5
@@ -396,8 +390,10 @@ class _SampleMap:
         s = (self.w * self.t / (1.0 + np.multiply.outer(m, self.t))).sum(axis=-1)
         return 1.0 / (self.c * s - z)
 
-    def residual(self, m, z):
-        return np.abs(self.value_slope(m)[0] - z)
+    def value_noise(self, m):
+        """(z(m), its rounding scale (|c - 1| + |c sum w/(1+tm)|)/|m|)."""
+        s = self.c * (self.w / (1.0 + np.multiply.outer(m, self.t))).sum(axis=-1)
+        return (self.c - 1.0 - s) / m, (abs(self.c - 1.0) + np.abs(s)) / np.abs(m)
 
     def point(self, t):
         """Real point x at which the density at t is read: x = t."""
@@ -430,17 +426,15 @@ class _ProductMap:
         r = np.sqrt(-z / k)
         return self.inner.fixed_step(k, np.where(r.imag < 0.0, -r, r))
 
-    def residual(self, k, z):
-        """|z(k) - z| scaled so that SOLVER_TOL admits SOLVER_TOL |z| plus 32 rounding errors.
+    def value_noise(self, k):
+        """(z(k), its rounding scale), with z(k) infinite where Im U(k) <= 0.
 
         Near z = 0 with 2c >= 1, U(k) is a small difference of order-one
-        terms and z(k) cannot get closer to z than its rounding error
-        2 eps |U| (|2c - 1| + |2c - 1 - kU|).  Infinite when Im U(k) <= 0.
+        terms, and the rounding scale of z(k) is |U| (|2c - 1| + |2c - 1 - kU|).
         """
         u = self.inner.value_slope(k)[0]
         noise = np.abs(u) * (abs(self.inner.c - 1.0) + np.abs(self.inner.c - 1.0 - k * u))
-        r = np.abs(-k * u * u - z) / (np.abs(z) + 64.0 * np.finfo(float).eps / SOLVER_TOL * noise)
-        return np.where(u.imag > 0.0, r, np.inf)
+        return np.where(u.imag > 0.0, -k * u * u, np.inf), noise
 
     def point(self, t):
         """Real point x = t^2 at which the density at singular value t is read."""
@@ -452,8 +446,14 @@ class _ProductMap:
 
 
 def _residual(law, m, z):
+    """|z(m) - z| scaled so that SOLVER_TOL admits SOLVER_TOL |z| plus 32 rounding errors.
+
+    law.value_noise(m) gives z(m) and its rounding scale: z(m) cannot get
+    closer to z than 2 eps times that scale.  Infinite where not finite.
+    """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = law.residual(m, z)
+        value, noise = law.value_noise(m)
+        r = np.abs(value - z) / (np.abs(z) + 64.0 * np.finfo(float).eps / SOLVER_TOL * noise)
     return np.where(np.isfinite(r), r, np.inf)
 
 
@@ -565,30 +565,65 @@ def _density(law, t: np.ndarray) -> np.ndarray:
     return law.density(m, t)
 
 
-def _pdf(name: str, law, support, t) -> float | np.ndarray:
+_Law = namedtuple("_Law", "companion support dips mass0")
+
+
+def _law(c: float, h: PopulationSpectrum, product: bool) -> _Law:
+    """Companion map, support intervals, density dips and zero mass of one law.
+
+    The law is the classical one, or the product one if product is true.
+    Its support ends are images of the roots of crit(c', t, w, .) = 1, with
+    (c', t, w) its sample map's ratio and bulk (2c and H^2 for the product
+    law): one above the bulk, pairs between atoms, and one below the bulk,
+    or zero at an effective ratio of one.  Classical ends are psi values at
+    q(lam) = 1, clipped at zero against rounding; product ends are sqrt(x(y))
+    at the critical points y of x(y) = psi(y)^2/y, and zero for y <= 0.
+    """
+    c = _check_ratio(c)
+    companion = _ProductMap(c, h) if product else _SampleMap(c, *_bulk(h))
+    sample = companion.inner if product else companion
+    args = (sample.c, sample.t, sample.w)
+    if product:
+        image = lambda y: float(abs(_psi_raw(*args, y)) / np.sqrt(y)) if y > 0.0 else 0.0
+        crit = _g_raw
+    else:
+        crit, image = _q_raw, lambda lam: max(float(_psi_raw(*args, lam)), 0.0)
+    lower = _lower_critical(crit, *args)
+    roots, dips = _between_atoms(crit, *args)
+    edges = [image(lower) if lower is not None else 0.0]
+    edges += [image(y) for y in roots + [_upper_critical(crit, *args)]]
+    support = list(zip(edges[::2], edges[1::2]))
+    return _Law(companion, support, [image(y) for y in dips], mass_at_zero(sample.c, h))
+
+
+def _pdf(name: str, law: _Law, t) -> float | np.ndarray:
     """Density of law at t > 0: _density inside the support intervals, exactly 0 elsewhere."""
     pts = _points(name, t, positive=True)
-    inside = np.any([(pts > lo) & (pts < hi) for lo, hi in support], axis=0)
+    inside = np.any([(pts > lo) & (pts < hi) for lo, hi in law.support], axis=0)
     out = np.zeros(pts.shape)
-    out[inside] = _density(law, pts[inside])
+    out[inside] = _density(law.companion, pts[inside])
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def _mp_support(c: float, h: PopulationSpectrum) -> tuple[list[tuple[float, float]], list[float]]:
-    """Support intervals of the classical law and the dips of its density.
-
-    The ends are psi values at the critical points q(lam) = 1, clipped at
-    zero, which a lower edge near zero can cross by rounding.
-    """
-    t, w = _bulk(h)
-    return _support(_q_raw, lambda lam: max(float(_psi_raw(c, t, w, lam)), 0.0), c, t, w)
+def _cdf(name: str, law: _Law, t) -> float | np.ndarray:
+    """CDF of law at t >= 0: its zero mass plus _cdf_from_pdf over its support."""
+    # graded panels on both sides of a dip: one rule across it is off by up to 1e-3
+    pieces = []
+    for lower, upper in law.support:
+        cuts = [lower, *(d for d in law.dips if lower < d < upper), upper]
+        pieces += zip(cuts[:-1], cuts[1:])
+    pdf = functools.partial(_density, law.companion)
+    return _cdf_from_pdf(name, pdf, pieces, law.mass0, t)
 
 
 def mp_density(c: float, h: PopulationSpectrum, t) -> float | np.ndarray:
     """Density of the classical sample-covariance law at t > 0."""
-    c = _check_ratio(c)
-    support, _ = _mp_support(c, h)
-    return _pdf("mp_density", _SampleMap(c, *_bulk(h)), support, t)
+    return _pdf("mp_density", _law(c, h, product=False), t)
+
+
+def mp_cdf(c: float, h: PopulationSpectrum, t) -> float | np.ndarray:
+    """CDF of the classical law at t >= 0 (point mass at zero included)."""
+    return _cdf("mp_cdf", _law(c, h, product=False), t)
 
 
 def mass_at_zero(c: float, h: PopulationSpectrum) -> float:
@@ -601,7 +636,7 @@ def mass_at_zero(c: float, h: PopulationSpectrum) -> float:
 
 def support_edges(c: float, h: PopulationSpectrum) -> tuple[float, float]:
     """Outermost edges of the continuous support of the classical law."""
-    support, _ = _mp_support(_check_ratio(c), h)
+    support = _law(c, h, product=False).support
     return support[0][0], support[-1][1]
 
 
@@ -676,43 +711,20 @@ def ppca_mass_at_zero(c: float, h: PopulationSpectrum) -> float:
     return mass_at_zero(2.0 * c, h)
 
 
-def _ppca_support(c: float, h: PopulationSpectrum) -> tuple[list[tuple[float, float]], list[float]]:
-    """Support intervals of the product law and the dips of its density (singular scale).
-
-    The ends are sqrt(x(y)) at the critical points y of x(y) = psi(y)^2/y,
-    and zero for a critical point y <= 0 (an effective ratio 2c(1 - w0) of at
-    least one).
-    """
-    c = _check_ratio(c)
-    c2 = 2.0 * c
-    t2, w2 = _bulk(square_spectrum(h))
-    image = lambda y: float(abs(_psi_raw(c2, t2, w2, y)) / np.sqrt(y)) if y > 0.0 else 0.0
-    return _support(_g_raw, image, c2, t2, w2)
-
-
 def ppca_support_edges(c: float, h: PopulationSpectrum) -> tuple[float, float]:
     """Outermost edges of the continuous support of the product law (singular scale)."""
-    support, _ = _ppca_support(c, h)
+    support = _law(c, h, product=True).support
     return support[0][0], support[-1][1]
 
 
 def ppca_lsd_cdf(c: float, h: PopulationSpectrum, t) -> float | np.ndarray:
     """CDF of the product law at t >= 0 (point mass at zero included)."""
-    c = _check_ratio(c)
-    support, dips = _ppca_support(c, h)
-    # graded panels on both sides of a dip: one rule across it is off by up to 1e-3
-    pieces = []
-    for lower, upper in support:
-        cuts = [lower, *(d for d in dips if lower < d < upper), upper]
-        pieces += zip(cuts[:-1], cuts[1:])
-    pdf = functools.partial(_density, _ProductMap(c, h))
-    return _cdf_from_pdf("ppca_lsd_cdf", pdf, pieces, ppca_mass_at_zero(c, h), t)
+    return _cdf("ppca_lsd_cdf", _law(c, h, product=True), t)
 
 
 def ppca_lsd_pdf(c: float, h: PopulationSpectrum, t) -> float | np.ndarray:
     """Continuous density of the product law at t > 0: 2 t f_outer(t^2)."""
-    c = _check_ratio(c)
-    return _pdf("ppca_lsd_pdf", _ProductMap(c, h), _ppca_support(c, h)[0], t)
+    return _pdf("ppca_lsd_pdf", _law(c, h, product=True), t)
 
 
 # ---------------------------------------------------------------------------

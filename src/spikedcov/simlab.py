@@ -111,8 +111,7 @@ class ExperimentConfig:
                 )
         elif self.nu is not None:
             raise ValueError("nu is only meaningful for the student_t model")
-        if not (np.isfinite(self.sigma2) and self.sigma2 > 0.0):
-            raise ValueError(f"bulk level sigma2 must be positive, got {self.sigma2}")
+        rmt._check_sigma2(self.sigma2)
         if any(not np.isfinite(v) or v <= 0.0 for v in self.spikes):
             raise ValueError("population spikes must be positive and finite")
         # records pair spike j with the j-th largest sample eigenvalue

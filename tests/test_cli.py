@@ -806,6 +806,14 @@ class TestErrorChannel:
         assert code == 1
         assert "aspect ratio" in json.loads(err)["message"]
 
+    def test_sigma2_rule_message(self, capsys):
+        code, _, err = run_cli(capsys, "constants", "--c", "0.4", "--sigma2", "0")
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "bulk level sigma2 must be positive and finite, got 0.0",
+        }
+
     def test_unconverged_solve_is_json_solver_error(self, capsys, monkeypatch):
         monkeypatch.setattr(rmt, "NEWTON_MAX_ITER", 0)
         code, out, err = run_cli(

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate
 
-from spikedcov import rmt, spectra
+import spikedcov
+from spikedcov import rmt, simlab, spectra
 from conftest import (
     mp_cdf_oracle,
     mp_density_oracle,
@@ -18,6 +19,8 @@ from conftest import (
 )
 
 FLAT = spectra.make_spectrum(atoms=[(1.0, 1.0)])
+TWO_ATOM = spectra.make_spectrum(atoms=[(0.5, 0.4), (1.5, 0.6)])
+HALF_ZERO = spectra.make_spectrum(atoms=[(0.0, 0.5), (1.0, 0.5)])
 
 C_GRID = (0.1, 0.4, 1.0, 2.0, 5.0)
 Z_REALS = (-1.0, 0.3, 1.0, 2.5, 6.0)
@@ -187,7 +190,7 @@ class TestMpDensity:
     def test_split_support_by_separation(self, c):
         # exact separation: each support interval carries its own atom's
         # weight, and the gap between them carries none
-        support, _ = rmt._mp_support(c, SPLIT)
+        support = rmt._law(c, SPLIT, product=False).support
         assert len(support) == 2
         assert support[0][0] == rmt.support_edges(c, SPLIT)[0]
         assert support[-1][1] == rmt.support_edges(c, SPLIT)[1]
@@ -199,16 +202,73 @@ class TestMpDensity:
         assert np.all(rmt.mp_density(c, SPLIT, gap) == 0.0)
 
     def test_integrates_to_continuous_mass(self):
+        # mp_cdf integrates mp_density: just below the upper edge it holds
+        # the zero mass plus the whole integral (at the edge it is 1 by fiat)
         for c in (0.4, 2.0):
-            lo, hi = flat_mp_edges(c)
-            total, _ = integrate.quad(
-                lambda t: rmt.mp_density(c, FLAT, t), lo, hi, limit=200
-            )
-            assert total == pytest.approx(min(1.0, 1.0 / c), abs=1e-6)
+            hi = rmt.support_edges(c, FLAT)[1]
+            total = rmt.mp_cdf(c, FLAT, np.nextafter(hi, 0.0)) - rmt.mass_at_zero(c, FLAT)
+            assert total == pytest.approx(min(1.0, 1.0 / c), abs=1e-12)
+
+    def test_near_zero_at_unit_effective_ratio(self):
+        # the density has a 1/sqrt(t) pole at zero; the zero atom halves the
+        # white law at c = 1
+        t = np.geomspace(1e-12, 4e-9, 40)
+        want = rmt.ssm_f_pdf(rmt.SsmParams(c=1.0), t)
+        for c, h, share in ((1.0, FLAT, 1.0), (2.0, HALF_ZERO, 0.5)):
+            assert np.max(np.abs(rmt.mp_density(c, h, t) / (share * want) - 1.0)) <= 1e-12
 
     def test_rejects_nonpositive_t(self):
         with pytest.raises(ValueError):
             rmt.mp_density(0.4, FLAT, 0.0)
+
+
+class TestMpCdf:
+    @pytest.mark.parametrize("c", [0.01, 0.1, 0.4, 0.5, 0.99, 1.0, 1.01, 2.0, 5.0])
+    def test_flat_bulk_matches_closed_forms(self, c):
+        params = rmt.SsmParams(c=c)
+        grid = np.linspace(0.0, 1.05 * rmt.ssm_closed_forms(params).b_prime, 401)
+        got = rmt.mp_cdf(c, FLAT, grid)
+        assert np.max(np.abs(got - rmt.ssm_f_cdf(params, grid))) <= 1e-10
+        want = np.array([mp_cdf_oracle(c, 1.0, t) for t in grid])
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+    def test_zero_atom_at_unit_effective_ratio(self):
+        # c (1 - w0) = 1: half the mass at zero, half the white law at c = 1
+        params = rmt.SsmParams(c=1.0)
+        grid = np.linspace(0.0, 1.05 * rmt.ssm_closed_forms(params).b_prime, 401)
+        want = 0.5 + 0.5 * rmt.ssm_f_cdf(params, grid)
+        assert np.max(np.abs(rmt.mp_cdf(2.0, HALF_ZERO, grid) - want)) <= 1e-10
+
+    @pytest.mark.parametrize("c", [0.01, 0.05])
+    def test_split_support_gap_holds_half(self, c):
+        support = rmt._law(c, SPLIT, product=False).support
+        gap = np.linspace(support[0][1], support[1][0], 9)
+        assert np.max(np.abs(rmt.mp_cdf(c, SPLIT, gap) - 0.5)) <= 1e-10
+
+    @pytest.mark.parametrize("c, h", [(0.4, TWO_ATOM), (2.0, TWO_ATOM), (0.75, HALF_ZERO)])
+    def test_is_a_distribution(self, c, h):
+        # nondecreasing from the zero mass at 0, and exactly 1 from the upper edge on
+        _, upper = rmt.support_edges(c, h)
+        grid = np.linspace(0.0, upper, 60)
+        cdf = rmt.mp_cdf(c, h, grid)
+        assert cdf[0] == rmt.mass_at_zero(c, h)
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert np.all(rmt.mp_cdf(c, h, np.array([upper, 1.5 * upper])) == 1.0)
+
+    def test_scalar_input_gives_float(self):
+        assert isinstance(rmt.mp_cdf(0.4, FLAT, 1.0), float)
+        assert rmt.mp_cdf(0.4, FLAT, 1.0) == rmt.mp_cdf(0.4, FLAT, np.array([1.0]))[0]
+
+    @pytest.mark.parametrize("cdf", [rmt.mp_cdf, rmt.ppca_lsd_cdf])
+    def test_rejects_negative_t(self, cdf):
+        # a NaN t is in test_law_functions_reject_non_finite_points
+        for t in (-1e-3, np.array([1.0, -1e-3])):
+            with pytest.raises(ValueError, match=f"^{cdf.__name__} requires finite t >= 0$"):
+                cdf(0.4, FLAT, t)
+
+    def test_exported_from_package(self):
+        assert spikedcov.mp_cdf is rmt.mp_cdf
+        assert "mp_cdf" in rmt.__all__ and "mp_cdf" in spikedcov.__all__
 
 
 class TestSupportAndMass:
@@ -465,7 +525,7 @@ class TestProductLawTable:
     @pytest.mark.parametrize("c", [0.01, 0.05])
     def test_split_support_against_dense_reference(self, c):
         lower, upper = rmt.ppca_support_edges(c, SPLIT)
-        support, _ = rmt._ppca_support(c, SPLIT)
+        support = rmt._law(c, SPLIT, product=True).support
         assert len(support) == 2
         assert support[0][0] == lower and support[-1][1] == upper
         pdf = functools.partial(rmt.ppca_lsd_pdf, c, SPLIT)
@@ -493,7 +553,7 @@ class TestProductLawTable:
 class TestSwitchPoints:
     """Both sides of, and points on, the ratio switches of the support code.
 
-    ``_lower_critical`` and ``_ppca_support`` branch on the effective ratio
+    ``_lower_critical`` and ``_law`` branch on the effective ratio
     within 1e-12 of one: the product law's at c = 1/2 for the white bulk, the
     classical law's at c (1 - w0) = 1 with a zero atom.
     """
@@ -639,6 +699,15 @@ class TestSingleAtomConstants:
         with pytest.raises(ValueError):
             rmt.SsmParams(c=0.4, sigma2=-1.0)
 
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, np.nan, np.inf])
+    def test_sigma2_rule_has_one_message(self, sigma2):
+        # SsmParams and the experiment config state the rule through one function
+        message = f"^bulk level sigma2 must be positive and finite, got {sigma2}$"
+        with pytest.raises(ValueError, match=message):
+            rmt.SsmParams(c=0.4, sigma2=sigma2)
+        with pytest.raises(ValueError, match=message):
+            simlab.ExperimentConfig(n=40, p=16, master_seed=0, sigma2=sigma2)
+
 
 def ssm_g_pdf_mpmath(c, sigma2, t):
     """The closed form ssm_g_pdf evaluates, in 60 digits plus 2 log10(c) guard digits.
@@ -754,6 +823,7 @@ POINT_FUNCTIONS = {
     "ppca_lsd_cdf": functools.partial(rmt.ppca_lsd_cdf, 0.4, FLAT),
     "ppca_lsd_pdf": functools.partial(rmt.ppca_lsd_pdf, 0.4, FLAT),
     "mp_density": functools.partial(rmt.mp_density, 0.4, FLAT),
+    "mp_cdf": functools.partial(rmt.mp_cdf, 0.4, FLAT),
 }
 
 
@@ -842,8 +912,6 @@ class TestRho:
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 LOG_RATIOS = st.floats(np.log(1e-3), np.log(50.0))
 RATIOS = LOG_RATIOS.map(lambda v: float(np.clip(np.exp(v), 1e-3, 50.0)))
-TWO_ATOM = spectra.make_spectrum(atoms=[(0.5, 0.4), (1.5, 0.6)])
-HALF_ZERO = spectra.make_spectrum(atoms=[(0.0, 0.5), (1.0, 0.5)])
 LAWS = ((rmt.pca_threshold, rmt.pca_limit), (rmt.ppca_threshold, rmt.ppca_limit))
 
 

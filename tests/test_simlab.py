@@ -141,8 +141,8 @@ class TestParseConfig:
         "text, message",
         [
             ("n=40\np=0\n", "^need p >= 1 features, got 0$"),
-            ("n=40\np=16\nsigma2=0\n", "^bulk level sigma2 must be positive, got 0.0$"),
-            ("n=40\np=16\nsigma2=-1\n", "^bulk level sigma2 must be positive"),
+            ("n=40\np=16\nsigma2=0\n", "^bulk level sigma2 must be positive and finite, got 0.0$"),
+            ("n=40\np=16\nsigma2=-1\n", "^bulk level sigma2 must be positive and finite, got -1.0$"),
             ("n=40\np=16\nspikes=4,0\n", "^population spikes must be positive and finite$"),
             ("n=40\np=16\nspikes=4,-1\n", "^population spikes must be positive and finite$"),
             ("n=40\np=16\nreplicates=0\n", "^need at least one replicate, got 0$"),

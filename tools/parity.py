@@ -113,7 +113,10 @@ TWO_ATOM = "atom 0.5 0.4\natom 1.5 0.6\n"
 TWO_ATOM_REVERSED = "atom 1.5 0.6\natom 0.5 0.4\n"
 
 # (name, c, grid, spectrum): the white bulk at three ratios (c = 1/2 is the
-# product law's switch point), two atoms, a zero atom and well-separated atoms.
+# product law's switch point), two atoms, a zero atom and well-separated atoms,
+# and two laws at a classical effective ratio c (1 - w0) of one, the white
+# bulk at c = 1 and a half-zero bulk at c = 2, read from t = 1e-12, where the
+# classical density has its 1/sqrt(t) pole.
 LAWS = (
     ("white_c0.4", 0.4, "0.01:3:150", None),
     ("white_c0.5", 0.5, "0.01:3.2:160", None),
@@ -121,6 +124,8 @@ LAWS = (
     ("two_atom_c2", 2.0, "0.01:8:160", TWO_ATOM),
     ("zero_atom_c0.7", 0.7, "0.01:3.2:160", "atom 0 0.3\natom 1 0.7\n"),
     ("split_c0.01", 0.01, "0.01:6:200", "atom 0.2 0.5\natom 5 0.5\n"),
+    ("white_c1", 1.0, "1e-12:4:200", None),
+    ("half_zero_c2", 2.0, "1e-12:4:200", "atom 0 0.5\natom 1 0.5\n"),
 )
 
 # wide and tall spectra and spikes (odd n gives halves of 150 and 151 rows:

@@ -72,6 +72,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def _load_bulk(args) -> spectra.PopulationSpectrum:
     if args.spectrum is None:
+        rmt._check_sigma2(args.sigma2)
         return spectra.make_spectrum(atoms=[(args.sigma2, 1.0)])
     with open(args.spectrum, encoding="utf-8") as fh:
         return spectra.parse_spectrum_text(fh.read())

@@ -18,7 +18,10 @@ decomposes the p x p covariance and product PCA lifts the vectors of the
 core diag(s_1) V_1^T V_2 diag(s_2), where V_i and s_i are the right singular
 vectors and values of each scaled half: from the half covariance when the
 half has at least p rows, from its thin SVD otherwise, never forming the
-left vectors.  Values past a fit's rank are exact zeros, and vectors are
+left vectors.  The core is decomposed by :func:`svd_full`: one ``eigh`` of
+its smaller Gram while its estimated condition number is at most
+``numkernel.GRAM_COND_MAX``, LAPACK's SVD otherwise (a rank-deficient core
+always).  Values past a fit's rank are exact zeros, and vectors are
 returned for the rank block only: those of the zeros would span an
 arbitrary null basis.
 
@@ -214,7 +217,8 @@ def ppca_fit(x: np.ndarray, rng: RngStream, *, vectors: bool = False) -> PPCAFit
     min(h1, p) x min(h2, p) matrix.  With ``vectors``, each scaled half is
     U_i diag(s_i) V_i^T and the product is V_1 C V_2^T; only s_i and V_i are
     computed (see :func:`_half_svd`), and the core
-    C = diag(s_1) V_1^T V_2 diag(s_2) is decomposed and its vectors lifted.
+    C = diag(s_1) V_1^T V_2 diag(s_2) is decomposed by :func:`svd_full`
+    (from its smaller Gram when well conditioned) and its vectors lifted.
     Requires n >= 4 so each half has at least two rows.
     """
     x = _check_data(x, min_rows=4)

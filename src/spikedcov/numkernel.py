@@ -10,6 +10,24 @@ than wrapping onto another stream.
 The linear-algebra helpers wrap LAPACK (via numpy) with the conventions the
 rest of the package relies on: descending eigenvalue order, a deterministic
 SVD sign convention, and clamped positive-semidefinite square roots.
+
+:func:`svd_full` has two routes.  A well-conditioned matrix takes one
+``eigh`` of its smaller Gram matrix: at 200 x 200 the ``eigh`` takes about
+half the time of LAPACK's SVD driver gesdd.  Vectors read off the Gram lose
+orthogonality as eps * kappa^2 (Golub & Van Loan, *Matrix Computations*,
+4th ed., on the SVD from the cross-product matrix), so the route is taken
+only while the estimated condition number kappa = s_max / s_min is at most
+GRAM_COND_MAX; everything else takes gesdd.  Forcing the Gram route on
+200 x 200 matrices with log-spaced singular values gave the defect
+|U^T U - I|:
+
+    kappa    1e3       4096      8192      1e5
+    defect   1.6e-11   3.5e-10   8.9e-10   1.1e-7
+
+The reconstruction stayed within 3.1e-16 of the norm and the values within
+2.3e-13 relative at every kappa.  At the bound 2**12 the defect stays near
+4e-10, below the 1e-8 relative change that ``tools/parity.py`` still
+classes as roundoff.
 """
 from __future__ import annotations
 
@@ -20,6 +38,7 @@ import scipy.linalg
 
 __all__ = [
     "SYM_TOL",
+    "GRAM_COND_MAX",
     "RngStream",
     "SvdTriplet",
     "check_symmetric",
@@ -33,6 +52,11 @@ __all__ = [
 # Relative Frobenius asymmetry above which a matrix is rejected as not
 # symmetric.
 SYM_TOL = 1e-10
+
+# Largest estimated condition number s_max / s_min at which svd_full takes
+# its singular vectors from the Gram matrix: their orthogonality defect
+# grows as eps * kappa^2 (see the module docstring).
+GRAM_COND_MAX = 2.0**12
 
 
 @dataclass(frozen=True)
@@ -126,15 +150,55 @@ def fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u * flip, v * flip
 
 
+def _gram_svd(a: np.ndarray) -> SvdTriplet | None:
+    """Thin SVD from ``eigh`` of the smaller Gram, or None where it is not accurate.
+
+    With B = A (at least as many rows as columns) or B = A^T, the
+    eigenvectors W of B^T B are one side's singular vectors, the column
+    norms of B W the values, and B W / s the other side's vectors.  B is
+    first scaled by a power of two, which is exact, so that B^T B neither
+    overflows nor underflows.  Returns None when ``eigh`` raises, when
+    s_max = 0, or when s_max / s_min exceeds GRAM_COND_MAX.
+    """
+    tall = a.shape[0] >= a.shape[1]
+    b = a if tall else a.T
+    scale = 2.0 ** np.frexp(np.max(np.abs(b), initial=0.0))[1]
+    b = b / scale
+    try:
+        _, w = np.linalg.eigh(b.T @ b)
+    except np.linalg.LinAlgError:
+        return None
+    bw = b @ w
+    s = np.linalg.norm(bw, axis=0)
+    order = np.argsort(-s, kind="stable")
+    s, w, bw = s[order], w[:, order], bw[:, order]
+    if not (s.size and 0.0 < s[0] <= GRAM_COND_MAX * s[-1]):
+        return None
+    other = bw / s
+    u, v = fix_signs(other, w) if tall else fix_signs(w, other)
+    return SvdTriplet(u=u, s=s * scale, v=v)
+
+
 def svd_full(a: np.ndarray) -> SvdTriplet:
     """Thin SVD of a finite 2-d matrix with a deterministic sign convention.
 
     An m x n input gives min(m, n) triplets, singular values descending,
-    with signs fixed by :func:`fix_signs`.  When LAPACK's default
-    divide-and-conquer driver (gesdd) does not converge, the SVD is retried
-    once with the QR-iteration driver (gesvd).
+    with signs fixed by :func:`fix_signs`.  Two routes:
+
+    * Gram route: ``eigh`` of the smaller Gram B^T B, B = A or A^T (see
+      :func:`_gram_svd`), when its estimate of s_max / s_min is at most
+      GRAM_COND_MAX.  Values agree with LAPACK's to about eps * kappa
+      relative, and the vectors read as B W / s are orthonormal to about
+      eps * kappa^2 (4e-10 at the bound; see the module docstring).
+    * gesdd route, otherwise (s_max = 0, an estimate above the bound, or
+      ``eigh`` raising ``LinAlgError``): LAPACK's divide-and-conquer driver
+      gesdd; when it does not converge, the SVD is retried once with the
+      QR-iteration driver gesvd.  A rank-deficient input always lands here.
     """
     a = _as_matrix(a, "matrix")
+    trip = _gram_svd(a)
+    if trip is not None:
+        return trip
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError:

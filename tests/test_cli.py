@@ -814,6 +814,27 @@ class TestErrorChannel:
             "message": "bulk level sigma2 must be positive and finite, got 0.0",
         }
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("thresholds",),
+            ("limits", "--lam", "3"),
+            ("density", "--law", "ppca", "--grid", "0.5:1.5:5"),
+            ("density", "--law", "pca", "--grid", "0.5:1.5:5"),
+        ],
+    )
+    @pytest.mark.parametrize("sigma2", ["0", "-1"])
+    def test_flat_bulk_takes_the_sigma2_rule(self, capsys, command, sigma2):
+        # a --sigma2 flat bulk is judged by the sigma2 rule of `constants`,
+        # not by the bulk-law rules of a spectrum file
+        code, out, err = run_cli(capsys, *command, "--c", "0.4", f"--sigma2={sigma2}")
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": f"bulk level sigma2 must be positive and finite, got {float(sigma2)}",
+        }
+
     def test_unconverged_solve_is_json_solver_error(self, capsys, monkeypatch):
         monkeypatch.setattr(rmt, "NEWTON_MAX_ITER", 0)
         code, out, err = run_cli(

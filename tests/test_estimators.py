@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spikedcov import estimators, rmt, spectra
-from spikedcov.numkernel import RngStream, psd_sqrt
+from spikedcov.numkernel import RngStream, fix_signs, psd_sqrt
 
 
 def gaussian_data(n, p, seed=0):
@@ -174,6 +175,53 @@ class TestPpcaFit:
         rebuilt = (fit.left_vectors * s[:rank]) @ fit.right_vectors.T
         assert np.max(np.abs(rebuilt - product)) <= 1e-7 * s[0]
         assert np.allclose(np.linalg.norm(fit.fused_vectors, axis=0), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        # tall; wide with odd n (halves of 20 and 21 rows: a 20 x 21 core);
+        # tall with two equal columns (a rank-deficient core, which svd_full
+        # hands to gesdd rather than to the eigenvectors of its Gram).  The
+        # wide oracle is itself off by about 2e-9 in angle: psd_sqrt of a
+        # rank-20 half covariance takes square roots of its roundoff
+        # eigenvalues (gesdd on the core gives the same angle)
+        "n, p, spikes, duplicate, core_gesdd_calls, max_angle",
+        [
+            (200, 30, (40.0, 20.0, 10.0), False, 0, 1e-9),
+            (41, 70, (100.0, 50.0, 25.0), False, 0, 1e-8),
+            (200, 30, (40.0, 20.0, 10.0), True, 1, 1e-9),
+        ],
+    )
+    def test_vectors_match_product_of_square_roots(
+        self, n, p, spikes, duplicate, core_gesdd_calls, max_angle, monkeypatch
+    ):
+        k = len(spikes)
+        scale = np.ones(p)
+        scale[:k] = np.sqrt(spikes)
+        x = gaussian_data(n, p, seed=21) * scale
+        if duplicate:
+            x[:, k + 1] = x[:, k]
+        first, second = estimators._split(n, RngStream(9, 0))
+        core_shape = (min(first.size, p), min(second.size, p))
+        calls = []
+        gesdd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return gesdd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        fit = estimators.ppca_fit(x, RngStream(9, 0), vectors=True)
+        monkeypatch.undo()
+        assert calls.count(core_shape) == core_gesdd_calls
+        product = psd_sqrt(estimators.sample_cov(x[first])) @ psd_sqrt(
+            estimators.sample_cov(x[second])
+        )
+        u, want, vh = np.linalg.svd(product)
+        rank = min(first.size, second.size, p)
+        s = fit.singular_values
+        assert np.max(np.abs(s[:rank] - want[:rank])) <= 1e-10 * s[0]
+        oracle, _ = estimators._fuse(*fix_signs(u[:, :k], vh[:k].T))
+        angles = scipy.linalg.subspace_angles(fit.fused_vectors[:, :k], oracle)
+        assert np.max(angles) <= max_angle
 
     def test_rank_deficient_tall_half_keeps_roundoff_values(self):
         # 16 of the first half's 20 rows are one row repeated, so that half

@@ -137,7 +137,10 @@ class TestSvdFull:
             numkernel.svd_full(np.ones(3))
 
     def test_retries_with_gesvd_when_gesdd_does_not_converge(self, monkeypatch):
+        # a zero column makes the input exactly rank-deficient, so it takes
+        # the gesdd route rather than the Gram route
         a = np.random.default_rng(4).standard_normal((6, 6))
+        a[:, 5] = 0.0
         normal = numkernel.svd_full(a)
         gesdd = np.linalg.svd
         failures = []
@@ -157,6 +160,111 @@ class TestSvdFull:
         assert np.allclose(retried.v, normal.v, atol=1e-12)
         for j in range(6):
             assert retried.u[int(np.argmax(np.abs(retried.u[:, j]))), j] > 0.0
+
+
+def _conditioned(shape, kappa, seed=0):
+    """A matrix of ``shape`` with log-spaced singular values from 1 down to 1/kappa."""
+    rng = np.random.default_rng(seed)
+    m, n = shape
+    k = min(shape)
+    q1, _ = np.linalg.qr(rng.standard_normal((m, k)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    return (q1 * np.logspace(0.0, -np.log10(kappa), k)) @ q2.T
+
+
+def _gesdd_reference(a):
+    """The gesdd route as it stands alone: LAPACK's SVD with fix_signs."""
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    u, v = numkernel.fix_signs(u, vh.T)
+    return u, s, v
+
+
+def _counting_svd(monkeypatch):
+    """Patch np.linalg.svd to record the shape of every matrix it is given."""
+    calls = []
+    gesdd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return gesdd(*args, **kwargs)
+
+    monkeypatch.setattr(numkernel.np.linalg, "svd", counted)
+    return calls
+
+
+class TestSvdFullRoutes:
+    SHAPES = [(40, 25), (25, 40), (30, 30)]
+    KAPPAS = [10.0, 1e3, 0.99 * numkernel.GRAM_COND_MAX]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_gram_route_accuracy(self, shape, kappa, monkeypatch):
+        a = _conditioned(shape, kappa)
+        reference = np.linalg.svd(a, compute_uv=False)
+        calls = _counting_svd(monkeypatch)
+        trip = numkernel.svd_full(a)
+        assert calls == []
+        k = min(shape)
+        assert trip.u.shape == (shape[0], k) and trip.v.shape == (shape[1], k)
+        assert np.all(np.diff(trip.s) <= 0)
+        assert np.max(np.abs(trip.s - reference) / reference) <= 1e-12
+        assert np.max(np.abs(trip.u.T @ trip.u - np.eye(k))) <= 1e-9
+        assert np.max(np.abs(trip.v.T @ trip.v - np.eye(k))) <= 1e-9
+        assert np.max(np.abs((trip.u * trip.s) @ trip.v.T - a)) <= 1e-12 * np.linalg.norm(a, 2)
+        lead = trip.u[np.argmax(np.abs(trip.u), axis=0), np.arange(k)]
+        assert np.all(lead > 0.0)
+
+    def test_gram_route_values_descend_at_ties(self, monkeypatch):
+        # repeated singular values: the column norms of B W come out of
+        # eigh's order by roundoff and must be sorted
+        rng = np.random.default_rng(8)
+        q1, _ = np.linalg.qr(rng.standard_normal((30, 20)))
+        q2, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+        a = (q1 * np.repeat([2.0, 1.0], 10)) @ q2.T
+        calls = _counting_svd(monkeypatch)
+        trip = numkernel.svd_full(a)
+        assert calls == []
+        assert np.all(np.diff(trip.s) <= 0)
+        assert np.max(np.abs(trip.s - np.repeat([2.0, 1.0], 10))) <= 1e-14
+        assert np.max(np.abs((trip.u * trip.s) @ trip.v.T - a)) <= 1e-14
+
+    def test_gram_route_is_scale_free(self):
+        # the Gram is formed after an exact power-of-two scaling, so entries
+        # whose squares overflow or underflow give the same vectors
+        a = _conditioned((12, 9), 50.0)
+        base = numkernel.svd_full(a)
+        for factor in (2.0**600, 2.0**-600):
+            trip = numkernel.svd_full(a * factor)
+            assert np.array_equal(trip.s, base.s * factor)
+            assert np.array_equal(trip.u, base.u) and np.array_equal(trip.v, base.v)
+
+    @pytest.mark.parametrize("name", ["over_bound", "rank_deficient", "zero", "no_columns"])
+    def test_gesdd_route_bytes(self, name, monkeypatch):
+        a = {
+            "over_bound": _conditioned((30, 20), 1.05 * numkernel.GRAM_COND_MAX),
+            "rank_deficient": np.random.default_rng(6).standard_normal((8, 5))
+            @ np.random.default_rng(7).standard_normal((5, 8)),
+            "zero": np.zeros((5, 3)),
+            "no_columns": np.zeros((3, 0)),
+        }[name]
+        u, s, v = _gesdd_reference(a)
+        calls = _counting_svd(monkeypatch)
+        trip = numkernel.svd_full(a)
+        assert calls == [a.shape]
+        for got, want in ((trip.u, u), (trip.s, s), (trip.v, v)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_gesdd_route_when_eigh_raises(self, monkeypatch):
+        a = _conditioned((9, 6), 10.0)
+        u, s, v = _gesdd_reference(a)
+
+        def raises(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(numkernel.np.linalg, "eigh", raises)
+        trip = numkernel.svd_full(a)
+        for got, want in ((trip.u, u), (trip.s, s), (trip.v, v)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestHaarOrthogonal:

@@ -108,6 +108,11 @@ def data_csv(n: int, p: int, seed: int) -> str:
                    for _ in range(n))
 
 
+def first_column_twice(data: str) -> str:
+    """The data CSV text ``data`` with its first column repeated in front."""
+    return "".join(line.split(",", 1)[0] + "," + line for line in data.splitlines(True))
+
+
 TWO_ATOM = "atom 0.5 0.4\natom 1.5 0.6\n"
 # the same bulk with its atom lines in reverse order
 TWO_ATOM_REVERSED = "atom 1.5 0.6\natom 0.5 0.4\n"
@@ -134,7 +139,9 @@ LAWS = (
 # heavy-tailed robustness study that reads eigenvectors, both limiting
 # densities of every law above, the closed-form rho curve over a short and a
 # long c range, the vectors of both fits on a tall sample and on a wide one
-# with odd n (halves of 20 and 21 rows), and both debiasing maps on one
+# with odd n (halves of 20 and 21 rows), the product-PCA vectors of a tall
+# sample with two equal columns (a rank-deficient core, which takes LAPACK's
+# SVD), and both debiasing maps on one
 # descending spectrum with a header row; the thresholds of the two-atom bulk
 # at two ratios (at c = 0.4 also with its atom lines reversed) and its spike
 # limits, stuck and distant, and the worked (eta = 70) and loud (eta = 200)
@@ -172,6 +179,7 @@ PANEL = (
     + sum((fit(f"fit_{method}_{shape}", method, data_csv(n, p, seed), split)
            for shape, n, p, seed in (("tall", 120, 30, 1), ("wide_odd", 41, 70, 2))
            for method, split in (("ppca", 3), ("pca", None))), ())
+    + fit("fit_ppca_tall_dup", "ppca", first_column_twice(data_csv(120, 29, 3)), 3)
     + debias("debias_ppca", "ppca", SPECTRUM_CSV)
     + debias("debias_pca", "pca", SPECTRUM_CSV)
     + bulk_json("thresholds_two_atom_c0.4", "thresholds", 0.4, TWO_ATOM)

@@ -9,7 +9,9 @@ than wrapping onto another stream.
 
 The linear-algebra helpers wrap LAPACK (via numpy) with the conventions the
 rest of the package relies on: descending eigenvalue order, a deterministic
-SVD sign convention, and clamped positive-semidefinite square roots.
+SVD sign convention, and clamped positive-semidefinite square roots.  scipy
+is imported only for the gesvd retry of :func:`svd_full`, so importing the
+package does not load it.
 
 :func:`svd_full` has two routes.  A well-conditioned matrix takes one
 ``eigh`` of its smaller Gram matrix: at 200 x 200 the ``eigh`` takes about
@@ -34,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "SYM_TOL",
@@ -202,6 +203,8 @@ def svd_full(a: np.ndarray) -> SvdTriplet:
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError:
+        import scipy.linalg
+
         u, s, vh = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
     u, v = fix_signs(u, vh.T)
     return SvdTriplet(u=u, s=s, v=v)

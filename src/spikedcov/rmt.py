@@ -28,6 +28,12 @@ transform and U(k) = -1/k + 2c * sum w t/(1 + t k) over H^2, the outer one is
 (ratio 2c, bulk H^2), and the critical points 2 y psi'(y) = psi(y) of
 x(y) = psi(y)^2/y give the product thresholds, support edges and gaps.
 
+Each critical point is a root found by sign bisection (_root) to
+neighbouring floats, stepping to the geometric mean of a bracket of one
+sign, and both criteria are sums of ratios r = t/(t - y): no tolerance or
+scale enters, so the thresholds, edges and spike limits of sH are s times
+those of H to within roundoff.
+
 One routine (_law) describes either law: its companion map, support, density
 dips and zero mass.  Both laws share its density routine (_density: a complex
 solve just above the real axis, polished by Newton on the axis), one CDF
@@ -41,11 +47,12 @@ ValueError.
 from __future__ import annotations
 
 import functools
+import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .spectra import PopulationSpectrum, square_spectrum
 
@@ -106,9 +113,6 @@ CDF_GATE = 1e-3
 _GL_NODES = 20
 _GL_PANELS = 40
 _GL_GRADING = 0.25
-
-_RTOL = 4.0 * np.finfo(float).eps
-_XTOL = 1e-14
 
 
 class SolverError(RuntimeError):
@@ -246,20 +250,29 @@ def _points(name: str, t, positive: bool) -> np.ndarray:
 
 
 def _root(f, lo: float, hi: float) -> float:
-    """Root of f on the sign-changing bracket [lo, hi] at the engine tolerances."""
-    return brentq(f, lo, hi, xtol=_XTOL, rtol=_RTOL)
+    """Root of f on [lo, hi], two floats of one sign, found to neighbouring floats.
 
-
-def _grow(f, end: float, message: str) -> float:
-    """Double a bracket end (away from zero) until f is negative there.
-
-    Raises SolverError(message) when 300 doublings do not get there.
+    Each step goes to the geometric mean of the ends (the arithmetic mean
+    once that rounds onto an end), so a bracket of any width closes in
+    about 64 steps and no tolerance or scale enters.  Returns the end with
+    the smaller |f|; raises SolverError when f has one sign at both ends or
+    is not finite at a point it evaluates.
     """
-    for _ in range(300):
-        if f(end) < 0.0:
-            return end
-        end *= 2.0
-    raise SolverError(message)
+    f_lo, f_hi = f(lo), f(hi)
+    if (f_lo > 0.0) == (f_hi > 0.0):
+        raise SolverError(f"criterion has one sign on [{lo:.17g}, {hi:.17g}]")
+    while math.isfinite(f_lo) and math.isfinite(f_hi):
+        mid = math.copysign(math.sqrt(abs(lo)) * math.sqrt(abs(hi)), lo)
+        if not lo < mid < hi:
+            mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return lo if abs(f_lo) < abs(f_hi) else hi
+        f_mid = f(mid)
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    raise SolverError(f"criterion is not finite on [{lo:.17g}, {hi:.17g}]")
 
 
 # ---------------------------------------------------------------------------
@@ -270,42 +283,31 @@ def _grow(f, end: float, message: str) -> float:
 def _psi_raw(c: float, t: np.ndarray, w: np.ndarray, lam):
     """lam*(1 + c*sum w t/(lam-t)); vectorized over lam, no domain checks."""
     lam = np.asarray(lam, dtype=float)
-    diff = lam[..., None] - t
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(t == 0.0, 0.0, w * t / diff)
-    return lam * (1.0 + c * terms.sum(axis=-1))
+    return lam * (1.0 + c * (w * t / (lam[..., None] - t)).sum(axis=-1))
 
 
-def _q_raw(c: float, t: np.ndarray, w: np.ndarray, lam, slope: bool = False):
-    """c*sum w (t/(t-lam))^2, which is 1 where psi'(lam) = 0, or its slope.
+def _q_raw(c: float, t: np.ndarray, w: np.ndarray, y: float, slope: bool = False) -> float:
+    """c*sum w r^2 with r = t/(t-y), which is 1 where psi'(y) = 0, or y times its slope.
 
-    The slope in lam is 2c*sum w t^2/(t-lam)^3.  Vectorized over lam.
+    The slope is c*sum w 2 r^2/(t-y), and y/(t-y) = r - 1.  Each term is a
+    ratio of lengths that cannot overflow or underflow; r = 0 at a zero atom.
     """
-    lam = np.asarray(lam, dtype=float)
-    diff = t - lam[..., None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(t == 0.0, 0.0, 2.0 * w * t * t / diff**3 if slope else w * (t / diff) ** 2)
-    return c * terms.sum(axis=-1)
+    r = t / (t - y)
+    return c * float(np.dot(w, 2.0 * r * r * (r - 1.0) if slope else r * r))
 
 
-def _g_raw(c: float, t: np.ndarray, w: np.ndarray, y, slope: bool = False):
-    """c*sum w t (t+y)/(t-y)^2, which is 1 where 2 y psi'(y) = psi(y), or its slope.
+def _g_raw(c: float, t: np.ndarray, w: np.ndarray, y: float, slope: bool = False) -> float:
+    """c*sum w r(2r-1), r = t/(t-y), which is 1 where 2 y psi'(y) = psi(y); or y times its slope.
 
-    The slope in y is c*sum w t (3t+y)/(t-y)^3.  Vectorized over y.
+    r(2r-1) = t(t+y)/(t-y)^2, and the slope in y is c*sum w r(4r-1)/(t-y).
     """
-    y = np.asarray(y, dtype=float)[..., None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = w * t * ((3.0 * t + y) / (t - y) ** 3 if slope else (t + y) / (t - y) ** 2)
-    return c * np.where(t == 0.0, 0.0, terms).sum(axis=-1)
+    r = t / (t - y)
+    return c * float(np.dot(w, r * (4.0 * r - 1.0) * (r - 1.0) if slope else r * (2.0 * r - 1.0)))
 
 
 def _upper_critical(crit, c: float, t: np.ndarray, w: np.ndarray) -> float:
     """Root of crit(c, t, w, .) = 1 above the largest bulk atom."""
-    u = float(t[-1])
-    crit_minus_one = lambda x: crit(c, t, w, x) - 1.0
-    lo = u * (1.0 + 1e-12)
-    hi = _grow(crit_minus_one, u * (1.0 + np.sqrt(c)) * 10.0, f"no critical point above {lo:.3e}")
-    return _root(crit_minus_one, lo, hi)
+    return _root(lambda y: crit(c, t, w, y) - 1.0, float(t[-1]) * (1.0 + 1e-12), sys.float_info.max)
 
 
 def _lower_critical(crit, c: float, t: np.ndarray, w: np.ndarray) -> float | None:
@@ -322,9 +324,7 @@ def _lower_critical(crit, c: float, t: np.ndarray, w: np.ndarray) -> float | Non
     if c_pos < 1.0 - 1e-12:
         return _root(crit_minus_one, tmin * 1e-12, tmin * (1.0 - 1e-12))
     if c_pos > 1.0 + 1e-12:
-        hi = -tmin * 1e-12
-        lo = _grow(crit_minus_one, -max(float(t[-1]), 1.0), f"no critical point below {hi:.3e}")
-        return _root(crit_minus_one, lo, hi)
+        return _root(crit_minus_one, -sys.float_info.max, -tmin * 1e-12)
     return None
 
 

@@ -102,9 +102,14 @@ def square_spectrum(spectrum: PopulationSpectrum) -> PopulationSpectrum:
 
     Bulk atoms map to their squares with unchanged weights.  Squaring keeps
     the atoms increasing unless it overflows or underflows, and then the
-    squared law is rejected like any other malformed bulk.
+    squared law is rejected like any other malformed bulk.  So is a positive
+    atom whose square is below the smallest normal float: the square has
+    lost digits, or has become a zero atom.
     """
-    return PopulationSpectrum(atoms=tuple((t * t, w) for t, w in spectrum.atoms))
+    squared = PopulationSpectrum(atoms=tuple((t * t, w) for t, w in spectrum.atoms))
+    if any(t > 0.0 and t * t < np.finfo(float).tiny for t, _ in spectrum.atoms):
+        raise ValueError("positive bulk atoms must square to at least the smallest normal float")
+    return squared
 
 
 def _check_spectrum(values) -> np.ndarray:

@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spikedcov
 from spikedcov import cli, estimators, rmt, simlab
 from spikedcov.numkernel import RngStream
 
@@ -278,6 +283,16 @@ class TestThresholdsAndLimits:
             ("atom 1e200 1\n", "bulk atoms and weights must be finite"),
             # squares underflow to two zeros: a SolverError before
             ("atom 1e-170 0.5\natom 1e-165 0.5\n", "bulk atoms must be distinct and increasing"),
+            # a subnormal square: scipy's bracket ValueError before
+            (
+                "atom 1e-160 0.5\natom 1 0.5\n",
+                "positive bulk atoms must square to at least the smallest normal float",
+            ),
+            # a square that underflows to a zero atom: wrong edges before
+            (
+                "atom 1e-170 0.5\natom 1 0.5\n",
+                "positive bulk atoms must square to at least the smallest normal float",
+            ),
         ],
     )
     @pytest.mark.parametrize(
@@ -835,6 +850,19 @@ class TestErrorChannel:
             "message": f"bulk level sigma2 must be positive and finite, got {float(sigma2)}",
         }
 
+    def test_tiny_bulk_density_is_json_solver_error(self, capsys, tmp_path):
+        # the classical edges of this bulk are found; the companion solve at
+        # its scale is not, and fails typed rather than with scipy's NaN text
+        spec_file = tmp_path / "bulk.txt"
+        spec_file.write_text("atom 1e-170 0.5\natom 1e-165 0.5\n")
+        code, rec = run_rejected(
+            capsys, tmp_path, "density", "--law", "pca", "--c", "0.4",
+            "--grid", "1e-166:2e-165:3", "--spectrum", str(spec_file),
+        )
+        assert code == 1
+        assert rec["error"] == "SolverError"
+        assert rec["message"].startswith("companion solve did not converge")
+
     def test_unconverged_solve_is_json_solver_error(self, capsys, monkeypatch):
         monkeypatch.setattr(rmt, "NEWTON_MAX_ITER", 0)
         code, out, err = run_cli(
@@ -844,3 +872,22 @@ class TestErrorChannel:
         rec = json.loads(err)
         assert rec["error"] == "SolverError"
         assert rec["message"].startswith("companion solve did not converge")
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only by svd_full's gesvd retry, so an analytic CLI
+    # call does not pay for its import
+    src = str(pathlib.Path(spikedcov.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys, spikedcov.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "[]\n"

@@ -1,6 +1,7 @@
 import decimal
 import functools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -1058,3 +1059,123 @@ class TestEngineProperties:
         assert rmt.support_edges(c, h) == (close(consts.a_prime), close(consts.b_prime))
         assert rmt.ppca_mass_at_zero(c, h) == close(consts.mass0_ppca)
         assert rmt.mass_at_zero(c, h) == close(consts.mass0_pca)
+
+
+class TestRootFinder:
+    @pytest.mark.parametrize(
+        "f, lo, hi",
+        [(lambda x: x**3 - 10.0, 1.0, 10.0), (lambda x: x * x - 10.0, -1e5, -1e-5)],
+    )
+    def test_ends_at_neighbouring_floats(self, f, lo, hi):
+        # the root returned and one of its neighbours were both evaluated,
+        # and f has opposite signs there
+        seen = []
+        got = rmt._root(lambda x: seen.append(x) or f(x), lo, hi)
+        neighbours = (math.nextafter(got, -math.inf), math.nextafter(got, math.inf))
+        assert got in seen
+        assert any(x in seen and (f(x) > 0.0) != (f(got) > 0.0) for x in neighbours)
+
+    def test_rejects_a_bracket_of_one_sign(self):
+        with pytest.raises(rmt.SolverError, match="one sign"):
+            rmt._root(lambda x: x - 5.0, 1.0, 2.0)
+
+    def test_rejects_a_nan_inside(self):
+        with pytest.raises(rmt.SolverError, match="not finite"):
+            rmt._root(lambda x: math.nan if 1.5 < x < 2.5 else x - 2.0, 1.0, 3.0)
+
+    def test_widest_bracket_closes_in_seventy_evaluations(self):
+        seen = []
+        got = rmt._root(lambda x: seen.append(x) or x - 3.0, 2.0**-1000, 2.0**1000)
+        assert got == 3.0
+        assert len(seen) <= 70
+
+
+def scaled(h, k):
+    """The bulk h with every atom multiplied by 2**k, which is exact."""
+    return spectra.PopulationSpectrum(atoms=tuple((math.ldexp(t, k), w) for t, w in h.atoms))
+
+
+# c log-uniform in [0.01, 10]
+SCALE_RATIOS = st.floats(np.log(0.01), np.log(10.0)).map(
+    lambda v: float(np.clip(np.exp(v), 0.01, 10.0))
+)
+
+
+class TestScaleFreeCriticalPoints:
+    @PROPERTY
+    @given(
+        c=SCALE_RATIOS,
+        seed=st.integers(0, 2**32 - 1),
+        atoms=st.integers(1, 4),
+        k=st.integers(-150, 150),
+        v=st.floats(np.log(1e-3), np.log(10.0)),
+    )
+    @example(c=0.01, seed=0, atoms=2, k=-40, v=0.0)
+    @example(c=2.0, seed=1, atoms=2, k=150, v=0.0)
+    def test_results_scale_with_the_bulk(self, c, seed, atoms, k, v):
+        # Scaling the bulk by 2^k scales thresholds, edges and spike limits
+        # by 2^k.  The classical law takes 2k, in [-300, 300]; the product
+        # law works on H^2, whose squares stay in range for k in [-150, 150].
+        h = random_bulk(np.random.default_rng(seed), atoms)
+        lam = h.bulk_upper * (1.0 + float(np.exp(v)))
+        for j, threshold, edges, limit in (
+            (2 * k, rmt.pca_threshold, rmt.support_edges, rmt.pca_limit),
+            (k, rmt.ppca_threshold, rmt.ppca_support_edges, rmt.ppca_limit),
+        ):
+            big = scaled(h, j)
+            want = (*vars(threshold(c, h)).values(), *edges(c, h), limit(c, h, lam).value)
+            got = (
+                *vars(threshold(c, big)).values(),
+                *edges(c, big),
+                limit(c, big, math.ldexp(lam, j)).value,
+            )
+            assert got == pytest.approx([math.ldexp(x, j) for x in want], rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("c", [0.4, 2.0])
+    @pytest.mark.parametrize("sigma2", [1e-20, 1e-10, 1e-6, 1.0, 1e20, 1e100])
+    def test_flat_bulk_matches_closed_forms_at_any_level(self, c, sigma2):
+        consts = rmt.ssm_closed_forms(rmt.SsmParams(c=c, sigma2=sigma2))
+        h = spectra.make_spectrum(atoms=[(sigma2, 1.0)])
+        got = (
+            *vars(rmt.ppca_threshold(c, h)).values(),
+            *vars(rmt.pca_threshold(c, h)).values(),
+            *rmt.ppca_support_edges(c, h),
+            *rmt.support_edges(c, h),
+        )
+        want = (
+            consts.lambda_star,
+            consts.b,
+            consts.lambda_prime,
+            consts.b_prime,
+            consts.a,
+            consts.b,
+            consts.a_prime,
+            consts.b_prime,
+        )
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-12, 1e-40, 1e-100, 1e-160])
+    def test_lower_edge_of_a_bulk_spanning_many_decades(self, eps):
+        # the classical lower edge of {(eps, .5), (1, .5)} at c = 0.4 tends
+        # to 0.2 eps: 0.19995 eps at eps = 1e-3
+        h = spectra.make_spectrum(atoms=[(eps, 0.5), (1.0, 0.5)])
+        assert abs(rmt.support_edges(0.4, h)[0] / eps - 0.2) <= 0.1 * eps + 1e-15
+
+    def test_tiny_bulk_has_edges_and_a_typed_density_failure(self):
+        # the edges of a bulk near 1e-165 are those of its unit-scale copy;
+        # the companion solve does not yet reach this scale, and says so
+        h = spectra.make_spectrum(atoms=[(1e-170, 0.5), (1e-165, 0.5)])
+        unit = spectra.make_spectrum(atoms=[(1e-170 / 1e-165, 0.5), (1.0, 0.5)])
+        lo, hi = rmt.support_edges(0.4, h)
+        assert (lo, hi) == pytest.approx(
+            [1e-165 * x for x in rmt.support_edges(0.4, unit)], rel=1e-13, abs=0.0
+        )
+        with pytest.raises(rmt.SolverError):
+            rmt.mp_density(0.4, h, 0.5 * (lo + hi))
+
+    def test_product_edges_of_a_huge_bulk_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            edges = rmt.ppca_support_edges(2.0, scaled(TWO_ATOM, 200))
+        want = [math.ldexp(x, 200) for x in rmt.ppca_support_edges(2.0, TWO_ATOM)]
+        assert edges == pytest.approx(want, rel=1e-15, abs=0.0)

@@ -126,6 +126,17 @@ class TestSquareSpectrum:
             # squares underflow to two zeros, then to one
             ([(1e-170, 0.5), (1e-165, 0.5)], "^bulk atoms must be distinct and increasing$"),
             ([(1e-170, 1.0)], "^bulk law needs a positive atom$"),
+            # a square of 1e-320 is subnormal: it has lost digits; a square of
+            # 1e-340 is a zero atom, which moved the product law's lower edge
+            # from near 1e-171 to 0.235 at c = 0.4
+            (
+                [(1e-160, 0.5), (1.0, 0.5)],
+                "^positive bulk atoms must square to at least the smallest normal float$",
+            ),
+            (
+                [(1e-170, 0.5), (1.0, 0.5)],
+                "^positive bulk atoms must square to at least the smallest normal float$",
+            ),
         ],
     )
     def test_rejects_squares_out_of_range(self, atoms, message):

@@ -116,6 +116,9 @@ def first_column_twice(data: str) -> str:
 TWO_ATOM = "atom 0.5 0.4\natom 1.5 0.6\n"
 # the same bulk with its atom lines in reverse order
 TWO_ATOM_REVERSED = "atom 1.5 0.6\natom 0.5 0.4\n"
+# the split bulk {0.2, 5} scaled by 2^-40, and a bulk spanning twelve decades
+SPLIT_SCALED = f"atom {math.ldexp(0.2, -40)!r} 0.5\natom {math.ldexp(5.0, -40)!r} 0.5\n"
+WIDE_RANGE = "atom 1e-12 0.5\natom 1 0.5\n"
 
 # (name, c, grid, spectrum): the white bulk at three ratios (c = 1/2 is the
 # product law's switch point), two atoms, a zero atom and well-separated atoms,
@@ -144,7 +147,8 @@ LAWS = (
 # SVD), and both debiasing maps on one
 # descending spectrum with a header row; the thresholds of the two-atom bulk
 # at two ratios (at c = 0.4 also with its atom lines reversed) and its spike
-# limits, stuck and distant, and the worked (eta = 70) and loud (eta = 200)
+# limits, stuck and distant, the thresholds of a bulk far below unit scale
+# and of one spanning many decades, and the worked (eta = 70) and loud (eta = 200)
 # contamination scenarios; a spike config with comments, a blank line,
 # sigma2 = 2 and design spikes, whose model and replicate count are the
 # defaults
@@ -186,6 +190,8 @@ PANEL = (
     + bulk_json("thresholds_two_atom_c2", "thresholds", 2.0, TWO_ATOM)
     + bulk_json("thresholds_two_atom_reversed_c0.4", "thresholds", 0.4, TWO_ATOM_REVERSED)
     + bulk_json("limits_two_atom_c2", "limits", 2.0, TWO_ATOM, "--lam", "2,3.2,6")
+    + bulk_json("thresholds_split_scaled_c0.01", "thresholds", 0.01, SPLIT_SCALED)
+    + bulk_json("thresholds_wide_range_c0.4", "thresholds", 0.4, WIDE_RANGE)
     + robust_analytic("robust_worked", dict(SCENARIO, etas=[70.0, 70.0]))
     + robust_analytic("robust_loud", dict(SCENARIO, etas=[200.0, 200.0]))
 )

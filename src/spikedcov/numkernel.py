@@ -125,10 +125,11 @@ def sym_eig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def psd_sqrt(s: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root, clamping small negative eigenvalues.
+    """Symmetric PSD square root, with roundoff eigenvalues set to zero.
 
     Eigenvalues below ``-tau`` with ``tau = p * ulp(max |eig|)`` raise; those
-    in ``[-tau, 0)`` are treated as roundoff and clamped to zero.
+    in ``[-tau, tau]`` are roundoff of a zero eigenvalue and become zero, so
+    the root of a rank-deficient matrix has no part in its null space.
     """
     s = check_symmetric(s)
     w, v = np.linalg.eigh(s)
@@ -136,7 +137,7 @@ def psd_sqrt(s: np.ndarray) -> np.ndarray:
     tau = s.shape[0] * np.spacing(scale) if scale > 0.0 else 0.0
     if w[0] < -tau:
         raise ValueError(f"matrix is indefinite (eigenvalue {w[0]:.3e} < -{tau:.3e})")
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    root = (v * np.sqrt(np.where(w > tau, w, 0.0))) @ v.T
     return (root + root.T) / 2.0
 
 

@@ -29,10 +29,15 @@ transform and U(k) = -1/k + 2c * sum w t/(1 + t k) over H^2, the outer one is
 x(y) = psi(y)^2/y give the product thresholds, support edges and gaps.
 
 Each critical point is a root found by sign bisection (_root) to
-neighbouring floats, stepping to the geometric mean of a bracket of one
-sign, and both criteria are sums of ratios r = t/(t - y): no tolerance or
-scale enters, so the thresholds, edges and spike limits of sH are s times
-those of H to within roundoff.
+neighbouring floats, in a bracket that ends at the neighbouring float of an
+atom or of zero, and both criteria are sums of ratios r = t/(t - y).  The
+Im z ladder of the companion solve starts at the law's own top atom.  So no
+tolerance or scale enters: the thresholds, edges, spike limits, densities
+and CDFs of sH are those of H scaled by s, to within roundoff.  Two limits
+are left, each a SolverError: a critical point nearer an atom than the
+float grid resolves (c w_top below about 1e-31 for the upper one), and a
+companion solve on bulks below about 1e-154, where Newton's slope, of order
+1/m^2, falls below the smallest normal float.
 
 One routine (_law) describes either law: its companion map, support, density
 dips and zero mass.  Both laws share its density routine (_density: a complex
@@ -306,25 +311,25 @@ def _g_raw(c: float, t: np.ndarray, w: np.ndarray, y: float, slope: bool = False
 
 
 def _upper_critical(crit, c: float, t: np.ndarray, w: np.ndarray) -> float:
-    """Root of crit(c, t, w, .) = 1 above the largest bulk atom."""
-    return _root(lambda y: crit(c, t, w, y) - 1.0, float(t[-1]) * (1.0 + 1e-12), sys.float_info.max)
+    """Root of crit(c, t, w, .) = 1 above the largest bulk atom, from its upper neighbour float."""
+    return _root(lambda y: crit(c, t, w, y) - 1.0, math.nextafter(t[-1], math.inf), sys.float_info.max)
 
 
 def _lower_critical(crit, c: float, t: np.ndarray, w: np.ndarray) -> float | None:
     """Root of crit(c, t, w, .) = 1 below the bulk, or None when the lower edge is 0.
 
     Both criteria equal the effective ratio c*(1-w0) at zero (w0 the weight
-    at zero).  Below 1 the root sits in (0, t_min+); above 1 on the negative
+    at zero), read at the smallest float as the criterion computes it.  Below
+    1 the root lies above that float and below t_min; above 1 on the negative
     axis; at exactly 1 the continuous support touches zero and there is none.
     """
-    w0 = float(w[t == 0.0].sum())
-    c_pos = c * (1.0 - w0)
-    tmin = float(t[t > 0.0][0])
+    tiny = math.ulp(0.0)
+    c_pos = crit(c, t, w, tiny)
     crit_minus_one = lambda x: crit(c, t, w, x) - 1.0
-    if c_pos < 1.0 - 1e-12:
-        return _root(crit_minus_one, tmin * 1e-12, tmin * (1.0 - 1e-12))
-    if c_pos > 1.0 + 1e-12:
-        return _root(crit_minus_one, -sys.float_info.max, -tmin * 1e-12)
+    if c_pos < 1.0:
+        return _root(crit_minus_one, tiny, math.nextafter(t[t > 0.0][0], 0.0))
+    if c_pos > 1.0:
+        return _root(crit_minus_one, -sys.float_info.max, -tiny)
     return None
 
 
@@ -338,7 +343,7 @@ def _between_atoms(crit, c: float, t: np.ndarray, w: np.ndarray) -> tuple[list[f
     pos = t[t > 0.0]
     roots, dips = [], []
     for left, right in zip(pos[:-1], pos[1:]):
-        lo, hi = left * (1.0 + 1e-12), right * (1.0 - 1e-12)
+        lo, hi = math.nextafter(left, right), math.nextafter(right, left)
         if not lo < hi:
             continue
         bottom = _root(lambda y: crit(c, t, w, y, slope=True), lo, hi)
@@ -373,8 +378,6 @@ class _SampleMap:
     cancel where those of -1/m + c S(m) do (|m| large at an effective ratio
     of one).
     """
-
-    walk_top = 0.5
 
     def __init__(self, c: float, t: np.ndarray, w: np.ndarray):
         self.c, self.t, self.w = float(c), t, w
@@ -415,7 +418,6 @@ class _ProductMap:
     def __init__(self, c: float, h: PopulationSpectrum):
         self.c = float(c)
         self.inner = _SampleMap(2.0 * c, *_bulk(square_spectrum(h)))
-        self.walk_top = 1.0 + 2.0 * c
 
     def value_slope(self, k):
         u, u_prime = self.inner.value_slope(k)
@@ -513,10 +515,10 @@ def _solve_companion_grid(law, z: np.ndarray):
 
     A fixed-length damped fixed point warm-starts Newton, which alone
     judges convergence.  Points still above SOLVER_TOL walk down together
-    in Im z: the warm start runs once at height law.walk_top * (1 + |Re z|),
-    then Newton alone follows a geometric ladder of heights down to Im z,
-    warm-started from the height above.  Raises SolverError if a point
-    still misses the tolerance.
+    in Im z from u + |Re z|, u the top atom in the map's point scale (of
+    H^2 for the product map): the warm start runs once there, then Newton
+    alone follows a geometric ladder down to Im z, warm-started from the
+    height above.  Raises SolverError if a point still misses SOLVER_TOL.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
@@ -524,7 +526,7 @@ def _solve_companion_grid(law, z: np.ndarray):
     lost = np.flatnonzero(resid > SOLVER_TOL)
     if lost.size:
         x, y = flat[lost].real, flat[lost].imag
-        top = x + 1j * np.maximum(y, law.walk_top * (1.0 + np.abs(x)))
+        top = x + 1j * np.maximum(y, getattr(law, "inner", law).t[-1] + np.abs(x))
         m_lost = _fixed_point(law, top)
         for h in np.geomspace(top.imag, y, _LADDER_STEPS):
             m_lost, r_lost = _newton(law, m_lost, x + 1j * h)
@@ -747,6 +749,7 @@ def ssm_closed_forms(params: SsmParams) -> SsmConstants:
     # alpha = (A - B)/2 = 2 (1-2c)^3/big does not cancel near c = 1/2
     u = 1.0 - 2.0 * c
     alpha = 2.0 * u * (u / big * u) * s2 * s2
+    d = (1.0 - c) / (1.0 + sqrt_c)  # 1 - sqrt(c), without cancellation near c = 1
     beta = 0.5 * big * s2 * s2
     consts = SsmConstants(
         c=c,
@@ -756,7 +759,7 @@ def ssm_closed_forms(params: SsmParams) -> SsmConstants:
         a=float(np.sqrt(alpha)) if c < 0.5 else 0.0,
         # b = sqrt(1 + c + r) (1 + (r - c)/2) s2, and b^2 = beta exactly
         b=float(np.sqrt(beta)),
-        a_prime=s2 * (1.0 - sqrt_c) * (1.0 - sqrt_c),
+        a_prime=s2 * d * d,
         b_prime=s2 * (1.0 + sqrt_c) * (1.0 + sqrt_c),
         alpha=alpha,
         beta=beta,
@@ -766,11 +769,6 @@ def ssm_closed_forms(params: SsmParams) -> SsmConstants:
     if not np.all(np.isfinite(list(vars(consts).values()))):
         raise ValueError(f"closed-form constants overflow at c = {c!r}, sigma2 = {s2!r}")
     return consts
-
-
-def _cbrt_sq(x: np.ndarray) -> np.ndarray:
-    """Real signed cube root squared: x^(2/3) with cbrt taken on the reals."""
-    return np.cbrt(x) ** 2
 
 
 def ssm_g_pdf(params: SsmParams, t) -> float | np.ndarray:
@@ -797,7 +795,8 @@ def ssm_g_pdf(params: SsmParams, t) -> float | np.ndarray:
     disc = scaled * np.sqrt(prod)
     w = (2.0 * c - 1.0) * s2
     shift = (9.0 * (c + 1.0) * s2 * x + w**3) / (3.0 * np.sqrt(3.0))
-    kappa = _cbrt_sq(disc + shift) + _cbrt_sq(disc - shift) + (3.0 * x + w * w) / 3.0
+    # real cube roots: cbrt keeps the sign of a negative argument
+    kappa = np.cbrt(disc + shift) ** 2 + np.cbrt(disc - shift) ** 2 + (3.0 * x + w * w) / 3.0
     if np.any(kappa[inside] <= 0.0):
         raise SolverError("cube-root branch failure: kappa <= 0 inside the support")
     with np.errstate(all="ignore"):

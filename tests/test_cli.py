@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import spikedcov
-from spikedcov import cli, estimators, rmt, simlab
+from spikedcov import cli, estimators, rmt, simlab, spectra
 from spikedcov.numkernel import RngStream
 
 
@@ -173,6 +173,20 @@ class TestDensity:
             assert float(pdf_str) == pytest.approx(
                 float(rmt.ssm_g_pdf(params, float(t_str))), abs=5e-3
             )
+
+    def test_ppca_law_of_a_bulk_at_256(self, capsys):
+        # the law of the bulk 256 is that of the bulk 1 stretched by 256,
+        # down to t = 1e-6, where the support reaching zero is steepest
+        code, out, _ = run_cli(
+            capsys, "density", "--law", "ppca", "--c", "0.6", "--sigma2", "256",
+            "--grid", "1e-6:40:5",
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        t, pdf = np.array(rows, dtype=float).T
+        unit = spectra.make_spectrum(atoms=[(1.0, 1.0)])
+        assert np.all(pdf > 0.0)
+        assert pdf == pytest.approx(rmt.ppca_lsd_pdf(0.6, unit, t / 256.0) / 256.0, rel=1e-9)
 
     def test_spectrum_file_bulk(self, capsys, tmp_path):
         spec_file = tmp_path / "bulk.txt"

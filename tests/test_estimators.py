@@ -179,14 +179,11 @@ class TestPpcaFit:
     @pytest.mark.parametrize(
         # tall; wide with odd n (halves of 20 and 21 rows: a 20 x 21 core);
         # tall with two equal columns (a rank-deficient core, which svd_full
-        # hands to gesdd rather than to the eigenvectors of its Gram).  The
-        # wide oracle is itself off by about 2e-9 in angle: psd_sqrt of a
-        # rank-20 half covariance takes square roots of its roundoff
-        # eigenvalues (gesdd on the core gives the same angle)
+        # hands to gesdd rather than to the eigenvectors of its Gram)
         "n, p, spikes, duplicate, core_gesdd_calls, max_angle",
         [
             (200, 30, (40.0, 20.0, 10.0), False, 0, 1e-9),
-            (41, 70, (100.0, 50.0, 25.0), False, 0, 1e-8),
+            (41, 70, (100.0, 50.0, 25.0), False, 0, 1e-9),
             (200, 30, (40.0, 20.0, 10.0), True, 1, 1e-9),
         ],
     )

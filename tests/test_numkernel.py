@@ -95,6 +95,14 @@ class TestPsdSqrt:
         with pytest.raises(ValueError, match="indefinite"):
             numkernel.psd_sqrt(np.diag([1.0, -0.5]))
 
+    def test_rank_deficient_root_has_no_null_space_part(self):
+        # the roundoff eigenvalues of a rank-3 matrix, near eps |S|, would
+        # give the root entries near sqrt(eps |S|) in the null space
+        g = np.random.default_rng(2).standard_normal((12, 3))
+        null = np.linalg.svd(g)[0][:, 3:]
+        r = numkernel.psd_sqrt(g @ g.T)
+        assert np.max(np.abs(r @ null)) <= 1e-14 * np.max(np.abs(r))
+
 
 class TestSvdFull:
     def test_reconstructs_with_descending_values(self):

@@ -1,4 +1,5 @@
 """The parity checker in ``tools/parity.py``: classification and a smoke run."""
+import json
 import pathlib
 import shutil
 import subprocess
@@ -66,6 +67,24 @@ class TestCompareCsv:
         assert files["same.json"] == {"status": "identical"}
         for name in ("moved.json", "indent.json", "one_side.json"):
             assert files[name]["status"] == "different"
+
+
+def test_failing_run_saves_its_error_record(tmp_path):
+    # a run that exits nonzero leaves its JSON error record and the panel
+    # goes on; against a side where the run succeeds, both its error record
+    # and its CSV are files written on one side only
+    parity = load_script(PARITY)
+    tree = PARITY.parents[1]
+    for side, grid in (("fails", "0:1:0"), ("runs", "0:1:3")):
+        parity.run_panel(tree, tmp_path / side, parity.rho("r", grid) + parity.rho("next", "0:1:3"))
+    record = json.loads((tmp_path / "fails" / "r_error.json").read_text())
+    assert record == {"error": "ValueError", "message": "grid count must be positive"}
+    files = parity.compare_dirs(tmp_path / "fails", tmp_path / "runs")
+    assert files == {
+        "next.csv": {"status": "identical"},
+        "r.csv": {"status": "different", "reason": "written on one side only"},
+        "r_error.json": {"status": "different", "reason": "written on one side only"},
+    }
 
 
 def _head_available() -> bool:

@@ -288,9 +288,10 @@ class TestSupportAndMass:
         assert rmt.ppca_mass_at_zero(0.75, FLAT) == pytest.approx(1.0 - 1.0 / 1.5)
 
 
-    def test_atoms_closer_than_the_bracket_have_no_gap(self):
-        # neighbours within 2e-12 relative leave no bracket between them and
-        # are skipped: the laws match the single atom at 1 to ~1e-12
+    def test_atoms_a_trillionth_apart_have_no_gap(self):
+        # between neighbours 1e-12 apart the criterion stays far above one,
+        # so they bound a dip, not a gap: the laws match the single atom at 1
+        # to ~1e-12
         close = spectra.make_spectrum(atoms=[(1.0, 0.5), (1.0 + 1e-12, 0.5)])
         for c in (0.1, 0.4, 2.0):
             lo, hi = rmt.support_edges(c, close)
@@ -554,10 +555,28 @@ class TestProductLawTable:
 class TestSwitchPoints:
     """Both sides of, and points on, the ratio switches of the support code.
 
-    ``_lower_critical`` and ``_law`` branch on the effective ratio
-    within 1e-12 of one: the product law's at c = 1/2 for the white bulk, the
+    ``_lower_critical`` and ``_law`` branch on the effective ratio against
+    one, exactly: the product law's at c = 1/2 for the white bulk, the
     classical law's at c (1 - w0) = 1 with a zero atom.
     """
+
+    @pytest.mark.parametrize(
+        "d", [-2e-12, -1.5e-12, -1.1e-12, -1e-12, 1e-12, 1.1e-12, 1.5e-12, 2e-12]
+    )
+    def test_white_laws_next_to_unit_effective_ratio(self, d):
+        # effective ratio 1 + d for both laws: the lower edges, near 1e-25
+        # and 1e-18, come from a critical point just above zero (below one)
+        # or on the negative axis (above one); psi there loses digits to
+        # cancellation, about 1e-16/|d| relative
+        for edges, c, want in (
+            (rmt.support_edges, 1.0 + d, lambda cf: (cf.a_prime, cf.b_prime)),
+            (rmt.ppca_support_edges, (1.0 + d) / 2.0, lambda cf: (cf.a, cf.b)),
+        ):
+            lower, upper = edges(c, FLAT)
+            want_lower, want_upper = want(rmt.ssm_closed_forms(rmt.SsmParams(c=c)))
+            assert np.isfinite(lower) and np.isfinite(upper)
+            assert lower == pytest.approx(want_lower, rel=1e-3, abs=0.0)
+            assert upper == pytest.approx(want_upper, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("c", [0.5 - 1e-4, 0.5 - 1e-9, 0.5 + 1e-9, 0.5 + 1e-4])
     def test_white_product_law_near_half(self, c):
@@ -571,6 +590,16 @@ class TestSwitchPoints:
         grid = np.linspace(0.0, 1.05 * consts.b, 301)[1:]
         gap = rmt.ppca_lsd_cdf(c, FLAT, grid) - rmt.ssm_g_cdf(params, grid)
         assert np.max(np.abs(gap)) <= 1e-10
+
+    def test_effective_ratio_is_the_criterions_own(self):
+        # c (1 - w0) rounds to 1 - 1.1e-16 here, while the criterion next to
+        # zero, c (w1 + w2), rounds to 1 + 2.2e-16: a branch taken on the
+        # former would bracket a criterion of one sign
+        h = spectra.make_spectrum(atoms=[(0.0, 0.06), (1.0, 0.57), (2.0, 0.37)])
+        c = 1.0 / (1.0 - h.weights[0])
+        assert c * (1.0 - h.weights[0]) < 1.0 < rmt._q_raw(c, h.values, h.weights, math.ulp(0.0))
+        lower, upper = rmt.support_edges(c, h)
+        assert 0.0 <= lower <= 1e-15 * upper
 
     @pytest.mark.parametrize("d", [-1e-4, -1e-9, 0.0, 1e-9, 1e-4])
     def test_zero_atom_near_unit_effective_ratio(self, d):
@@ -650,6 +679,15 @@ class TestSingleAtomConstants:
         # alpha is about -c^2 at large c
         with pytest.raises(ValueError, match="overflow"):
             rmt.ssm_closed_forms(rmt.SsmParams(c=c))
+
+    @pytest.mark.parametrize("d", [-1e-8, -2e-12, -1e-15, 1e-15, 2e-12, 1e-8])
+    def test_classical_lower_edge_near_unit_ratio_against_mpmath(self, d):
+        # (1 - sqrt(c))^2 cancels as c -> 1: 23% off at c = 1 - 1e-15
+        c = 1.0 + d
+        with mpmath.workdps(50):
+            want = (1 - mpmath.sqrt(mpmath.mpf(c))) ** 2
+        cf = rmt.ssm_closed_forms(rmt.SsmParams(c=c))
+        assert cf.a_prime == pytest.approx(float(want), rel=1e-15, abs=0.0)
 
     def test_internal_identities(self):
         for c in (0.4, 2.0):
@@ -1095,6 +1133,23 @@ def scaled(h, k):
     return spectra.PopulationSpectrum(atoms=tuple((math.ldexp(t, k), w) for t, w in h.atoms))
 
 
+def check_laws_scale(c, h, k):
+    """Both laws of 2^k h at 2^k x: the same CDF, and densities divided by 2^k.
+
+    The points run from 1e-9 of the upper edge, where a support reaching
+    zero has its steepest density, to beyond the upper edge.
+    """
+    big = scaled(h, k)
+    for edges, pdf, cdf in (
+        (rmt.support_edges, rmt.mp_density, rmt.mp_cdf),
+        (rmt.ppca_support_edges, rmt.ppca_lsd_pdf, rmt.ppca_lsd_cdf),
+    ):
+        x = edges(c, h)[1] * np.array([1e-9, 1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.05])
+        xs = np.ldexp(x, k)
+        assert cdf(c, big, xs) == pytest.approx(cdf(c, h, x), rel=0.0, abs=1e-14)
+        assert pdf(c, big, xs) == pytest.approx(np.ldexp(pdf(c, h, x), -k), rel=1e-12, abs=0.0)
+
+
 # c log-uniform in [0.01, 10]
 SCALE_RATIOS = st.floats(np.log(0.01), np.log(10.0)).map(
     lambda v: float(np.clip(np.exp(v), 0.01, 10.0))
@@ -1173,9 +1228,116 @@ class TestScaleFreeCriticalPoints:
         with pytest.raises(rmt.SolverError):
             rmt.mp_density(0.4, h, 0.5 * (lo + hi))
 
+    @pytest.mark.parametrize("c", [1e-24, 1e-25, 1e-30])
+    def test_white_bulk_at_tiny_ratio(self, c):
+        # the critical points sit about sqrt(c) from the atom, only a few
+        # ulps at c = 1e-30, and every bracket ends at the atom's neighbour
+        consts = rmt.ssm_closed_forms(rmt.SsmParams(c=c))
+        got = (
+            rmt.pca_threshold(c, FLAT).threshold,
+            rmt.ppca_threshold(c, FLAT).threshold,
+            *rmt.support_edges(c, FLAT),
+            *rmt.ppca_support_edges(c, FLAT),
+        )
+        want = (
+            consts.lambda_prime,
+            consts.lambda_star,
+            consts.a_prime,
+            consts.b_prime,
+            consts.a,
+            consts.b,
+        )
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_white_bulk_below_the_reach_of_floats_is_typed(self):
+        # c (u/ulp(u))^2 < 1: the criterion is below one already at the
+        # atom's upper neighbour
+        with pytest.raises(rmt.SolverError, match="one sign"):
+            rmt.pca_threshold(1e-32, FLAT)
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(
+        c=SCALE_RATIOS,
+        seed=st.integers(0, 2**32 - 1),
+        atoms=st.integers(1, 4),
+        k=st.integers(-60, 60),
+    )
+    # the product law's support reaches zero from 2c = 1, the classical
+    # law's at c = 1 for a bulk without a zero atom
+    @example(c=0.6, seed=0, atoms=1, k=8)
+    @example(c=0.6, seed=1, atoms=2, k=60)
+    @example(c=1.0, seed=2, atoms=3, k=60)
+    @example(c=5.0, seed=3, atoms=2, k=60)
+    def test_densities_and_cdfs_scale_with_the_bulk(self, c, seed, atoms, k):
+        check_laws_scale(c, random_bulk(np.random.default_rng(seed), atoms), k)
+
+    @pytest.mark.parametrize("k", [30, 60])
+    @pytest.mark.parametrize("c", [2.0, 5.0])
+    def test_zero_atom_laws_scale_with_the_bulk(self, c, k):
+        # classical effective ratio c (1 - w0) of one (c = 2) and above (c = 5)
+        check_laws_scale(c, HALF_ZERO, k)
+
     def test_product_edges_of_a_huge_bulk_raise_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             edges = rmt.ppca_support_edges(2.0, scaled(TWO_ATOM, 200))
         want = [math.ldexp(x, 200) for x in rmt.ppca_support_edges(2.0, TWO_ATOM)]
         assert edges == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def law_moments(law, powers):
+    """Moments t^j of law's continuous part, integrated as _cdf integrates its CDF.
+
+    t^j times _density goes through _cdf_from_pdf over the support cut at
+    the dips.  In units of the upper edge T the integral stays below one,
+    which _cdf_from_pdf does not clip, and read just below T it is whole.
+    Every power integrates on the same nodes, so the density is solved once.
+    """
+    pieces = []
+    for lower, upper in law.support:
+        cuts = [lower, *(d for d in law.dips if lower < d < upper), upper]
+        pieces += zip(cuts[:-1], cuts[1:])
+    top = pieces[-1][1]
+    below = math.nextafter(top, 0.0)
+    density = functools.lru_cache(lambda nodes: rmt._density(law.companion, np.frombuffer(nodes)))
+
+    def moment(j):
+        pdf = lambda t: (t / top) ** j * density(t.tobytes())
+        return top**j * rmt._cdf_from_pdf("moment", pdf, pieces, 0.0, below)
+
+    return [moment(j) for j in powers]
+
+
+class TestMomentIdentities:
+    """Moments of both laws against those of the bulk, h_j = sum w t^j.
+
+    The classical law has m1 = h1, m2 = h2 + c h1^2 and
+    m3 = h3 + 3c h1 h2 + c^2 h1^3 (Yin 1986).  The product law of singular
+    values t is F_outer(t^2), whose ratio is 2c and whose bulk is F_{2c, H^2},
+    so its moments of t^2 and t^4 are h2 and h4 + 4c h2^2.  The zero mass
+    adds nothing to them.
+    """
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        c=st.floats(np.log(0.01), np.log(5.0)).map(lambda v: float(np.clip(np.exp(v), 0.01, 5.0))),
+        seed=st.integers(0, 2**32 - 1),
+        atoms=st.integers(1, 5),
+        k=st.integers(-40, 40),
+    )
+    @example(c=1.0, seed=0, atoms=2, k=40)
+    @example(c=2.0, seed=1, atoms=3, k=40)
+    @example(c=0.4, seed=2, atoms=5, k=-40)
+    def test_moments_of_a_scaled_bulk(self, c, seed, atoms, k):
+        h = scaled(random_bulk(np.random.default_rng(seed), atoms), k)
+        h1, h2, h3, h4 = (float(np.dot(h.weights, h.values**j)) for j in (1, 2, 3, 4))
+        classical, product = rmt._law(c, h, product=False), rmt._law(c, h, product=True)
+        got = law_moments(classical, (1, 2, 3)) + law_moments(product, (2, 4))
+        want = [
+            h1,
+            h2 + c * h1 * h1,
+            h3 + 3.0 * c * h1 * h2 + c * c * h1**3,
+            h2,
+            h4 + 4.0 * c * h2 * h2,
+        ]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)

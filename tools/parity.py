@@ -9,9 +9,11 @@ temporary directory, so the repository itself is left untouched (no
 worktree is registered, even if the run is interrupted).  The fixed panel
 below runs once on that copy and once on the working tree, each in a fresh
 interpreter with the tree's ``src/`` first on the path.  A run's nonempty
-stdout (the ``simulate`` summary) is saved as ``<name>_stdout.json``.  The
-report is one JSON object on stdout that marks every CSV and JSON file the
-panel writes as
+stdout (the ``simulate`` summary) is saved as ``<name>_stdout.json``.  A run
+that exits nonzero has its JSON error record saved as ``<name>_error.json``
+instead, and the panel goes on, so a run that only one side can do shows as
+files written on one side only.  The report is one JSON object on stdout
+that marks every CSV and JSON file the panel writes as
 
 * ``identical``: the same bytes;
 * ``roundoff`` (CSV only): the same header, shape and text cells, and every
@@ -151,7 +153,10 @@ LAWS = (
 # and of one spanning many decades, and the worked (eta = 70) and loud (eta = 200)
 # contamination scenarios; a spike config with comments, a blank line,
 # sigma2 = 2 and design spikes, whose model and replicate count are the
-# defaults
+# defaults; the product density of the white bulk at 256 down to t = 1e-6,
+# the white bulk's thresholds at c = 1e-25 (critical points 3e-13 above the
+# atom) and its classical density at c = 1 - 1.5e-12 (a lower edge near
+# 6e-25)
 SCENARIO = {"epsilon": 0.01, "k1": 1, "lambda1": 3.0, "c": 0.4, "assignment": [1]}
 DESIGN_CONFIG = (
     "# design spikes over a bulk at level 2\n"
@@ -192,23 +197,28 @@ PANEL = (
     + bulk_json("limits_two_atom_c2", "limits", 2.0, TWO_ATOM, "--lam", "2,3.2,6")
     + bulk_json("thresholds_split_scaled_c0.01", "thresholds", 0.01, SPLIT_SCALED)
     + bulk_json("thresholds_wide_range_c0.4", "thresholds", 0.4, WIDE_RANGE)
+    + density("ppca_white_256_c0.6", "ppca", 0.6, "1e-6:40:5", "atom 256 1\n")
+    + bulk_json("thresholds_white_c1e-25", "thresholds", 1e-25, "atom 1 1\n")
+    + density("pca_white_c1-1.5e-12", "pca", 1.0 - 1.5e-12, "1e-12:4:200")
     + robust_analytic("robust_worked", dict(SCENARIO, etas=[70.0, 70.0]))
     + robust_analytic("robust_loud", dict(SCENARIO, etas=[200.0, 200.0]))
 )
 
 # Runs a list of named `spikedcov` argument lists in one interpreter, saving
-# each nonempty stdout as <name>_stdout.json.
+# each nonempty stdout as <name>_stdout.json, or the stderr error record of a
+# run that exits nonzero as <name>_error.json.
 _RUNNER = """
 import contextlib, io, json, sys
 from spikedcov import cli
 for name, argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+    with contextlib.redirect_stdout(io.StringIO()) as stdout, \\
+            contextlib.redirect_stderr(io.StringIO()) as stderr:
         code = cli.main(argv)
-    if code:
-        sys.exit(code)
-    if stdout.getvalue():
-        with open(name + "_stdout.json", "w", encoding="utf-8", newline="") as fh:
-            fh.write(stdout.getvalue())
+    text = stderr.getvalue() if code else stdout.getvalue()
+    if text:
+        with open(name + ("_error.json" if code else "_stdout.json"), "w",
+                  encoding="utf-8", newline="") as fh:
+            fh.write(text)
 """
 
 

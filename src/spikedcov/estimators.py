@@ -109,12 +109,18 @@ class PPCAFit:
 
 
 def _check_data(x: np.ndarray, min_rows: int = 1) -> np.ndarray:
-    """Data as a finite samples-by-features matrix with a feature and ``min_rows`` rows."""
+    """Data as a finite samples-by-features matrix with a feature and ``min_rows`` rows.
+
+    Its sum of squares must be finite too: it bounds every Gram entry, so no
+    fit's second moments overflow.
+    """
     x = _as_matrix(x, "data")
     if x.shape[1] < 1:
         raise ValueError(f"data needs at least one feature column, got shape {x.shape}")
     if x.shape[0] < min_rows:
         raise ValueError(f"need at least {min_rows} samples, got {x.shape[0]}")
+    if not np.isfinite(np.vdot(x, x)):
+        raise ValueError("data must have a finite sum of squares")
     return x
 
 
@@ -313,11 +319,15 @@ def debias_ppca(singular_values: np.ndarray, c: float, j: int) -> float:
     s(z) = mean of 1/(s_l^2 - z) over l > j, the companion value
     2c s(z) + (2c - 1)/z evaluated at the spike gives the corrected
     eigenvalue -1 / (companion * s_j).  Here c should be the realized p/n.
+    The values are taken in units of the power of two at or below s_j, an
+    exact rescaling, so no square overflows.
     """
     values = _check_spike_args(singular_values, c, j)
+    unit = float(np.ldexp(1.0, np.frexp(values[j - 1])[1] - 1))
+    values = values / unit
     top = values[j - 1]
     companion = _tail_companion(top, top * top, values[j:] ** 2, 2.0 * c, "singular value")
-    return -1.0 / (companion * top)
+    return -1.0 / (companion * top) * unit
 
 
 def debias_pca(eigenvalues: np.ndarray, c: float, j: int) -> float:

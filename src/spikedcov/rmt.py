@@ -42,7 +42,10 @@ companion solve on bulks below about 1e-154, where Newton's slope, of order
 One routine (_law) describes either law: its companion map, support, density
 dips and zero mass.  Both laws share its density routine (_density: a complex
 solve just above the real axis, polished by Newton on the axis), one CDF
-routine (_cdf) and one residual rule for the solve (_residual).
+routine (_cdf) and one residual rule for the solve (_residual).  Each map has
+one evaluation, evaluate(m) -> (z(m), z'(m), the rounding scale of z(m)),
+made once per Newton iterate; the product map's scale is NaN on its wrong
+branch (Im U(k) <= 0), which _residual reads as an infinite residual.
 
 The single-atom closed forms and rho avoid cancellation and never square or
 cube c, and the product-law closed-form density works in units of its upper
@@ -382,21 +385,18 @@ class _SampleMap:
     def __init__(self, c: float, t: np.ndarray, w: np.ndarray):
         self.c, self.t, self.w = float(c), t, w
 
-    def value_slope(self, m):
-        """(z(m), z'(m)), with z' = (c sum w t/(1+tm)^2 - z)/m."""
+    def evaluate(self, m):
+        """(z(m), z'(m), the rounding scale (|c - 1| + |s|)/|m| of z(m)), s = c sum w/(1+tm)."""
         denom = 1.0 + np.multiply.outer(m, self.t)
-        z = (self.c - 1.0 - self.c * (self.w / denom).sum(axis=-1)) / m
-        return z, (self.c * (self.w * self.t / denom**2).sum(axis=-1) - z) / m
+        s = self.c * (self.w / denom).sum(axis=-1)
+        z = (self.c - 1.0 - s) / m
+        slope = (self.c * (self.w * self.t / denom**2).sum(axis=-1) - z) / m
+        return z, slope, (abs(self.c - 1.0) + np.abs(s)) / np.abs(m)
 
     def fixed_step(self, m, z):
         """Fixed-point image 1/(c S(m) - z) of m."""
         s = (self.w * self.t / (1.0 + np.multiply.outer(m, self.t))).sum(axis=-1)
         return 1.0 / (self.c * s - z)
-
-    def value_noise(self, m):
-        """(z(m), its rounding scale (|c - 1| + |c sum w/(1+tm)|)/|m|)."""
-        s = self.c * (self.w / (1.0 + np.multiply.outer(m, self.t))).sum(axis=-1)
-        return (self.c - 1.0 - s) / m, (abs(self.c - 1.0) + np.abs(s)) / np.abs(m)
 
     def point(self, t):
         """Real point x at which the density at t is read: x = t."""
@@ -419,24 +419,20 @@ class _ProductMap:
         self.c = float(c)
         self.inner = _SampleMap(2.0 * c, *_bulk(square_spectrum(h)))
 
-    def value_slope(self, k):
-        u, u_prime = self.inner.value_slope(k)
-        return -k * u * u, -u * (u + 2.0 * k * u_prime)
+    def evaluate(self, k):
+        """(z(k), z'(k), the rounding scale of z(k)), the scale NaN where Im U(k) <= 0.
+
+        Near z = 0 with 2c >= 1, U(k) is a small difference of order-one
+        terms, and the rounding scale of z(k) is |U| (|2c - 1| + |2c - 1 - kU|).
+        """
+        u, u_prime, _ = self.inner.evaluate(k)
+        noise = np.abs(u) * (abs(self.inner.c - 1.0) + np.abs(self.inner.c - 1.0 - k * u))
+        return -k * u * u, -u * (u + 2.0 * k * u_prime), np.where(u.imag > 0.0, noise, np.nan)
 
     def fixed_step(self, k, z):
         """1/(2c S(k) - r), r = sqrt(-z/k) with Im r >= 0: U(k) = r at a fixed point."""
         r = np.sqrt(-z / k)
         return self.inner.fixed_step(k, np.where(r.imag < 0.0, -r, r))
-
-    def value_noise(self, k):
-        """(z(k), its rounding scale), with z(k) infinite where Im U(k) <= 0.
-
-        Near z = 0 with 2c >= 1, U(k) is a small difference of order-one
-        terms, and the rounding scale of z(k) is |U| (|2c - 1| + |2c - 1 - kU|).
-        """
-        u = self.inner.value_slope(k)[0]
-        noise = np.abs(u) * (abs(self.inner.c - 1.0) + np.abs(self.inner.c - 1.0 - k * u))
-        return np.where(u.imag > 0.0, -k * u * u, np.inf), noise
 
     def point(self, t):
         """Real point x = t^2 at which the density at singular value t is read."""
@@ -444,18 +440,17 @@ class _ProductMap:
 
     def density(self, k, t):
         """Density 2 t f_outer(t^2), f_outer = Im(-1/U(k))/(2c pi), from the root k at t^2."""
-        return t * (-1.0 / self.inner.value_slope(k)[0]).imag / (self.c * np.pi)
+        return t * (-1.0 / self.inner.evaluate(k)[0]).imag / (self.c * np.pi)
 
 
-def _residual(law, m, z):
+def _residual(value, noise, z):
     """|z(m) - z| scaled so that SOLVER_TOL admits SOLVER_TOL |z| plus 32 rounding errors.
 
-    law.value_noise(m) gives z(m) and its rounding scale: z(m) cannot get
-    closer to z than 2 eps times that scale.  Infinite where not finite.
+    value is z(m) and noise its rounding scale, both from a map's evaluate:
+    z(m) cannot get closer to z than 2 eps times that scale.  Infinite where
+    not finite, so where the scale is NaN (the product map's wrong branch).
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        value, noise = law.value_noise(m)
-        r = np.abs(value - z) / (np.abs(z) + 64.0 * np.finfo(float).eps / SOLVER_TOL * noise)
+    r = np.abs(value - z) / (np.abs(z) + 64.0 * np.finfo(float).eps / SOLVER_TOL * noise)
     return np.where(np.isfinite(r), r, np.inf)
 
 
@@ -472,21 +467,22 @@ def _fixed_point(law, z):
 def _newton(law, m, z):
     """Newton polish from m on flat arrays toward _NEWTON_TARGET.
 
-    Steps are halved until they stay finite in the upper half-plane, and
-    only residual-decreasing steps are taken; returns (m, residual).
+    law.evaluate runs once on the starting iterates and once per iteration
+    on its candidates, whose value and slope, if accepted, serve the next
+    step.  Steps are halved until they stay finite in the upper half-plane,
+    and only residual-decreasing steps are taken; returns (m, residual).
     """
     m = m.copy()
-    resid = _residual(law, m, z)
-    polish = resid > _NEWTON_TARGET
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        value, slope, noise = law.evaluate(m)
+        resid = _residual(value, noise, z)
+        polish = resid > _NEWTON_TARGET
         for _ in range(NEWTON_MAX_ITER):
             act = polish & (resid > _NEWTON_TARGET)
             if not act.any():
                 break
-            ma = m[act]
-            za = z[act]
-            value, slope = law.value_slope(ma)
-            step = -(value - za) / slope
+            ma, za = m[act], z[act]
+            step = -(value[act] - za) / slope[act]
             cand = ma + step
             for _ in range(60):
                 bad = ~np.isfinite(cand) | (cand.imag <= 0.0)
@@ -497,15 +493,15 @@ def _newton(law, m, z):
             # a candidate that never became admissible keeps the old iterate
             keep = ~np.isfinite(cand) | (cand.imag <= 0.0)
             cand = np.where(keep, ma, cand)
-            new_resid = _residual(law, cand, za)
+            cand_value, cand_slope, cand_noise = law.evaluate(cand)
+            new_resid = _residual(cand_value, cand_noise, za)
             # non-improving points have hit roundoff: keep the better iterate
             # and stop polishing them
             better = new_resid < resid[act]
-            cand = np.where(better, cand, ma)
-            new_resid = np.where(better, new_resid, resid[act])
-            m[act] = cand
-            resid[act] = new_resid
             idx = np.flatnonzero(act)
+            won = idx[better]
+            m[won], resid[won] = cand[better], new_resid[better]
+            value[won], slope[won] = cand_value[better], cand_slope[better]
             polish[idx[~better]] = False
     return m, resid
 
@@ -662,11 +658,14 @@ def psi(c: float, h: PopulationSpectrum, lam) -> float | np.ndarray:
 def ppca_psi(c: float, h: PopulationSpectrum, lam) -> float | np.ndarray:
     """Spike-forward map of the product law: psi of the squared system over lam.
 
-    Equals psi_{2c, H^2}(lam^2)/lam, defined for lam above the bulk.
+    Equals psi_{2c, H^2}(lam^2)/lam, defined for lam above the bulk, and is
+    taken in units of the power of two at or below lam, an exact rescaling,
+    so lam^2 never overflows.
     """
     lam_arr = _check_spike_map("ppca_psi", c, h, lam)
-    h2 = square_spectrum(h)
-    out = _psi_raw(2.0 * c, *_bulk(h2), lam_arr**2) / lam_arr
+    unit = np.ldexp(1.0, np.frexp(lam_arr)[1] - 1)
+    scaled, t2 = lam_arr / unit, (h.values / unit[:, None]) ** 2
+    out = _psi_raw(2.0 * c, t2, square_spectrum(h).weights, scaled * scaled) / scaled * unit
     return float(out[0]) if np.ndim(lam) == 0 else out
 
 

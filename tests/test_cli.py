@@ -326,6 +326,26 @@ class TestThresholdsAndLimits:
         assert code == 1
         assert rec == {"error": "ValueError", "message": message}
 
+    @pytest.mark.parametrize("bulk", [None, "atom 1e150 1\n"])
+    def test_limits_of_a_spike_whose_square_overflows(self, capsys, tmp_path, bulk):
+        # the product map used to print "value": Infinity, which is not
+        # strict JSON, with a RuntimeWarning on stderr
+        argv = ["limits", "--c", "0.4", "--lam", "1e160"]
+        if bulk is not None:
+            spec_file = tmp_path / "bulk.txt"
+            spec_file.write_text(bulk)
+            argv += ["--spectrum", str(spec_file)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+
+        def reject(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        (rec,) = json.loads(out, parse_constant=reject)
+        for method in ("ppca", "pca"):
+            assert rec[method]["tag"] == "distant"
+            assert rec[method]["value"] == pytest.approx(1e160, rel=1e-9)
+
 
 class TestDebias:
     def test_matches_library_call(self, capsys, tmp_path):
@@ -464,6 +484,19 @@ class TestFit:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert len(parse_csv(out)[1]) == p
+
+    @pytest.mark.parametrize("method", ["ppca", "pca"])
+    def test_sample_whose_squares_overflow_is_json_value_error(self, capsys, tmp_path, method):
+        # a 5 x 2 sample near 1e200 used to print nan eigenvalues and exit 0
+        x = 1e200 * RngStream(12, 0).generator().standard_normal((5, 2))
+        path = tmp_path / "data.csv"
+        np.savetxt(path, x, delimiter=",")
+        argv = ["fit", "--input", str(path), "--method", method]
+        if method == "ppca":
+            argv += ["--seed", "4"]
+        code, rec = run_rejected(capsys, tmp_path, *argv)
+        assert code == 1
+        assert rec == {"error": "ValueError", "message": "data must have a finite sum of squares"}
 
     def test_center_flag(self, capsys, tmp_path):
         x = RngStream(10, 0).generator().standard_normal((25, 3)) + 50.0

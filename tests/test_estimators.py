@@ -66,6 +66,20 @@ class TestDataRule:
         with pytest.raises(ValueError, match="^data must have finite entries$"):
             self.FITS[name](x)
 
+    @pytest.mark.parametrize("n, p", [(8, 3), (6, 10)])
+    @pytest.mark.parametrize("name", [*sorted(FITS), "pca_fit_vectors", "ppca_fit_vectors"])
+    def test_rejects_second_moments_that_overflow(self, name, n, p):
+        # finite entries near 1e200 whose squares overflow: NaN singular
+        # values, a LinAlgError or the vector fits' matrix rule before
+        fits = dict(
+            self.FITS,
+            pca_fit_vectors=lambda x: estimators.pca_fit(x, vectors=True),
+            ppca_fit_vectors=lambda x: estimators.ppca_fit(x, RngStream(1), vectors=True),
+        )
+        x = 1e200 * gaussian_data(n, p)
+        with pytest.raises(ValueError, match="^data must have a finite sum of squares$"):
+            fits[name](x)
+
 
 class TestPcaFit:
     def test_repeated_coordinate_row(self):
@@ -372,6 +386,17 @@ class TestDebias:
     def test_rejects_nonpositive_spike(self, debias):
         with pytest.raises(ValueError, match="^spike must be positive$"):
             debias(np.array([0.0, -1.0]), 0.4, 1)
+
+    @pytest.mark.parametrize("c", [0.1, 0.4, 2.0])
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_product_map_scales_exactly(self, c, j):
+        # the values are taken in units of the power of two at or below the
+        # spike, so the squares of values near 2^600 do not overflow
+        lam = np.array([3.2, 1.9, 1.2, 0.8, 0.3])
+        for k in (-600, 600):
+            assert estimators.debias_ppca(np.ldexp(lam, k), c, j) == np.ldexp(
+                estimators.debias_ppca(lam, c, j), k
+            )
 
     def test_rejects_empty_tail(self):
         lam = np.array([3.0, 1.0])

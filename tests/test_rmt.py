@@ -156,6 +156,29 @@ class TestSolverSchedule:
         assert info.value.residual > rmt.SOLVER_TOL
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("product", [False, True])
+    def test_newton_evaluates_the_map_once_per_iteration(self, monkeypatch, product):
+        # one evaluation of every starting iterate, then one of each
+        # iteration's candidates, which also give the next step's slope;
+        # from 1.2 times the root every point stays active for 4 iterations
+        for c, h in self.LAWS:
+            law = rmt._law(c, h, product).companion
+            x = law.point(np.linspace(0.5, 2.0, 7))
+            z = x + 0.1j * x
+            start = 1.2 * rmt._solve_companion_grid(law, z)[0]
+            evaluate, sizes = law.evaluate, []
+
+            def counting(m):
+                sizes.append(m.size)
+                return evaluate(m)
+
+            monkeypatch.setattr(law, "evaluate", counting)
+            for iterations in range(5):
+                monkeypatch.setattr(rmt, "NEWTON_MAX_ITER", iterations)
+                sizes.clear()
+                rmt._newton(law, start, z)
+                assert sizes == [z.size] * (iterations + 1)
+
 
 class TestMpDensity:
     def test_flat_bulk_value(self):
@@ -338,6 +361,26 @@ class TestPsiMaps:
     def test_zero_ratio_is_identity(self):
         assert rmt.psi(0.0, FLAT, 2.5) == pytest.approx(2.5)
         assert rmt.ppca_psi(0.0, FLAT, 2.5) == pytest.approx(2.5)
+
+    @pytest.mark.parametrize("lam", [1e160, 1e300, np.finfo(float).max])
+    def test_product_map_of_a_spike_whose_square_overflows(self, lam):
+        # psi_{2c, H^2}(lam^2)/lam = lam (1 + 2c/(lam^2 - 1)) is lam to within
+        # roundoff; lam^2 used to overflow to inf with a RuntimeWarning
+        assert rmt.ppca_psi(0.4, FLAT, lam) == pytest.approx(lam, rel=1e-15, abs=0.0)
+        assert rmt.ppca_limit(0.4, FLAT, lam).value == pytest.approx(lam, rel=1e-15, abs=0.0)
+        big = spectra.make_spectrum(atoms=[(1e150, 1.0)])
+        assert rmt.ppca_limit(0.4, big, 1e160).value == pytest.approx(1e160, rel=1e-15, abs=0.0)
+
+    def test_product_map_scales_exactly_with_the_spike_and_bulk(self, two_atom_bulk):
+        # the map works in units of the power of two at or below lam, so at
+        # k = 500 the square of 1e4 * 2^k does not overflow
+        lam = np.array([1.6, 2.8, 3.0, 1e4])
+        want = rmt.ppca_psi(0.7, two_atom_bulk, lam)
+        for k in (-200, 500):
+            big = spectra.PopulationSpectrum(
+                atoms=tuple((math.ldexp(t, k), w) for t, w in two_atom_bulk.atoms)
+            )
+            assert np.array_equal(rmt.ppca_psi(0.7, big, np.ldexp(lam, k)), np.ldexp(want, k))
 
     def test_large_spike_bias_decay(self, two_atom_bulk):
         # product-side map: lam * (psi - lam) -> 2c * E[T^2]

@@ -121,12 +121,17 @@ TWO_ATOM_REVERSED = "atom 1.5 0.6\natom 0.5 0.4\n"
 # the split bulk {0.2, 5} scaled by 2^-40, and a bulk spanning twelve decades
 SPLIT_SCALED = f"atom {math.ldexp(0.2, -40)!r} 0.5\natom {math.ldexp(5.0, -40)!r} 0.5\n"
 WIDE_RANGE = "atom 1e-12 0.5\natom 1 0.5\n"
+SIX_ATOM = "".join(
+    f"atom {t} {w}\n"
+    for t, w in ((0.1, 0.15), (0.4, 0.2), (1, 0.25), (1.6, 0.15), (4, 0.15), (9, 0.1))
+)
 
 # (name, c, grid, spectrum): the white bulk at three ratios (c = 1/2 is the
 # product law's switch point), two atoms, a zero atom and well-separated atoms,
 # and two laws at a classical effective ratio c (1 - w0) of one, the white
 # bulk at c = 1 and a half-zero bulk at c = 2, read from t = 1e-12, where the
-# classical density has its 1/sqrt(t) pole.
+# classical density has its 1/sqrt(t) pole; a six-atom bulk at c = 0.1, where
+# both supports have six pieces, and at c = 0.5, where the pieces have dips.
 LAWS = (
     ("white_c0.4", 0.4, "0.01:3:150", None),
     ("white_c0.5", 0.5, "0.01:3.2:160", None),
@@ -136,6 +141,8 @@ LAWS = (
     ("split_c0.01", 0.01, "0.01:6:200", "atom 0.2 0.5\natom 5 0.5\n"),
     ("white_c1", 1.0, "1e-12:4:200", None),
     ("half_zero_c2", 2.0, "1e-12:4:200", "atom 0 0.5\natom 1 0.5\n"),
+    ("six_atom_c0.1", 0.1, "0.01:12:240", SIX_ATOM),
+    ("six_atom_c0.5", 0.5, "0.01:15:300", SIX_ATOM),
 )
 
 # wide and tall spectra and spikes (odd n gives halves of 150 and 151 rows:
@@ -156,7 +163,8 @@ LAWS = (
 # defaults; the product density of the white bulk at 256 down to t = 1e-6,
 # the white bulk's thresholds at c = 1e-25 (critical points 3e-13 above the
 # atom) and its classical density at c = 1 - 1.5e-12 (a lower edge near
-# 6e-25)
+# 6e-25), and the spike limits of the white bulk at 1e160, a spike whose
+# square overflows
 SCENARIO = {"epsilon": 0.01, "k1": 1, "lambda1": 3.0, "c": 0.4, "assignment": [1]}
 DESIGN_CONFIG = (
     "# design spikes over a bulk at level 2\n"
@@ -200,6 +208,7 @@ PANEL = (
     + density("ppca_white_256_c0.6", "ppca", 0.6, "1e-6:40:5", "atom 256 1\n")
     + bulk_json("thresholds_white_c1e-25", "thresholds", 1e-25, "atom 1 1\n")
     + density("pca_white_c1-1.5e-12", "pca", 1.0 - 1.5e-12, "1e-12:4:200")
+    + bulk_json("limits_white_lam1e160", "limits", 0.4, "atom 1 1\n", "--lam", "1e160")
     + robust_analytic("robust_worked", dict(SCENARIO, etas=[70.0, 70.0]))
     + robust_analytic("robust_loud", dict(SCENARIO, etas=[200.0, 200.0]))
 )

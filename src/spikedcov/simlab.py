@@ -532,47 +532,42 @@ def run_spike_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport("spike", tuple(columns), records, tables, cfg.flags)
 
 
-def _orthonormal_leading(matrix: np.ndarray, q: int) -> np.ndarray:
-    """Orthonormalized leading q columns (fused vectors are only nearly so)."""
-    basis, _ = np.linalg.qr(matrix[:, :q])
-    return basis
-
-
 def run_robustness_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Rank estimates and subspace-similarity curves for both estimators.
 
     Per replicate: the number of eigenvalues above the clean-bulk upper edge
     (the estimated target rank) and, for q from the signal count up to
     XI_Q_MAX, the similarity of the leading-q estimated basis to the true
-    signal directions.  Product-PCA bases use the fused vectors,
-    orthonormalized.  Fits return vectors for their rank block only: a q past
-    a fit's rank scores the whole block, and a block narrower than the
-    signal raises ``ValueError``.
+    signal directions.  Each fit gives one orthonormal frame per replicate,
+    whose leading q columns are scored for every q: PCA's eigenvectors, and
+    one QR of product PCA's leading XI_Q_MAX fused vectors (which are only
+    nearly orthonormal).  Fits return vectors for their rank block only: a q
+    past a fit's rank scores the whole block, and a block narrower than the
+    signal raises ``ValueError``.  So does a config with more than XI_Q_MAX
+    spikes, which would leave no q to score.
     """
     if not cfg.spikes:
         raise ValueError("robustness experiment needs at least one population spike")
     r = len(cfg.spikes)
-    q_values = list(range(max(2, r), XI_Q_MAX + 1))
+    if r > XI_Q_MAX:
+        raise ValueError(
+            f"robustness experiment scores at most XI_Q_MAX = {XI_Q_MAX} spikes, got {r}"
+        )
+    q_values = range(max(2, r), XI_Q_MAX + 1)
     consts = rmt.ssm_closed_forms(rmt.SsmParams(c=cfg.c, sigma2=cfg.sigma2))
     columns = ["replicate", "rank_ppca", "rank_pca"]
-    columns += [f"xi_ppca_{q}" for q in q_values]
-    columns += [f"xi_pca_{q}" for q in q_values]
+    columns += [f"xi_{method}_{q}" for method in ("ppca", "pca") for q in q_values]
     records = []
     for i in range(cfg.replicates):
         x, signal = _gen_data_full(cfg, i)
         pfit = ppca_fit(x, _split_stream(cfg, i), vectors=True)
         cfit = pca_fit(x, vectors=True)
+        frames = (np.linalg.qr(pfit.fused_vectors[:, :XI_Q_MAX])[0], cfit.eigenvectors)
         row = [
             i,
             estimate_rank(pfit.singular_values, consts.b),
             estimate_rank(cfit.eigenvalues, consts.b_prime),
         ]
-        row += [
-            similarity_xi(_orthonormal_leading(pfit.fused_vectors, q), signal)
-            for q in q_values
-        ]
-        row += [
-            similarity_xi(cfit.eigenvectors[:, :q], signal) for q in q_values
-        ]
+        row += [similarity_xi(frame[:, :q], signal) for frame in frames for q in q_values]
         records.append(tuple(row))
     return ExperimentReport("robustness", tuple(columns), records, flags=cfg.flags)

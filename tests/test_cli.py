@@ -803,6 +803,20 @@ class TestSimulate:
             "error": "ValueError", "message": "population spikes must be listed largest first"
         }
 
+    def test_robustness_past_scored_spikes_is_json_value_error(self, capsys, tmp_path):
+        # nine spikes leave no xi column; the run used to write rank columns only
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n=60\np=30\nspikes=20,19,18,17,16,15,14,13,12\nreplicates=1\n")
+        code, rec = run_rejected(
+            capsys, tmp_path, "simulate", "robustness", "--config", str(cfg), "--seed", "1",
+            out_flag="--out-prefix",
+        )
+        assert code == 1
+        assert rec == {
+            "error": "ValueError",
+            "message": "robustness experiment scores at most XI_Q_MAX = 8 spikes, got 9",
+        }
+
     def test_same_seed_same_bytes(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(self.CONFIG)

@@ -411,6 +411,53 @@ class TestRobustnessRunner:
             assert record[idx["rank_ppca"]] >= 0
             assert record[idx["rank_pca"]] >= 0
 
+    def test_rejects_more_spikes_than_scored(self):
+        # with nine spikes no q in [9, XI_Q_MAX] is left to score
+        spikes = ",".join(str(v) for v in range(20, 11, -1))
+        cfg = config(f"n=60\np=30\nspikes={spikes}\nreplicates=1\n", seed=3)
+        with pytest.raises(ValueError, match="at most XI_Q_MAX = 8 spikes, got 9"):
+            simlab.run_robustness_experiment(cfg)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # tall: robustness_heavy's model at a quarter of its size
+            "n=125\np=50\nmodel=student_t\nnu=2.5\nspikes=design\nreplicates=3\n",
+            # wide: a product rank block of 4 columns, narrower than XI_Q_MAX
+            "n=9\np=30\nspikes=design\nreplicates=3\n",
+            # odd n: halves of 20 and 21 rows
+            "n=41\np=70\nspikes=9,5,3\nreplicates=3\n",
+        ],
+        ids=["tall", "wide", "odd_n"],
+    )
+    def test_xi_scores_nested_frames_with_one_qr(self, monkeypatch, text):
+        # the leading q columns of one QR span what a QR of those q columns
+        # spans, so each xi_q agrees with a fresh per-q QR at roundoff
+        cfg = config(text, seed=11)
+        calls = []
+        qr = np.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            calls.append(args[0].shape)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        rep = simlab.run_robustness_experiment(cfg)
+        monkeypatch.undo()
+        # the Haar signal frame and the product-PCA frame
+        assert len(calls) == 2 * cfg.replicates
+        q_values = range(max(2, len(cfg.spikes)), simlab.XI_Q_MAX + 1)
+        idx = {c: i for i, c in enumerate(rep.columns)}
+        for i, record in enumerate(rep.records):
+            x, signal = simlab._gen_data_full(cfg, i)
+            fused = estimators.ppca_fit(x, simlab._split_stream(cfg, i), vectors=True).fused_vectors
+            vecs = estimators.pca_fit(x, vectors=True).eigenvectors
+            for q in q_values:
+                want_ppca = estimators.similarity_xi(np.linalg.qr(fused[:, :q])[0], signal)
+                want_pca = estimators.similarity_xi(vecs[:, :q], signal)
+                assert abs(record[idx[f"xi_ppca_{q}"]] - want_ppca) <= 1e-14
+                assert abs(record[idx[f"xi_pca_{q}"]] - want_pca) <= 1e-14
+
     def test_rejects_product_rank_below_spike_count(self):
         # n // 2 = 2 fused vectors cannot span three signal directions
         cfg = config("n=5\np=12\nspikes=9,8,7\nreplicates=1\n", seed=3)

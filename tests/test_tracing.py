@@ -38,5 +38,6 @@ def test_traced_ops_reach_every_counted_layer(tmp_path):
         "numkernel.svd_full.dim",
         "numkernel.sym_eig.dim",
         "numkernel.haar_orthogonal.s",
+        "estimators.similarity_xi.s",
     ):
         assert metrics[name] > 0, name

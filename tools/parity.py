@@ -148,7 +148,9 @@ LAWS = (
 # wide and tall spectra and spikes (odd n gives halves of 150 and 151 rows:
 # a non-square wide core), spikes listed in the config rather than by
 # `design` (the theory table pairs spike j with record column j), the
-# heavy-tailed robustness study that reads eigenvectors, both limiting
+# heavy-tailed robustness study that reads eigenvectors, a robustness study
+# with XI_Q_MAX = 8 spikes (only xi_8 is scored) and one at n = 9, p = 30
+# (a product rank block of 4 vectors, narrower than XI_Q_MAX), both limiting
 # densities of every law above, the closed-form rho curve over a short and a
 # long c range, the vectors of both fits on a tall sample and on a wide one
 # with odd n (halves of 20 and 21 rows), the product-PCA vectors of a tall
@@ -188,6 +190,13 @@ PANEL = (
     + simulate(
         "robustness", "robustness",
         "n=500\np=200\nmodel=student_t\nnu=2.5\nspikes=design\nreplicates=20\n",
+    )
+    + simulate(
+        "robustness_8_spikes", "robustness",
+        "n=200\np=80\nmodel=gaussian\nspikes=16,14,12,10,9,8,7,6\nreplicates=5\n",
+    )
+    + simulate(
+        "robustness_wide_n9", "robustness", "n=9\np=30\nmodel=gaussian\nspikes=design\nreplicates=5\n"
     )
     + sum((density(f"{law}_{name}", law, c, grid, spectrum)
            for name, c, grid, spectrum in LAWS for law in ("ppca", "pca")), ())

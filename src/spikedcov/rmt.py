@@ -39,11 +39,11 @@ float grid resolves (c w_top below about 1e-31 for the upper one), and a
 companion solve on bulks below about 1e-154, where Newton's slope, of order
 1/m^2, falls below the smallest normal float.
 
-One routine (_law) describes either law: its companion map, support, density
-dips and zero mass.  Both laws share its density routine (_density: a complex
-solve just above the real axis, polished by Newton on the axis), one CDF
-routine (_cdf) and one residual rule for the solve (_residual).  Each map has
-one evaluation, evaluate(m) -> (z(m), z'(m), the rounding scale of z(m)),
+One routine (_law) describes either law: its companion map, support, sorted
+CDF pieces and zero mass.  Both laws share its density routine (_density: a
+complex solve just above the real axis, polished by Newton on the axis), one
+CDF routine (_cdf) and one residual rule for the solve (_residual).  Each map
+has one evaluation, evaluate(m) -> (z(m), z'(m), the rounding scale of z(m)),
 made once per Newton iterate; the product map's scale is NaN on its wrong
 branch (Im U(k) <= 0), which _residual reads as an infinite residual.
 
@@ -55,6 +55,7 @@ ValueError.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from collections import namedtuple
@@ -563,11 +564,11 @@ def _density(law, t: np.ndarray) -> np.ndarray:
     return law.density(m, t)
 
 
-_Law = namedtuple("_Law", "companion support dips mass0")
+_Law = namedtuple("_Law", "companion support pieces mass0")
 
 
 def _law(c: float, h: PopulationSpectrum, product: bool) -> _Law:
-    """Companion map, support intervals, density dips and zero mass of one law.
+    """Companion map, support intervals, CDF pieces and zero mass of one law.
 
     The law is the classical one, or the product one if product is true.
     Its support ends are images of the roots of crit(c', t, w, .) = 1, with
@@ -576,6 +577,9 @@ def _law(c: float, h: PopulationSpectrum, product: bool) -> _Law:
     or zero at an effective ratio of one.  Classical ends are psi values at
     q(lam) = 1, clipped at zero against rounding; product ends are sqrt(x(y))
     at the critical points y of x(y) = psi(y)^2/y, and zero for y <= 0.
+    The pieces tile each support interval in increasing order, cut at the
+    distinct dip images inside it, which need not follow the atoms' order as
+    the ends do; one rule across a dip's sharp bend is off by up to 1e-3.
     """
     c = _check_ratio(c)
     companion = _ProductMap(c, h) if product else _SampleMap(c, *_bulk(h))
@@ -591,7 +595,11 @@ def _law(c: float, h: PopulationSpectrum, product: bool) -> _Law:
     edges = [image(lower) if lower is not None else 0.0]
     edges += [image(y) for y in roots + [_upper_critical(crit, *args)]]
     support = list(zip(edges[::2], edges[1::2]))
-    return _Law(companion, support, [image(y) for y in dips], mass_at_zero(sample.c, h))
+    dips = sorted({image(y) for y in dips})
+    pieces = []
+    for lower, upper in support:
+        pieces += itertools.pairwise([lower, *(d for d in dips if lower < d < upper), upper])
+    return _Law(companion, support, pieces, mass_at_zero(sample.c, h))
 
 
 def _pdf(name: str, law: _Law, t) -> float | np.ndarray:
@@ -604,14 +612,8 @@ def _pdf(name: str, law: _Law, t) -> float | np.ndarray:
 
 
 def _cdf(name: str, law: _Law, t) -> float | np.ndarray:
-    """CDF of law at t >= 0: its zero mass plus _cdf_from_pdf over its support."""
-    # graded panels on both sides of a dip: one rule across it is off by up to 1e-3
-    pieces = []
-    for lower, upper in law.support:
-        cuts = [lower, *(d for d in law.dips if lower < d < upper), upper]
-        pieces += zip(cuts[:-1], cuts[1:])
-    pdf = functools.partial(_density, law.companion)
-    return _cdf_from_pdf(name, pdf, pieces, law.mass0, t)
+    """CDF of law at t >= 0: its zero mass plus _cdf_from_pdf over its pieces."""
+    return _cdf_from_pdf(name, functools.partial(_density, law.companion), law.pieces, law.mass0, t)
 
 
 def mp_density(c: float, h: PopulationSpectrum, t) -> float | np.ndarray:
@@ -839,10 +841,10 @@ def _cdf_from_pdf(name: str, pdf, support, mass0: float, t) -> float | np.ndarra
     integrands.  A fixed composite Gauss-Legendre rule integrates theta on
     panels graded geometrically toward both ends: at c = 1/2 the product
     density behaves like t^(-1/3) at zero, where as many uniform panels are
-    off by 1e-6.  The full panels are summed once; each query point inside
-    the interval then adds one partial-panel rule from its panel's left
-    edge (points above add its whole integral), and every node of an
-    interval goes through one vectorized pdf evaluation.
+    off by 1e-6.  The panels are split at the query points inside the
+    interval, all its nodes go through one vectorized pdf evaluation, and
+    one cumulative sum of the nonnegative panel integrals gives every query
+    point its CDF (points above add the whole), nondecreasing by construction.
     """
     pts = _points(name, t, positive=False)
     out = np.full(pts.shape, float(mass0))
@@ -850,12 +852,9 @@ def _cdf_from_pdf(name: str, pdf, support, mass0: float, t) -> float | np.ndarra
         width = upper - lower
         inside = (pts > lower) & (pts < upper)
         theta = np.arcsin(np.sqrt((pts[inside] - lower) / width))
-        panel = np.clip(np.searchsorted(_GL_EDGES, theta, side="right") - 1, 0, _GL_PANELS - 1)
-        start = _GL_EDGES[panel]
-        # one row per panel: every full panel, then each inner point's partial panel
-        left = np.concatenate((_GL_EDGES[:-1], start))
-        span = np.concatenate((np.diff(_GL_EDGES), theta - start))
-        nodes = left[:, None] + span[:, None] * _GL_X
+        edges = np.union1d(_GL_EDGES, theta)
+        span = np.diff(edges)
+        nodes = edges[:-1, None] + span[:, None] * _GL_X
         sin = np.sin(nodes)
         x = lower + width * (sin * sin)
         # nodes of a point at a zero lower edge sit at t = 0, which the pdfs reject
@@ -864,8 +863,8 @@ def _cdf_from_pdf(name: str, pdf, support, mass0: float, t) -> float | np.ndarra
         dens[positive] = pdf(x[positive])
         # dt = width * sin(2 theta) dtheta
         seg = (dens * np.sin(2.0 * nodes)) @ _GL_W * (width * span)
-        cum = np.concatenate(([0.0], np.cumsum(seg[:_GL_PANELS])))
-        out[inside] = out[inside] + cum[panel] + seg[_GL_PANELS:]
+        cum = np.concatenate(([0.0], np.cumsum(seg)))
+        out[inside] += cum[np.searchsorted(edges, theta)]
         out[pts >= upper] += cum[-1]
     out = np.clip(out, 0.0, 1.0)
     out[pts >= support[-1][1]] = 1.0

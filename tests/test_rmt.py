@@ -889,6 +889,15 @@ class TestClosedFormCdfs:
             assert np.all(cdf(np.array([0.0, 0.5 * lo, lo])) == mass0)
             assert np.all(cdf(np.array([hi, 1.5 * hi])) == 1.0)
 
+    def test_nondecreasing_across_panel_edges(self, law, c):
+        # no tolerance at points whose theta is at, next to and 1e-9
+        # relative around every inner panel edge
+        edges = rmt._GL_EDGES[1:-1]
+        theta = [edges * (1.0 + r) for r in (-1e-9, 0.0, 1e-9)]
+        theta = np.concatenate(theta + [np.nextafter(edges, 0.0), np.nextafter(edges, np.pi)])
+        for _, cdf, _, lo, hi, _ in self.cases(law, c):
+            assert np.all(np.diff(cdf(np.sort(lo + (hi - lo) * np.sin(theta) ** 2))) >= 0.0)
+
     def test_scalar_input_gives_float(self, law, c):
         for _, cdf, _, lo, hi, _ in self.cases(law, c):
             mid = 0.5 * (lo + hi)
@@ -1331,22 +1340,18 @@ class TestScaleFreeCriticalPoints:
 def law_moments(law, powers):
     """Moments t^j of law's continuous part, integrated as _cdf integrates its CDF.
 
-    t^j times _density goes through _cdf_from_pdf over the support cut at
-    the dips.  In units of the upper edge T the integral stays below one,
-    which _cdf_from_pdf does not clip, and read just below T it is whole.
+    t^j times _density goes through _cdf_from_pdf over the law's pieces.
+    In units of the upper edge T the integral stays below one, which
+    _cdf_from_pdf does not clip, and read just below T it is whole.
     Every power integrates on the same nodes, so the density is solved once.
     """
-    pieces = []
-    for lower, upper in law.support:
-        cuts = [lower, *(d for d in law.dips if lower < d < upper), upper]
-        pieces += zip(cuts[:-1], cuts[1:])
-    top = pieces[-1][1]
+    top = law.pieces[-1][1]
     below = math.nextafter(top, 0.0)
     density = functools.lru_cache(lambda nodes: rmt._density(law.companion, np.frombuffer(nodes)))
 
     def moment(j):
         pdf = lambda t: (t / top) ** j * density(t.tobytes())
-        return top**j * rmt._cdf_from_pdf("moment", pdf, pieces, 0.0, below)
+        return top**j * rmt._cdf_from_pdf("moment", pdf, law.pieces, 0.0, below)
 
     return [moment(j) for j in powers]
 
@@ -1384,3 +1389,51 @@ class TestMomentIdentities:
             h4 + 4.0 * c * h2 * h2,
         ]
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+class TestCdfPieces:
+    """A law's CDF pieces tile its support in order, and its CDF never decreases.
+
+    The images of a multi-atom law's density dips need not follow the atoms'
+    order, and unsorted cuts make pieces of negative width.
+    """
+
+    @pytest.mark.parametrize(
+        "product, c, atoms",
+        [
+            (True, 2.0, [(0.3, 0.3), (1.0, 0.4), (3.0, 0.3)]),
+            (False, 0.7, [(0.5, 0.1), (1.5, 0.1), (4.0, 0.8)]),
+        ],
+    )
+    def test_law_with_misordered_dips_against_dense_reference(self, product, c, atoms):
+        h = spectra.make_spectrum(atoms=atoms)
+        law = rmt._law(c, h, product=product)
+        cdf = functools.partial(rmt.ppca_lsd_cdf if product else rmt.mp_cdf, c, h)
+        pdf = functools.partial(rmt.ppca_lsd_pdf if product else rmt.mp_density, c, h)
+        nodes, want = dense_cdf(pdf, law.mass0, law.support)
+        assert want[-1] == pytest.approx(1.0, abs=1e-6)
+        nodes, want = nodes[::29], want[::29]
+        assert np.max(np.abs(cdf(nodes) - want)) < 1e-6
+        assert np.all(np.diff(cdf(np.linspace(0.0, 1.05 * law.support[-1][1], 400))) >= 0.0)
+        # one support interval, cut at both dips
+        assert len(law.support) == 1 and len(law.pieces) == 3
+
+    @PROPERTY
+    @given(
+        c=SCALE_RATIOS,
+        seed=st.integers(0, 2**32 - 1),
+        atoms=st.integers(3, 6),
+        product=st.booleans(),
+    )
+    def test_pieces_tile_the_support_in_order(self, c, seed, atoms, product):
+        # merging the pieces that touch gives back the support intervals
+        law = rmt._law(c, random_bulk(np.random.default_rng(seed), atoms), product=product)
+        assert all(lower < upper for lower, upper in law.pieces)
+        merged = [list(law.pieces[0])]
+        for lower, upper in law.pieces[1:]:
+            assert lower >= merged[-1][1]
+            if lower == merged[-1][1]:
+                merged[-1][1] = upper
+            else:
+                merged.append([lower, upper])
+        assert merged == [list(interval) for interval in law.support]

@@ -39,13 +39,15 @@ float grid resolves (c w_top below about 1e-31 for the upper one), and a
 companion solve on bulks below about 1e-154, where Newton's slope, of order
 1/m^2, falls below the smallest normal float.
 
-One routine (_law) describes either law: its companion map, support, sorted
-CDF pieces and zero mass.  Both laws share its density routine (_density: a
-complex solve just above the real axis, polished by Newton on the axis), one
-CDF routine (_cdf) and one residual rule for the solve (_residual).  Each map
-has one evaluation, evaluate(m) -> (z(m), z'(m), the rounding scale of z(m)),
-made once per Newton iterate; the product map's scale is NaN on its wrong
-branch (Im U(k) <= 0), which _residual reads as an infinite residual.
+One routine (_law) describes either law: its companion map, spike
+threshold, support, sorted CDF pieces and zero mass; one top critical point
+gives the threshold and the upper edge, where a spike at or below it sticks.
+Both laws share its density routine (_density: a complex solve just above
+the real axis, polished by Newton on the axis), one CDF routine (_cdf) and
+one residual rule for the solve (_residual).  Each map has one evaluation,
+evaluate(m) -> (z(m), z'(m), the rounding scale of z(m)), made once per
+Newton iterate; the product map's scale is NaN on its wrong branch
+(Im U(k) <= 0), which _residual reads as an infinite residual.
 
 The single-atom closed forms and rho avoid cancellation and never square or
 cube c, and the product-law closed-form density works in units of its upper
@@ -237,7 +239,7 @@ def _bulk(h: PopulationSpectrum) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_ratio(c: float) -> float:
-    """The aspect-ratio rule: c finite and positive; returns it as a float."""
+    """c as a float, checked finite and positive, as every law quantity (limits too) needs."""
     c = float(c)
     if not (np.isfinite(c) and c > 0.0):
         raise ValueError("aspect ratio c must be positive and finite")
@@ -312,11 +314,6 @@ def _g_raw(c: float, t: np.ndarray, w: np.ndarray, y: float, slope: bool = False
     """
     r = t / (t - y)
     return c * float(np.dot(w, r * (4.0 * r - 1.0) * (r - 1.0) if slope else r * (2.0 * r - 1.0)))
-
-
-def _upper_critical(crit, c: float, t: np.ndarray, w: np.ndarray) -> float:
-    """Root of crit(c, t, w, .) = 1 above the largest bulk atom, from its upper neighbour float."""
-    return _root(lambda y: crit(c, t, w, y) - 1.0, math.nextafter(t[-1], math.inf), sys.float_info.max)
 
 
 def _lower_critical(crit, c: float, t: np.ndarray, w: np.ndarray) -> float | None:
@@ -564,19 +561,21 @@ def _density(law, t: np.ndarray) -> np.ndarray:
     return law.density(m, t)
 
 
-_Law = namedtuple("_Law", "companion support pieces mass0")
+_Law = namedtuple("_Law", "companion threshold support pieces mass0")
 
 
 def _law(c: float, h: PopulationSpectrum, product: bool) -> _Law:
-    """Companion map, support intervals, CDF pieces and zero mass of one law.
+    """Companion map, spike threshold, support intervals, CDF pieces and zero mass of one law.
 
     The law is the classical one, or the product one if product is true.
     Its support ends are images of the roots of crit(c', t, w, .) = 1, with
     (c', t, w) its sample map's ratio and bulk (2c and H^2 for the product
     law): one above the bulk, pairs between atoms, and one below the bulk,
-    or zero at an effective ratio of one.  Classical ends are psi values at
-    q(lam) = 1, clipped at zero against rounding; product ends are sqrt(x(y))
-    at the critical points y of x(y) = psi(y)^2/y, and zero for y <= 0.
+    or zero at an effective ratio of one; the root y* above it also gives the
+    spike threshold, y* or sqrt(y*) for the product law.  Classical ends are
+    psi values at q(lam) = 1, clipped at zero against rounding; product ends
+    are sqrt(x(y)) at the critical points y of x(y) = psi(y)^2/y, and zero
+    for y <= 0.
     The pieces tile each support interval in increasing order, cut at the
     distinct dip images inside it, which need not follow the atoms' order as
     the ends do; one rule across a dip's sharp bend is off by up to 1e-3.
@@ -587,19 +586,20 @@ def _law(c: float, h: PopulationSpectrum, product: bool) -> _Law:
     args = (sample.c, sample.t, sample.w)
     if product:
         image = lambda y: float(abs(_psi_raw(*args, y)) / np.sqrt(y)) if y > 0.0 else 0.0
-        crit = _g_raw
+        crit, threshold = _g_raw, math.sqrt
     else:
-        crit, image = _q_raw, lambda lam: max(float(_psi_raw(*args, lam)), 0.0)
+        crit, threshold, image = _q_raw, float, lambda lam: max(float(_psi_raw(*args, lam)), 0.0)
+    above = (math.nextafter(sample.t[-1], math.inf), sys.float_info.max)
+    top = _root(lambda y: crit(*args, y) - 1.0, *above)
     lower = _lower_critical(crit, *args)
     roots, dips = _between_atoms(crit, *args)
-    edges = [image(lower) if lower is not None else 0.0]
-    edges += [image(y) for y in roots + [_upper_critical(crit, *args)]]
+    edges = [image(lower) if lower is not None else 0.0, *map(image, roots + [top])]
     support = list(zip(edges[::2], edges[1::2]))
     dips = sorted({image(y) for y in dips})
     pieces = []
     for lower, upper in support:
         pieces += itertools.pairwise([lower, *(d for d in dips if lower < d < upper), upper])
-    return _Law(companion, support, pieces, mass_at_zero(sample.c, h))
+    return _Law(companion, threshold(top), support, pieces, mass_at_zero(sample.c, h))
 
 
 def _pdf(name: str, law: _Law, t) -> float | np.ndarray:
@@ -641,7 +641,7 @@ def support_edges(c: float, h: PopulationSpectrum) -> tuple[float, float]:
 
 
 def _check_spike_map(name: str, c: float, h: PopulationSpectrum, lam) -> np.ndarray:
-    """Validate a spike-forward map's arguments; lam as a 1-d array."""
+    """Validate a spike map's arguments, c = 0 included (the identity); lam as a 1-d array."""
     if c < 0.0 or not np.isfinite(c):
         raise ValueError("aspect ratio c must be nonnegative and finite")
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -671,20 +671,20 @@ def ppca_psi(c: float, h: PopulationSpectrum, lam) -> float | np.ndarray:
     return float(out[0]) if np.ndim(lam) == 0 else out
 
 
+def _threshold(c: float, h: PopulationSpectrum, product: bool) -> Threshold:
+    """Spike threshold and bulk upper edge of one law, both from its top critical point."""
+    law = _law(c, h, product)
+    return Threshold(threshold=law.threshold, bulk_edge=law.support[-1][1])
+
+
 def pca_threshold(c: float, h: PopulationSpectrum) -> Threshold:
-    """Classical spike threshold and bulk upper edge."""
-    c = _check_ratio(c)
-    t, w = _bulk(h)
-    crit = _upper_critical(_q_raw, c, t, w)
-    return Threshold(threshold=float(crit), bulk_edge=float(_psi_raw(c, t, w, crit)))
+    """Classical spike threshold y*, the top critical point, and bulk upper edge."""
+    return _threshold(c, h, product=False)
 
 
 def ppca_threshold(c: float, h: PopulationSpectrum) -> Threshold:
     """Product-law spike threshold sqrt(y*), y* the top critical point, and bulk upper edge."""
-    c = _check_ratio(c)
-    t2, w2 = _bulk(square_spectrum(h))
-    lambda_star = float(np.sqrt(_upper_critical(_g_raw, 2.0 * c, t2, w2)))
-    return Threshold(threshold=lambda_star, bulk_edge=float(ppca_psi(c, h, lambda_star)))
+    return _threshold(c, h, product=True)
 
 
 def _spike_limit(

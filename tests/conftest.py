@@ -18,7 +18,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import spikedcov
 from spikedcov import rmt, spectra
+
+
+def pytest_report_header(config):
+    """Name the package directory under test: pytest puts this checkout's src/ first."""
+    return f"spikedcov: {pathlib.Path(spikedcov.__file__).parent}"
 
 
 def load_script(path: pathlib.Path) -> types.ModuleType:

@@ -68,6 +68,40 @@ class TestCompareCsv:
         for name in ("moved.json", "indent.json", "one_side.json"):
             assert files[name]["status"] == "different"
 
+    def test_json_numeric_diagnostic(self):
+        # a JSON file that is not identical stays different, and its numeric
+        # field tells a roundoff move from a changed structure
+        parity = load_script(PARITY)
+        base = b'{"bulk_edge": 2.598076211353316, "c": 0.5, "law": "ppca", "stuck": true}'
+        ulp = base.replace(b"2.598076211353316", b"2.5980762113533156")
+        moved = parity.compare_json(base, ulp)
+        assert moved["status"] == "different"
+        assert moved["numeric"] == {
+            "same_structure": True,
+            "max_abs": 2.598076211353316 - 2.5980762113533156,
+            "max_rel": (2.598076211353316 - 2.5980762113533156) / 2.598076211353316,
+            "within_roundoff": True,
+        }
+        beyond = parity.compare_json(base, base.replace(b"0.5", b"0.6"))
+        assert beyond["numeric"]["same_structure"] and not beyond["numeric"]["within_roundoff"]
+        assert beyond["numeric"]["max_abs"] == pytest.approx(0.1)
+        for other in (
+            base.replace(b'"c"', b'"ratio"'),  # a key changed
+            base.replace(b"true", b"false"),  # a boolean changed
+            base.replace(b'"ppca"', b'"pca"'),  # a string changed
+            base.replace(b"0.5", b'"0.5"'),  # a number became a string
+            b"not json",
+        ):
+            assert parity.compare_json(base, other) == {
+                "status": "different",
+                "numeric": {
+                    "same_structure": False,
+                    "max_abs": None,
+                    "max_rel": None,
+                    "within_roundoff": False,
+                },
+            }
+
 
 def test_failing_run_saves_its_error_record(tmp_path):
     # a run that exits nonzero leaves its JSON error record and the panel

@@ -1040,6 +1040,19 @@ class TestEngineProperties:
             assert just_above.value == pytest.approx(thr.bulk_edge, rel=1e-6)
 
     @PROPERTY
+    @given(c=RATIOS, seed=st.integers(0, 2**32 - 1), atoms=st.integers(1, 6))
+    @example(c=0.5, seed=0, atoms=1)
+    def test_bulk_edge_is_the_support_upper_edge(self, c, seed, atoms):
+        # the stuck-spike edge and the support's upper edge are one number:
+        # the image of the top critical point that gives the threshold
+        h = random_bulk(np.random.default_rng(seed), atoms)
+        for threshold, edges in (
+            (rmt.pca_threshold, rmt.support_edges),
+            (rmt.ppca_threshold, rmt.ppca_support_edges),
+        ):
+            assert threshold(c, h).bulk_edge == edges(c, h)[1]
+
+    @PROPERTY
     @given(
         c=RATIOS,
         h=two_atom_bulks(),

@@ -377,6 +377,15 @@ class TestSpikeRunner:
             for col in (f"{m}_lam_1", f"{m}_debiased_1", f"{m}_lam_3", f"{m}_lam_min"):
                 assert col in rep.columns
 
+    def test_stuck_spike_limits_sit_on_the_upper_edges(self):
+        # at c = 1/2 a spike of 1.2 is below both thresholds, so both limits
+        # are the bulk's upper edges, the same floats as the support's
+        cfg = config("n=100\np=50\nspikes=1.2\nreplicates=1\n", seed=4)
+        theory = dict({t[0]: t for t in simlab.run_spike_experiment(cfg).tables}["theory"][2])
+        assert theory["population_spike_1"] < min(theory["pca_threshold"], theory["ppca_threshold"])
+        assert theory["ppca_limit_1"] == theory["ppca_edge_upper"]
+        assert theory["pca_limit_1"] == theory["pca_edge_upper"]
+
     def test_estimates_land_near_theory(self):
         cfg = config("n=600\np=240\nspikes=design\nreplicates=3\n", seed=8)
         rep = simlab.run_spike_experiment(cfg)

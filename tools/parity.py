@@ -20,6 +20,11 @@ that marks every CSV and JSON file the panel writes as
   numeric cell within ROUNDOFF_REL relative or ROUNDOFF_ABS absolute; the
   largest absolute and relative delta of each column that moved is listed;
 * ``different``: anything else, including a file written on one side only.
+  A JSON file on both sides that is not identical also gets a ``numeric``
+  field: whether both sides parse to the same keys, strings and booleans,
+  the largest absolute and relative number delta, and whether every number
+  is within ROUNDOFF_REL or ROUNDOFF_ABS.  It is a diagnostic only: JSON
+  files are classified byte for byte.
 
 The exit code is 1 when any file is ``different``, else 0.
 """
@@ -282,6 +287,13 @@ def _cell(text: str) -> float | None:
         return None
 
 
+def _delta(va: float, vb: float) -> tuple[float, float, bool]:
+    """Absolute and relative gap of two finite numbers, and whether it is roundoff."""
+    gap = abs(va - vb)
+    rel = gap / max(abs(va), abs(vb)) if gap else 0.0
+    return gap, rel, gap <= ROUNDOFF_ABS or rel <= ROUNDOFF_REL
+
+
 def compare_csv(a: bytes, b: bytes) -> dict:
     """Classify two CSV files as identical, roundoff or different."""
     if a == b:
@@ -300,18 +312,55 @@ def compare_csv(a: bytes, b: bytes) -> dict:
             va, vb = _cell(ta), _cell(tb)
             if va is None or vb is None or not (math.isfinite(va) and math.isfinite(vb)):
                 return {"status": "different", "reason": f"cell {column}: {ta!r} vs {tb!r}"}
-            gap = abs(va - vb)
-            rel = gap / max(abs(va), abs(vb)) if gap else 0.0
-            within &= gap <= ROUNDOFF_ABS or rel <= ROUNDOFF_REL
+            gap, rel, close = _delta(va, vb)
+            within &= close
             worst = deltas.setdefault(column, {"max_abs": 0.0, "max_rel": 0.0})
             worst["max_abs"] = max(worst["max_abs"], gap)
             worst["max_rel"] = max(worst["max_rel"], rel)
     return {"status": "roundoff" if within else "different", "columns": deltas}
 
 
+def _json_numbers(a, b, pairs: list) -> bool:
+    """Whether a and b have the same keys, strings, booleans and nulls; their numbers go to pairs."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_json_numbers(a[k], b[k], pairs) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(_json_numbers(x, y, pairs) for x, y in zip(a, b))
+    numbers = [isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)]
+    if all(numbers):
+        pairs.append((float(a), float(b)))
+        return True
+    return not any(numbers) and type(a) is type(b) and a == b
+
+
 def compare_json(a: bytes, b: bytes) -> dict:
-    """Classify two JSON files as identical or different, byte for byte."""
-    return {"status": "identical" if a == b else "different"}
+    """Classify two JSON files as identical or different, byte for byte.
+
+    A different pair also gets the ``numeric`` diagnostic, which moves
+    neither its status nor the exit code; deltas are None where the two
+    sides differ in structure (keys, list lengths, strings, booleans, nulls).
+    """
+    if a == b:
+        return {"status": "identical"}
+    pairs: list[tuple[float, float]] = []
+    try:
+        same = _json_numbers(json.loads(a), json.loads(b), pairs)
+    except ValueError:
+        same = False
+    numeric = {"same_structure": same, "max_abs": None, "max_rel": None, "within_roundoff": False}
+    if same:
+        within, max_abs, max_rel = True, 0.0, 0.0
+        for va, vb in pairs:
+            if va == vb:
+                continue
+            if not (math.isfinite(va) and math.isfinite(vb)):
+                within = False
+                continue
+            gap, rel, close = _delta(va, vb)
+            within &= close
+            max_abs, max_rel = max(max_abs, gap), max(max_rel, rel)
+        numeric.update(max_abs=max_abs, max_rel=max_rel, within_roundoff=within)
+    return {"status": "different", "numeric": numeric}
 
 
 COMPARE = {".csv": compare_csv, ".json": compare_json}

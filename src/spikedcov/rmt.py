@@ -42,6 +42,8 @@ companion solve on bulks below about 1e-154, where Newton's slope, of order
 One routine (_law) describes either law: its companion map, spike
 threshold, support, sorted CDF pieces and zero mass; one top critical point
 gives the threshold and the upper edge, where a spike at or below it sticks.
+It builds each (c, H, estimator) once, a cached value that every threshold,
+edge, limit, density and CDF reads (_law.cache_info() counts the builds).
 Both laws share its density routine (_density: a complex solve just above
 the real axis, polished by Newton on the axis), one CDF routine (_cdf) and
 one residual rule for the solve (_residual).  Each map has one evaluation,
@@ -234,10 +236,6 @@ class BiasReport:
     gap: float
 
 
-def _bulk(h: PopulationSpectrum) -> tuple[np.ndarray, np.ndarray]:
-    return h.values, h.weights
-
-
 def _check_ratio(c: float) -> float:
     """c as a float, checked finite and positive, as every law quantity (limits too) needs."""
     c = float(c)
@@ -380,8 +378,8 @@ class _SampleMap:
     of one).
     """
 
-    def __init__(self, c: float, t: np.ndarray, w: np.ndarray):
-        self.c, self.t, self.w = float(c), t, w
+    def __init__(self, c: float, h: PopulationSpectrum):
+        self.c, self.t, self.w = float(c), h.values, h.weights
 
     def evaluate(self, m):
         """(z(m), z'(m), the rounding scale (|c - 1| + |s|)/|m| of z(m)), s = c sum w/(1+tm)."""
@@ -415,7 +413,7 @@ class _ProductMap:
 
     def __init__(self, c: float, h: PopulationSpectrum):
         self.c = float(c)
-        self.inner = _SampleMap(2.0 * c, *_bulk(square_spectrum(h)))
+        self.inner = _SampleMap(2.0 * c, square_spectrum(h))
 
     def evaluate(self, k):
         """(z(k), z'(k), the rounding scale of z(k)), the scale NaN where Im U(k) <= 0.
@@ -538,10 +536,10 @@ def stieltjes(c: float, h: PopulationSpectrum, z: complex) -> StieltjesEval:
     z = complex(z)
     if not (np.isfinite(z) and z.imag > 0.0):
         raise ValueError("stieltjes requires a finite z with Im z > 0")
-    t, w = _bulk(h)
-    m_comp, resid = _solve_companion_grid(_SampleMap(c, t, w), np.array([z]))
+    law = _SampleMap(c, h)
+    m_comp, resid = _solve_companion_grid(law, np.array([z]))
     m_comp = complex(m_comp[0])
-    m = complex(_m_from_comp(c, t, w, z, m_comp))
+    m = complex(_m_from_comp(c, law.t, law.w, z, m_comp))
     return StieltjesEval(z=z, m=m, m_under=m_comp, residual=float(resid[0]))
 
 
@@ -564,24 +562,28 @@ def _density(law, t: np.ndarray) -> np.ndarray:
 _Law = namedtuple("_Law", "companion threshold support pieces mass0")
 
 
-def _law(c: float, h: PopulationSpectrum, product: bool) -> _Law:
-    """Companion map, spike threshold, support intervals, CDF pieces and zero mass of one law.
+@functools.lru_cache(maxsize=64)
+def _law(c: float, h: PopulationSpectrum, *, product: bool) -> _Law:
+    """Companion map, Threshold, support intervals, CDF pieces and zero mass of one law.
 
     The law is the classical one, or the product one if product is true.
     Its support ends are images of the roots of crit(c', t, w, .) = 1, with
     (c', t, w) its sample map's ratio and bulk (2c and H^2 for the product
     law): one above the bulk, pairs between atoms, and one below the bulk,
     or zero at an effective ratio of one; the root y* above it also gives the
-    spike threshold, y* or sqrt(y*) for the product law.  Classical ends are
-    psi values at q(lam) = 1, clipped at zero against rounding; product ends
-    are sqrt(x(y)) at the critical points y of x(y) = psi(y)^2/y, and zero
-    for y <= 0.
+    spike threshold, y* or sqrt(y*) for the product law, whose bulk edge is
+    the support's upper edge.  Classical ends are psi values at q(lam) = 1,
+    clipped at zero against rounding; product ends are sqrt(x(y)) at the
+    critical points y of x(y) = psi(y)^2/y, and zero for y <= 0.
     The pieces tile each support interval in increasing order, cut at the
     distinct dip images inside it, which need not follow the atoms' order as
     the ends do; one rule across a dip's sharp bend is off by up to 1e-3.
+    Each (c, H, estimator) is built once and cached, with tuples no caller
+    can change; product is keyword-only, as the cache keys a positional flag
+    apart.  A build that raises is not cached; _law.cache_info() counts builds.
     """
     c = _check_ratio(c)
-    companion = _ProductMap(c, h) if product else _SampleMap(c, *_bulk(h))
+    companion = _ProductMap(c, h) if product else _SampleMap(c, h)
     sample = companion.inner if product else companion
     args = (sample.c, sample.t, sample.w)
     if product:
@@ -594,12 +596,12 @@ def _law(c: float, h: PopulationSpectrum, product: bool) -> _Law:
     lower = _lower_critical(crit, *args)
     roots, dips = _between_atoms(crit, *args)
     edges = [image(lower) if lower is not None else 0.0, *map(image, roots + [top])]
-    support = list(zip(edges[::2], edges[1::2]))
+    support = tuple(zip(edges[::2], edges[1::2]))
     dips = sorted({image(y) for y in dips})
-    pieces = []
-    for lower, upper in support:
-        pieces += itertools.pairwise([lower, *(d for d in dips if lower < d < upper), upper])
-    return _Law(companion, threshold(top), support, pieces, mass_at_zero(sample.c, h))
+    cuts = [[lower, *(d for d in dips if lower < d < upper), upper] for lower, upper in support]
+    pieces = tuple(piece for cut in cuts for piece in itertools.pairwise(cut))
+    spike = Threshold(threshold=threshold(top), bulk_edge=edges[-1])
+    return _Law(companion, spike, support, pieces, mass_at_zero(sample.c, h))
 
 
 def _pdf(name: str, law: _Law, t) -> float | np.ndarray:
@@ -629,8 +631,7 @@ def mp_cdf(c: float, h: PopulationSpectrum, t) -> float | np.ndarray:
 def mass_at_zero(c: float, h: PopulationSpectrum) -> float:
     """Point mass at zero of the classical law: max(1 - 1/c, H({0}), 0)."""
     c = _check_ratio(c)
-    t, w = _bulk(h)
-    w0 = float(w[t == 0.0].sum())
+    w0 = float(h.weights[h.values == 0.0].sum())
     return max(1.0 - 1.0 / c, w0, 0.0)
 
 
@@ -653,7 +654,7 @@ def _check_spike_map(name: str, c: float, h: PopulationSpectrum, lam) -> np.ndar
 def psi(c: float, h: PopulationSpectrum, lam) -> float | np.ndarray:
     """Spike-forward map of the classical law at lam above the bulk."""
     lam_arr = _check_spike_map("psi", c, h, lam)
-    out = _psi_raw(c, *_bulk(h), lam_arr)
+    out = _psi_raw(c, h.values, h.weights, lam_arr)
     return float(out[0]) if np.ndim(lam) == 0 else out
 
 
@@ -671,42 +672,40 @@ def ppca_psi(c: float, h: PopulationSpectrum, lam) -> float | np.ndarray:
     return float(out[0]) if np.ndim(lam) == 0 else out
 
 
-def _threshold(c: float, h: PopulationSpectrum, product: bool) -> Threshold:
-    """Spike threshold and bulk upper edge of one law, both from its top critical point."""
-    law = _law(c, h, product)
-    return Threshold(threshold=law.threshold, bulk_edge=law.support[-1][1])
-
-
 def pca_threshold(c: float, h: PopulationSpectrum) -> Threshold:
     """Classical spike threshold y*, the top critical point, and bulk upper edge."""
-    return _threshold(c, h, product=False)
+    return _law(c, h, product=False).threshold
 
 
 def ppca_threshold(c: float, h: PopulationSpectrum) -> Threshold:
     """Product-law spike threshold sqrt(y*), y* the top critical point, and bulk upper edge."""
-    return _threshold(c, h, product=True)
+    return _law(c, h, product=True).threshold
 
 
 def _spike_limit(
-    name: str, threshold, forward, c: float, h: PopulationSpectrum, lam: float
+    name: str, forward, c: float, h: PopulationSpectrum, lam: float, product: bool
 ) -> SpikedLimit:
-    """Distant value forward(c, h, lam) above threshold(c, h), else the stuck edge."""
+    """Distant value forward(c, h, lam) above the law's threshold, else its bulk edge.
+
+    forward is flat at the threshold and can round below the edge just above
+    it, so a distant value is kept at or above the edge, as a stuck one is.
+    """
     lam = float(lam)
     _check_spike_map(name, c, h, lam)
-    thr = threshold(c, h)
+    thr = _law(c, h, product=product).threshold
     if lam > thr.threshold:
-        return SpikedLimit.distant(forward(c, h, lam))
+        return SpikedLimit.distant(max(forward(c, h, lam), thr.bulk_edge))
     return SpikedLimit.stuck(thr.bulk_edge)
 
 
 def pca_limit(c: float, h: PopulationSpectrum, lam: float) -> SpikedLimit:
     """Limit of the sample eigenvalue for a population spike lam (classical)."""
-    return _spike_limit("pca_limit", pca_threshold, psi, c, h, lam)
+    return _spike_limit("pca_limit", psi, c, h, lam, product=False)
 
 
 def ppca_limit(c: float, h: PopulationSpectrum, lam: float) -> SpikedLimit:
     """Limit of the sample singular value for a population spike lam (product)."""
-    return _spike_limit("ppca_limit", ppca_threshold, ppca_psi, c, h, lam)
+    return _spike_limit("ppca_limit", ppca_psi, c, h, lam, product=True)
 
 
 def ppca_mass_at_zero(c: float, h: PopulationSpectrum) -> float:

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate
 
 import spikedcov
-from spikedcov import rmt, simlab, spectra
+from spikedcov import cli, rmt, simlab, spectra
 from conftest import (
     mp_cdf_oracle,
     mp_density_oracle,
@@ -162,7 +162,7 @@ class TestSolverSchedule:
         # iteration's candidates, which also give the next step's slope;
         # from 1.2 times the root every point stays active for 4 iterations
         for c, h in self.LAWS:
-            law = rmt._law(c, h, product).companion
+            law = rmt._law(c, h, product=product).companion
             x = law.point(np.linspace(0.5, 2.0, 7))
             z = x + 0.1j * x
             start = 1.2 * rmt._solve_companion_grid(law, z)[0]
@@ -1053,6 +1053,18 @@ class TestEngineProperties:
             assert threshold(c, h).bulk_edge == edges(c, h)[1]
 
     @PROPERTY
+    @given(c=RATIOS, seed=st.integers(0, 2**32 - 1), atoms=st.integers(1, 4))
+    def test_limit_one_float_above_threshold_is_not_below_the_edge(self, c, seed, atoms):
+        # psi's slope is zero at the threshold, so its value one float above
+        # can round below the edge: a stronger spike than a stuck one must
+        # not get a smaller limit
+        h = random_bulk(np.random.default_rng(seed), atoms)
+        for threshold, limit in LAWS:
+            thr = threshold(c, h)
+            above = limit(c, h, math.nextafter(thr.threshold, math.inf))
+            assert above.is_distant and above.value >= thr.bulk_edge
+
+    @PROPERTY
     @given(
         c=RATIOS,
         h=two_atom_bulks(),
@@ -1450,3 +1462,44 @@ class TestCdfPieces:
             else:
                 merged.append([lower, upper])
         assert merged == [list(interval) for interval in law.support]
+
+
+class TestLawCache:
+    """One law value per (c, H, estimator), built once and never changed."""
+
+    def test_one_build_per_estimator_whatever_the_spike_count(self, capsys):
+        cfg = simlab.parse_config("n=100\np=40\nspikes=6,5,4,3\n", seed=1)
+        runs = (
+            lambda: simlab._spike_theory_table(cfg),
+            lambda: cli.main(["limits", "--c", "0.4", "--lam", "6,5,4,3"]),
+        )
+        for run in runs:
+            rmt._law.cache_clear()
+            run()
+            assert rmt._law.cache_info().misses == 2
+            run()
+            assert rmt._law.cache_info().misses == 2
+        capsys.readouterr()
+
+    def test_estimator_flag_is_keyword_only(self):
+        # the cache would key a positional flag apart from a keyword one
+        with pytest.raises(TypeError):
+            rmt._law(0.4, FLAT, True)
+
+    def test_failed_build_is_never_cached(self):
+        size = rmt._law.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="aspect ratio"):
+                rmt._law(math.nan, FLAT, product=False)
+            with pytest.raises(rmt.SolverError, match="one sign"):
+                rmt._law(1e-32, FLAT, product=False)
+        assert rmt._law.cache_info().currsize == size
+
+    @pytest.mark.parametrize("product", [False, True])
+    def test_cached_value_cannot_be_changed(self, product):
+        law = rmt._law(0.4, SPLIT, product=product)
+        assert isinstance(law.support, tuple) and isinstance(law.pieces, tuple)
+        assert all(isinstance(piece, tuple) for piece in law.support + law.pieces)
+        with pytest.raises(AttributeError):
+            law.support = ()
+        assert rmt._law(0.4, SPLIT, product=product) is law

@@ -30,9 +30,25 @@ The reconstruction stayed within 3.1e-16 of the norm and the values within
 2.3e-13 relative at every kappa.  At the bound 2**12 the defect stays near
 4e-10, below the 1e-8 relative change that ``tools/parity.py`` still
 classes as roundoff.
+
+:func:`_map_replicates` runs the Monte Carlo replicates of a ``simlab``
+runner.  With two or more replicates it spends the BLAS thread budget B,
+numpy's OpenBLAS thread count at call time, across replicates: up to B
+Python threads run them while OpenBLAS is pinned to one thread.  A
+replicate's LAPACK calls are too small for a second BLAS thread to pay (on
+two cores of an Intel Xeon, a 200 x 200 ``eigh`` took 3.6 ms on two threads
+and 3.9 ms on one), so the cores are better spent on different replicates.
+Every replicate then runs on one BLAS thread whatever the core count, so
+the bytes of such a run do not depend on it; ``OPENBLAS_NUM_THREADS=1``
+runs the replicates serially.  No process is forked, and ``glob`` and
+``concurrent.futures`` are imported on first use, so importing the package
+loads neither.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,3 +249,63 @@ def haar_orthogonal(
     d = np.diagonal(r).copy()
     d[d == 0.0] = 1.0
     return q * np.sign(d)
+
+
+@functools.cache
+def _blas_threads():
+    """numpy's OpenBLAS thread-count (getter, setter) pair, or None if not found.
+
+    Found the way threadpoolctl finds it: the OpenBLAS that numpy's wheel
+    vendors in ``numpy.libs``, opened only if already loaded, and its
+    ``scipy_openblas_{get,set}_num_threads64_`` symbols (numpy 2) or
+    ``openblas_{get,set}_num_threads64_`` (numpy 1).  Looked up on first
+    use, so importing the package does no lookup.
+    """
+    if not hasattr(os, "RTLD_NOLOAD"):
+        return None
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            get = getattr(lib, f"{prefix}_get_num_threads64_", None)
+            put = getattr(lib, f"{prefix}_set_num_threads64_", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _map_replicates(replicate, count: int) -> list:
+    """``[replicate(i) for i in range(count)]``, spread over the BLAS thread budget.
+
+    With two or more replicates and numpy's OpenBLAS found, its thread count
+    B is the budget: min(count, B) Python threads run the replicates while
+    OpenBLAS is pinned to one thread, and B is restored afterwards, also
+    when a replicate raises.  Results come back in replicate order, and a
+    failure raises the first failing replicate's error in that order, as the
+    plain loop would.  Otherwise the plain loop runs in the calling thread:
+    with one replicate or no OpenBLAS found the count is neither read nor
+    set, and with B = 1 it is only read.  The count is process-wide: while
+    the pin lasts, BLAS calls from other threads of the process run on one
+    thread too.
+    """
+    handle = _blas_threads() if count > 1 else None
+    budget = handle[0]() if handle is not None else 1
+    workers = min(count, budget)
+    if workers < 2:
+        return [replicate(i) for i in range(count)]
+    from concurrent.futures import ThreadPoolExecutor
+
+    set_threads = handle[1]
+    set_threads(1)
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            return list(pool.map(replicate, range(count)))
+    finally:
+        set_threads(budget)

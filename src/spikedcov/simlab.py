@@ -5,7 +5,12 @@ dimension, tail model, population spikes, replicate count) and a master
 seed from the caller, and run fully deterministically: replicate i draws
 its data from the Philox stream (master_seed, 2i) and its half-split from
 (master_seed, 2i + 1), so any replicate can be regenerated in isolation and
-results do not depend on execution order.  The master seed lies in
+results do not depend on execution order.  A run with two or more
+replicates spends the BLAS thread budget across them
+(:func:`spikedcov.numkernel._map_replicates`): up to that many replicates
+run at once, each on one BLAS thread, so the run's bytes do not depend on
+the core count, and ``OPENBLAS_NUM_THREADS=1`` runs them serially.  A
+one-replicate run stays in the calling thread.  The master seed lies in
 [0, 2**64), and spikes are listed largest first, so that the spike runner's
 theory table pairs spike j of the config with the j-th largest sample
 eigenvalue of every record.
@@ -43,7 +48,7 @@ from .estimators import (
     ppca_fit,
     similarity_xi,
 )
-from .numkernel import RngStream, haar_orthogonal
+from .numkernel import RngStream, _map_replicates, haar_orthogonal
 from .spectra import ks_distance, make_spectrum
 
 __all__ = [
@@ -409,26 +414,25 @@ def run_spectrum_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "zero_frac_ppca",
         "zero_frac_pca",
     )
-    records = []
-    pooled = {"ppca": [], "pca": []}
-    for i in range(cfg.replicates):
+
+    def replicate(i):
         pfit, cfit = fit_values(gen_data(cfg, i), _split_stream(cfg, i))
         sing, eig = pfit.singular_values, cfit.eigenvalues
         ks_g, cond_g = _ks_pair(sing, g_cdf, consts.mass0_ppca)
         ks_f, cond_f = _ks_pair(eig, f_cdf, consts.mass0_pca)
-        records.append(
-            (
-                i,
-                ks_g,
-                ks_f,
-                cond_g,
-                cond_f,
-                np.count_nonzero(sing == 0.0) / cfg.p,
-                np.count_nonzero(eig == 0.0) / cfg.p,
-            )
+        record = (
+            i,
+            ks_g,
+            ks_f,
+            cond_g,
+            cond_f,
+            np.count_nonzero(sing == 0.0) / cfg.p,
+            np.count_nonzero(eig == 0.0) / cfg.p,
         )
-        pooled["ppca"].append(sing)
-        pooled["pca"].append(eig)
+        return record, sing, eig
+
+    records, sings, eigs = zip(*_map_replicates(replicate, cfg.replicates))
+    pooled = {"ppca": sings, "pca": eigs}
     tables = (_histogram_table(pooled, consts), _overlay_table(params, consts))
     return ExperimentReport("spectrum", columns, records, tables, cfg.flags)
 
@@ -516,8 +520,8 @@ def run_spike_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         columns += [f"{method}_debiased_{j}" for j in range(1, r + 1)]
         columns += [f"{method}_lam_{r + 1}", f"{method}_lam_min"]
     ratio = cfg.c
-    records = []
-    for i in range(cfg.replicates):
+
+    def replicate(i):
         pfit, cfit = fit_values(gen_data(cfg, i), _split_stream(cfg, i))
         row = [i]
         for values, debias in (
@@ -527,7 +531,9 @@ def run_spike_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             row += [float(values[j]) for j in range(r)]
             row += [debias(values, ratio, j) for j in range(1, r + 1)]
             row += [float(values[r]), float(values[-1])]
-        records.append(tuple(row))
+        return tuple(row)
+
+    records = _map_replicates(replicate, cfg.replicates)
     tables = (_spike_theory_table(cfg),)
     return ExperimentReport("spike", tuple(columns), records, tables, cfg.flags)
 
@@ -557,8 +563,8 @@ def run_robustness_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     consts = rmt.ssm_closed_forms(rmt.SsmParams(c=cfg.c, sigma2=cfg.sigma2))
     columns = ["replicate", "rank_ppca", "rank_pca"]
     columns += [f"xi_{method}_{q}" for method in ("ppca", "pca") for q in q_values]
-    records = []
-    for i in range(cfg.replicates):
+
+    def replicate(i):
         x, signal = _gen_data_full(cfg, i)
         pfit = ppca_fit(x, _split_stream(cfg, i), vectors=True)
         cfit = pca_fit(x, vectors=True)
@@ -569,5 +575,7 @@ def run_robustness_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             estimate_rank(cfit.eigenvalues, consts.b_prime),
         ]
         row += [similarity_xi(frame[:, :q], signal) for frame in frames for q in q_values]
-        records.append(tuple(row))
+        return tuple(row)
+
+    records = _map_replicates(replicate, cfg.replicates)
     return ExperimentReport("robustness", tuple(columns), records, flags=cfg.flags)

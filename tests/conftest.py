@@ -19,7 +19,7 @@ import pytest
 from scipy.integrate import quad
 
 import spikedcov
-from spikedcov import rmt, spectra
+from spikedcov import numkernel, rmt, spectra
 
 
 def pytest_report_header(config):
@@ -152,6 +152,60 @@ def random_bulk(rng: np.random.Generator, n_atoms: int) -> spectra.PopulationSpe
     while np.any(wts < 0.05):
         wts = rng.dirichlet(np.ones(n_atoms))
     return spectra.make_spectrum(atoms=list(zip(vals, wts)))
+
+
+class RecordingBlas:
+    """Stand-in for numkernel._blas_threads: a thread count to read, and logs.
+
+    ``lookups`` counts lookups, ``sets`` lists every count set; the count
+    set last is what the getter reads next.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.threads = budget
+        self.lookups = 0
+        self.sets: list[int] = []
+
+    def lookup(self):
+        self.lookups += 1
+        return self.get, self.set
+
+    def get(self) -> int:
+        return self.threads
+
+    def set(self, threads: int) -> None:
+        self.sets.append(threads)
+        self.threads = threads
+
+
+@pytest.fixture
+def fake_blas(monkeypatch):
+    """Install a RecordingBlas with the given budget as the BLAS thread handle."""
+
+    def install(budget: int) -> RecordingBlas:
+        fake = RecordingBlas(budget)
+        monkeypatch.setattr(numkernel, "_blas_threads", fake.lookup)
+        return fake
+
+    return install
+
+
+@pytest.fixture
+def openblas_two_threads():
+    """numpy's OpenBLAS thread-count getter, the count set to 2 for the test.
+
+    Skips where numpy's OpenBLAS is not found; the count is restored after.
+    """
+    handle = numkernel._blas_threads()
+    if handle is None:
+        pytest.skip("numpy's OpenBLAS thread count is not reachable")
+    get, put = handle
+    before = get()
+    put(2)
+    try:
+        yield get
+    finally:
+        put(before)
 
 
 @pytest.fixture

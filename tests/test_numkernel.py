@@ -1,3 +1,10 @@
+import os
+import pathlib
+import subprocess
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -318,3 +325,69 @@ class TestHaarOrthogonal:
         vals = np.array([numkernel.haar_orthogonal(p, gen)[0, 0] for _ in range(reps)])
         assert abs(vals.mean()) < 5.0 / np.sqrt(reps * (1.0 / p))
         assert abs(vals.var() - 1.0 / p) < 0.02
+
+
+class TestMapReplicates:
+    def test_results_in_replicate_order_within_the_budget(self, fake_blas):
+        fake = fake_blas(3)
+        idents = set()
+
+        def replicate(i):
+            idents.add(threading.get_ident())
+            time.sleep(0.002 * (7 - i))  # later replicates finish first
+            return i * i
+
+        assert numkernel._map_replicates(replicate, 7) == [i * i for i in range(7)]
+        assert threading.get_ident() not in idents and len(idents) <= 3
+        assert fake.sets == [1, 3]
+
+    def test_count_restored_when_a_replicate_raises(self, fake_blas):
+        fake = fake_blas(2)
+
+        def replicate(i):
+            if i == 2:
+                raise ArithmeticError("replicate 2")
+            return i
+
+        with pytest.raises(ArithmeticError, match="replicate 2"):
+            numkernel._map_replicates(replicate, 4)
+        assert fake.sets == [1, 2]
+
+    def test_no_handle_runs_the_plain_loop(self, monkeypatch):
+        monkeypatch.setattr(numkernel, "_blas_threads", lambda: None)
+        idents = []
+        out = numkernel._map_replicates(lambda i: idents.append(threading.get_ident()) or i, 3)
+        assert out == [0, 1, 2]
+        assert idents == [threading.get_ident()] * 3
+
+    def test_more_workers_than_cores_under_fast_switching(self, fake_blas):
+        # every result lands in its own slot however often threads switch
+        fake_blas(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = numkernel._map_replicates(lambda i: float(np.sum(np.arange(i + 1))), 400)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [i * (i + 1) / 2 for i in range(400)]
+
+    def test_openblas_count_reads_and_sets(self, openblas_two_threads):
+        get, put = numkernel._blas_threads()
+        put(1)
+        assert get() == 1
+        put(2)
+        assert openblas_two_threads() == 2
+
+    def test_import_does_no_lookup(self):
+        src = pathlib.Path(numkernel.__file__).parents[1]
+        code = (
+            "import sys\n"
+            "import spikedcov.cli, spikedcov.simlab\n"
+            "from spikedcov import numkernel\n"
+            "print(numkernel._blas_threads.cache_info().misses, 'concurrent.futures' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+        )
+        assert out.stdout.split() == ["0", "False"]

@@ -3,6 +3,8 @@ import dataclasses
 import functools
 import io
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -484,6 +486,121 @@ class TestRobustnessRunner:
         assert agg["rank_pca"] == pytest.approx(2.0, abs=0.5)
         assert agg["xi_ppca_2"] >= 0.95
         assert agg["xi_pca_2"] >= 0.95
+
+
+def _recording_split_stream(monkeypatch, read_threads=None):
+    """Log (replicate, thread id, BLAS count) at each replicate's split stream.
+
+    Every runner draws one split stream per replicate, inside the replicate.
+    """
+    log = []
+    split = simlab._split_stream
+
+    def recording(cfg, i):
+        log.append((i, threading.get_ident(), read_threads() if read_threads else None))
+        return split(cfg, i)
+
+    monkeypatch.setattr(simlab, "_split_stream", recording)
+    return log
+
+
+RUNNERS = {
+    "spectrum": simlab.run_spectrum_experiment,
+    "spike": simlab.run_spike_experiment,
+    "robustness": simlab.run_robustness_experiment,
+}
+
+
+class TestConcurrentReplicates:
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            ("spectrum", "n=60\np=120\nreplicates=3\n"),
+            ("spectrum", "n=300\np=120\nreplicates=3\n"),
+            ("spike", "n=600\np=240\nspikes=design\nreplicates=5\n"),
+            ("spike", "n=200\np=400\nspikes=8,4\nreplicates=3\n"),
+            ("robustness", "n=125\np=50\nmodel=student_t\nnu=2.5\nspikes=design\nreplicates=4\n"),
+        ],
+        ids=["spectrum_wide", "spectrum_tall", "spike_tall", "spike_wide", "robustness"],
+    )
+    def test_concurrent_and_serial_runs_write_the_same_bytes(
+        self, monkeypatch, tmp_path, openblas_two_threads, kind, text
+    ):
+        cfg = config(text, seed=21)
+        log = _recording_split_stream(monkeypatch, openblas_two_threads)
+        concurrent = RUNNERS[kind](cfg).write(str(tmp_path / "concurrent"))
+        main = threading.get_ident()
+        assert sorted(i for i, _, _ in log) == list(range(cfg.replicates))
+        # off the calling thread, on at most the budget of 2 threads
+        assert main not in {ident for _, ident, _ in log}
+        assert len({ident for _, ident, _ in log}) <= 2
+        # one BLAS thread per replicate, and the budget back afterwards
+        assert {threads for _, _, threads in log} == {1}
+        assert openblas_two_threads() == 2
+
+        log.clear()
+        monkeypatch.setattr(numkernel, "_blas_threads", lambda: None)
+        serial = RUNNERS[kind](cfg).write(str(tmp_path / "serial"))
+        assert [(i, ident) for i, ident, _ in log] == [(i, main) for i in range(cfg.replicates)]
+        assert len(concurrent) == len(serial)
+        for a, b in zip(concurrent, serial):
+            with open(a, "rb") as fa, open(b, "rb") as fb:
+                assert fa.read() == fb.read(), os.path.basename(a)
+
+    def test_first_failing_replicate_raises_as_in_a_serial_run(self, monkeypatch, fake_blas):
+        # replicate 3 fails at once and replicate 1 late, yet 1 is reported
+        split = simlab._split_stream
+
+        def failing(cfg, i):
+            if i == 1:
+                time.sleep(0.05)
+            if i in (1, 3):
+                raise ValueError(f"replicate {i} failed")
+            return split(cfg, i)
+
+        monkeypatch.setattr(simlab, "_split_stream", failing)
+        cfg = config("n=40\np=16\nspikes=4\nreplicates=5\n", seed=2)
+        for budget in (4, 1):
+            fake = fake_blas(budget)
+            for run in RUNNERS.values():
+                with pytest.raises(ValueError, match="^replicate 1 failed$"):
+                    run(cfg)
+            assert fake.threads == budget
+            assert fake.sets == ([1, budget] * 3 if budget > 1 else [])
+
+    def test_fit_error_and_blas_count_as_in_a_serial_run(self, monkeypatch, openblas_two_threads):
+        # n // 2 = 2 fused vectors cannot span three signal directions
+        cfg = config("n=5\np=12\nspikes=9,8,7\nreplicates=3\n", seed=3)
+        ok = config("n=125\np=50\nspikes=design\nreplicates=3\n", seed=3)
+        simlab.run_robustness_experiment(ok)
+        assert openblas_two_threads() == 2
+        with pytest.raises(ValueError) as concurrent:
+            simlab.run_robustness_experiment(cfg)
+        assert openblas_two_threads() == 2
+        monkeypatch.setattr(numkernel, "_blas_threads", lambda: None)
+        with pytest.raises(ValueError) as serial:
+            simlab.run_robustness_experiment(cfg)
+        assert type(concurrent.value) is type(serial.value)
+        assert str(concurrent.value) == str(serial.value)
+        assert "columns" in str(serial.value)
+
+    @pytest.mark.parametrize("kind", sorted(RUNNERS))
+    def test_one_replicate_stays_in_the_calling_thread(self, monkeypatch, fake_blas, kind):
+        # spectrum_wide's path: one replicate never looks up or sets the BLAS count
+        fake = fake_blas(2)
+        log = _recording_split_stream(monkeypatch)
+        RUNNERS[kind](config("n=70\np=140\nspikes=design\nreplicates=1\n", seed=4))
+        assert [(i, ident) for i, ident, _ in log] == [(0, threading.get_ident())]
+        assert (fake.lookups, fake.sets) == (0, [])
+
+    def test_budget_of_one_runs_serially_without_setting(self, monkeypatch, fake_blas):
+        # OPENBLAS_NUM_THREADS=1: the count is read, never set
+        fake = fake_blas(1)
+        log = _recording_split_stream(monkeypatch)
+        simlab.run_robustness_experiment(config("n=40\np=16\nspikes=4\nreplicates=3\n", seed=4))
+        main = threading.get_ident()
+        assert [(i, ident) for i, ident, _ in log] == [(i, main) for i in range(3)]
+        assert (fake.lookups, fake.sets) == (1, [])
 
 
 class TestReport:

@@ -16,14 +16,14 @@ B_1 B_2^T for any factors with B_i^T B_i = S_i, the half covariances
 (Halko, Martinsson & Tropp 2011, on reduced cores).  With vectors, PCA
 decomposes the p x p covariance and product PCA lifts the vectors of the
 core diag(s_1) V_1^T V_2 diag(s_2), where V_i and s_i are the right singular
-vectors and values of each scaled half: from the half covariance when the
-half has at least p rows, from its thin SVD otherwise, never forming the
-left vectors.  The core is decomposed by :func:`svd_full`: one ``eigh`` of
-its smaller Gram while its estimated condition number is at most
-``numkernel.GRAM_COND_MAX``, LAPACK's SVD otherwise (a rank-deficient core
-always).  Values past a fit's rank are exact zeros, and vectors are
-returned for the rank block only: those of the zeros would span an
-arbitrary null basis.
+vectors and values of each scaled half, from the half covariance when the
+half has at least p rows.  A wider half and the core are decomposed by
+:func:`svd_full`: one ``eigh`` of the smaller Gram while the estimated
+condition number is at most ``numkernel.GRAM_COND_MAX``, LAPACK's SVD
+otherwise (a rank-deficient matrix always).  Every basis, PCA's included,
+takes the sign rule of :func:`fix_signs`.  Values past a fit's rank are
+exact zeros, and vectors are returned for the rank block only: those of
+the zeros would span an arbitrary null basis.
 
 :func:`fit_values` gives both values-only fits of one sample from shared
 work.  For wide data (p > n) it forms the n x n Gram X X^T once: the
@@ -74,8 +74,8 @@ class PCAFit:
 
     ``eigenvalues`` are descending, clipped at zero (the matrix is PSD up to
     roundoff) and exactly 0.0 past the rank min(n, p); column j of
-    ``eigenvectors`` (rank block only) pairs with ``eigenvalues[j]``, and is
-    ``None`` for a values-only fit.
+    ``eigenvectors`` (rank block only, signs set by :func:`fix_signs`) pairs
+    with ``eigenvalues[j]``, and is ``None`` for a values-only fit.
     """
 
     eigenvalues: np.ndarray
@@ -136,7 +136,7 @@ def pca_fit(x: np.ndarray, *, vectors: bool = False) -> PCAFit:
     Values only: the min(n, p) eigenvalues of the smaller of X^T X / n and
     X X^T / n, which share their nonzero spectrum.  With ``vectors`` the
     p x p sample covariance is decomposed and the rank block's eigenvectors
-    are kept.
+    are kept, each signed so its largest-magnitude entry is positive.
     """
     x = _check_data(x)
     n, p = x.shape
@@ -145,7 +145,8 @@ def pca_fit(x: np.ndarray, *, vectors: bool = False) -> PCAFit:
         return PCAFit(eigenvalues=_gram_eigenvalues(gram, n, p), eigenvectors=None)
     rank = min(n, p)
     full, v = sym_eig(sample_cov(x))
-    return PCAFit(eigenvalues=_clipped(full[:rank], p), eigenvectors=v[:, :rank])
+    v = v[:, :rank]
+    return PCAFit(eigenvalues=_clipped(full[:rank], p), eigenvectors=fix_signs(v, v)[0])
 
 
 def _padded(values: np.ndarray, p: int) -> np.ndarray:
@@ -202,13 +203,13 @@ def _half_svd(half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A half with at least p rows takes V from the eigenvectors of its p x p
     covariance and s as the column norms of X_h V / sqrt(h); the square
     roots of the eigenvalues would turn roundoff in a rank-deficient half
-    into values near 1e-8 of the largest.  A wider half takes the thin SVD,
-    whose U is only h x h.  Either way the h x p U is never formed.
+    into values near 1e-8 of the largest.  A wider half goes through
+    :func:`svd_full`, like the core.  Either way the h x p U is never formed.
     """
     h, p = half.shape
     if h < p:
-        _, s, vh = np.linalg.svd(half / np.sqrt(h), full_matrices=False)
-        return s, vh.T
+        trip = svd_full(half / np.sqrt(h))
+        return trip.s, trip.v
     _, v = sym_eig(sample_cov(half))
     return np.linalg.norm(half @ v, axis=0) / np.sqrt(h), v
 

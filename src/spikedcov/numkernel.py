@@ -168,15 +168,15 @@ def fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u * flip, v * flip
 
 
-def _gram_svd(a: np.ndarray) -> SvdTriplet | None:
-    """Thin SVD from ``eigh`` of the smaller Gram, or None where it is not accurate.
+def _gram_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Unsigned thin SVD ``(u, s, v)`` from ``eigh`` of the smaller Gram, or None.
 
     With B = A (at least as many rows as columns) or B = A^T, the
     eigenvectors W of B^T B are one side's singular vectors, the column
     norms of B W the values, and B W / s the other side's vectors.  B is
     first scaled by a power of two, which is exact, so that B^T B neither
-    overflows nor underflows.  Returns None when ``eigh`` raises, when
-    s_max = 0, or when s_max / s_min exceeds GRAM_COND_MAX.
+    overflows nor underflows.  None where the route is not accurate: when
+    ``eigh`` raises, s_max = 0, or s_max / s_min exceeds GRAM_COND_MAX.
     """
     tall = a.shape[0] >= a.shape[1]
     b = a if tall else a.T
@@ -192,16 +192,14 @@ def _gram_svd(a: np.ndarray) -> SvdTriplet | None:
     s, w, bw = s[order], w[:, order], bw[:, order]
     if not (s.size and 0.0 < s[0] <= GRAM_COND_MAX * s[-1]):
         return None
-    other = bw / s
-    u, v = fix_signs(other, w) if tall else fix_signs(w, other)
-    return SvdTriplet(u=u, s=s * scale, v=v)
+    return (bw / s, s * scale, w) if tall else (w, s * scale, bw / s)
 
 
 def svd_full(a: np.ndarray) -> SvdTriplet:
     """Thin SVD of a finite 2-d matrix with a deterministic sign convention.
 
-    An m x n input gives min(m, n) triplets, singular values descending,
-    with signs fixed by :func:`fix_signs`.  Two routes:
+    An m x n input gives min(m, n) triplets, singular values descending, with
+    signs set by :func:`fix_signs` at the one exit both routes share:
 
     * Gram route: ``eigh`` of the smaller Gram B^T B, B = A or A^T (see
       :func:`_gram_svd`), when its estimate of s_max / s_min is at most
@@ -215,15 +213,16 @@ def svd_full(a: np.ndarray) -> SvdTriplet:
     """
     a = _as_matrix(a, "matrix")
     trip = _gram_svd(a)
-    if trip is not None:
-        return trip
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError:
-        import scipy.linalg
+    if trip is None:
+        try:
+            u, s, vh = np.linalg.svd(a, full_matrices=False)
+        except np.linalg.LinAlgError:
+            import scipy.linalg
 
-        u, s, vh = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
-    u, v = fix_signs(u, vh.T)
+            u, s, vh = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
+        trip = u, s, vh.T
+    u, s, v = trip
+    u, v = fix_signs(u, v)
     return SvdTriplet(u=u, s=s, v=v)
 
 

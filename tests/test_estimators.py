@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from spikedcov import estimators, rmt, spectra
+from spikedcov import estimators, numkernel, rmt, spectra
 from spikedcov.numkernel import RngStream, fix_signs, psd_sqrt
 
 
@@ -103,6 +103,24 @@ class TestPcaFit:
         fit = estimators.pca_fit(x, vectors=True)
         assert np.allclose(fit.eigenvectors.T @ fit.eigenvectors, np.eye(8), atol=1e-10)
 
+    @pytest.mark.parametrize("n, p", [(40, 8), (6, 10)])
+    def test_vector_signs_do_not_depend_on_eigh(self, n, p, monkeypatch):
+        # product PCA's sign rule: the largest-magnitude entry is positive,
+        # whatever signs LAPACK gives the eigenvectors
+        x = gaussian_data(n, p, seed=24)
+        want = estimators.pca_fit(x, vectors=True).eigenvectors
+        eigh = np.linalg.eigh
+
+        def negated(a):
+            w, v = eigh(a)
+            return w, v * np.where(np.arange(v.shape[1]) % 2 == 0, -1.0, 1.0)
+
+        monkeypatch.setattr(numkernel.np.linalg, "eigh", negated)
+        got = estimators.pca_fit(x, vectors=True).eigenvectors
+        assert np.array_equal(got, want)
+        lead = np.argmax(np.abs(got), axis=0)
+        assert np.all(got[lead, np.arange(got.shape[1])] > 0.0)
+
 
 class TestPpcaFit:
     def test_identical_halves_reproduce_eigen_decomposition(self):
@@ -193,12 +211,15 @@ class TestPpcaFit:
     @pytest.mark.parametrize(
         # tall; wide with odd n (halves of 20 and 21 rows: a 20 x 21 core);
         # tall with two equal columns (a rank-deficient core, which svd_full
-        # hands to gesdd rather than to the eigenvectors of its Gram)
+        # hands to gesdd rather than to the eigenvectors of its Gram); wide
+        # with halves of 150 rows, which take the Gram route, and a core
+        # whose condition number (about 7e3) sends it to gesdd
         "n, p, spikes, duplicate, core_gesdd_calls, max_angle",
         [
             (200, 30, (40.0, 20.0, 10.0), False, 0, 1e-9),
             (41, 70, (100.0, 50.0, 25.0), False, 0, 1e-9),
             (200, 30, (40.0, 20.0, 10.0), True, 1, 1e-9),
+            (300, 800, (100.0, 50.0, 25.0), False, 1, 1e-9),
         ],
     )
     def test_vectors_match_product_of_square_roots(
@@ -233,6 +254,48 @@ class TestPpcaFit:
         oracle, _ = estimators._fuse(*fix_signs(u[:, :k], vh[:k].T))
         angles = scipy.linalg.subspace_angles(fit.fused_vectors[:, :k], oracle)
         assert np.max(angles) <= max_angle
+
+    def test_wide_halves_and_core_go_through_svd_full(self, monkeypatch):
+        # halves of 20 and 21 rows with p = 70: each half is wide
+        x = gaussian_data(41, 70, seed=22)
+        shapes = []
+        svd_full = estimators.svd_full
+
+        def counted(a):
+            shapes.append(np.shape(a))
+            return svd_full(a)
+
+        monkeypatch.setattr(estimators, "svd_full", counted)
+        fit = estimators.ppca_fit(x, RngStream(9, 0), vectors=True)
+        assert shapes == [(20, 70), (21, 70), (20, 21)]
+        assert fit.fused_vectors.shape == (70, 20)
+
+    def test_rank_deficient_wide_halves_take_the_gesvd_retry(self, monkeypatch):
+        # x = A B has rank 3, so each wide half is rank-deficient and leaves
+        # the Gram route for gesdd; the first gesdd call fails to converge
+        gen = RngStream(23, 0).generator()
+        x = gen.standard_normal((40, 3)) @ gen.standard_normal((3, 70))
+        normal = estimators.ppca_fit(x, RngStream(9, 0), vectors=True)
+        gesdd = np.linalg.svd
+        failures = []
+
+        def fails_once(*args, **kwargs):
+            if not failures:
+                failures.append(np.shape(args[0]))
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return gesdd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", fails_once)
+        retried = estimators.ppca_fit(x, RngStream(9, 0), vectors=True)
+        monkeypatch.undo()
+        assert failures == [(20, 70)]
+        s = retried.singular_values
+        assert np.max(np.abs(s - normal.singular_values)) <= 1e-12 * s[0]
+        assert np.all(s[:3] > 1e-3 * s[0]) and np.all(s[3:] <= 1e-12 * s[0])
+        angles = scipy.linalg.subspace_angles(
+            retried.fused_vectors[:, :3], normal.fused_vectors[:, :3]
+        )
+        assert np.max(angles) <= 1e-9
 
     def test_rank_deficient_tall_half_keeps_roundoff_values(self):
         # 16 of the first half's 20 rows are one row repeated, so that half

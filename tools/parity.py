@@ -160,7 +160,8 @@ LAWS = (
 # long c range, the vectors of both fits on a tall sample and on a wide one
 # with odd n (halves of 20 and 21 rows), the product-PCA vectors of a tall
 # sample with two equal columns (a rank-deficient core, which takes LAPACK's
-# SVD), and both debiasing maps on one
+# SVD) and of a wide sample whose 60-row halves take svd_full's Gram route,
+# a robustness study on that wide shape, and both debiasing maps on one
 # descending spectrum with a header row; the thresholds of the two-atom bulk
 # at two ratios (at c = 0.4 also with its atom lines reversed) and its spike
 # limits, stuck and distant, the thresholds of a bulk far below unit scale
@@ -203,6 +204,9 @@ PANEL = (
     + simulate(
         "robustness_wide_n9", "robustness", "n=9\np=30\nmodel=gaussian\nspikes=design\nreplicates=5\n"
     )
+    + simulate(
+        "robustness_wide", "robustness", "n=120\np=300\nmodel=gaussian\nspikes=design\nreplicates=3\n"
+    )
     + sum((density(f"{law}_{name}", law, c, grid, spectrum)
            for name, c, grid, spectrum in LAWS for law in ("ppca", "pca")), ())
     + rho("rho_c10", "0:10:101")
@@ -211,6 +215,7 @@ PANEL = (
            for shape, n, p, seed in (("tall", 120, 30, 1), ("wide_odd", 41, 70, 2))
            for method, split in (("ppca", 3), ("pca", None))), ())
     + fit("fit_ppca_tall_dup", "ppca", first_column_twice(data_csv(120, 29, 3)), 3)
+    + fit("fit_ppca_wide", "ppca", data_csv(120, 300, 4), 3)
     + debias("debias_ppca", "ppca", SPECTRUM_CSV)
     + debias("debias_pca", "pca", SPECTRUM_CSV)
     + bulk_json("thresholds_two_atom_c0.4", "thresholds", 0.4, TWO_ATOM)

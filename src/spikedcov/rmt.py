@@ -45,11 +45,12 @@ gives the threshold and the upper edge, where a spike at or below it sticks.
 It builds each (c, H, estimator) once, a cached value that every threshold,
 edge, limit, density and CDF reads (_law.cache_info() counts the builds).
 Both laws share its density routine (_density: a complex solve just above
-the real axis, polished by Newton on the axis), one CDF routine (_cdf) and
-one residual rule for the solve (_residual).  Each map has one evaluation,
-evaluate(m) -> (z(m), z'(m), the rounding scale of z(m)), made once per
-Newton iterate; the product map's scale is NaN on its wrong branch
-(Im U(k) <= 0), which _residual reads as an infinite residual.
+the real axis, polished by Newton on it, whose root alone gives the density,
+Im m_comp/(c pi) or Re sqrt(k)/(c pi)), one CDF routine (_cdf) and one
+residual rule (_residual).  Each map has one evaluation, evaluate(m) ->
+(z(m), z'(m), the rounding scale of z(m)), made once per Newton iterate;
+the product map's scale is NaN on its wrong branch (Im U(k) <= 0), which
+_residual reads as an infinite residual.
 
 The single-atom closed forms and rho avoid cancellation and never square or
 cube c, and the product-law closed-form density works in units of its upper
@@ -354,17 +355,6 @@ def _between_atoms(crit, c: float, t: np.ndarray, w: np.ndarray) -> tuple[list[f
     return roots, dips
 
 
-def _m_from_comp(c: float, t: np.ndarray, w: np.ndarray, z, m_comp):
-    """Sample-law transform from the companion one, cancellation-free.
-
-    Writing S = sum w t/(1 + t m_comp), the fixed point gives
-    m = (z + (1-c) S) / (z (c S - z)), which stays accurate as c -> 0
-    (the naive (m_comp - (c-1)/z)/c loses digits there).
-    """
-    s = (w * t / (1.0 + np.multiply.outer(m_comp, t))).sum(axis=-1)
-    return (z + (1.0 - c) * s) / (z * (c * s - z))
-
-
 # ---------------------------------------------------------------------------
 # complex solver
 # ---------------------------------------------------------------------------
@@ -398,9 +388,9 @@ class _SampleMap:
         """Real point x at which the density at t is read: x = t."""
         return t
 
-    def density(self, m, t):
-        """Density Im m/pi at t from the companion root m at the real point t."""
-        return _m_from_comp(self.c, self.t, self.w, t, m).imag / np.pi
+    def density(self, m):
+        """Density Im m_comp/(c pi) from the root m_comp at real z, where (c - 1)/z is real."""
+        return m.imag / (self.c * np.pi)
 
 
 class _ProductMap:
@@ -431,12 +421,18 @@ class _ProductMap:
         return self.inner.fixed_step(k, np.where(r.imag < 0.0, -r, r))
 
     def point(self, t):
-        """Real point x = t^2 at which the density at singular value t is read."""
+        """Real point x = t^2 of singular value t; ValueError below the smallest normal float."""
+        if np.any(t * t < np.finfo(float).tiny):
+            raise ValueError("product-law points must square to at least the smallest normal float")
         return t * t
 
-    def density(self, k, t):
-        """Density 2 t f_outer(t^2), f_outer = Im(-1/U(k))/(2c pi), from the root k at t^2."""
-        return t * (-1.0 / self.inner.evaluate(k)[0]).imag / (self.c * np.pi)
+    def density(self, k):
+        """Density 2 t f_outer(t^2) = t Im(-1/U(k))/(c pi) = Re sqrt(k)/(c pi) from the root k.
+
+        At z = t^2, z = -k U^2 with Im U > 0 gives -1/U = i sqrt(k)/t, so U,
+        a small difference of order-one terms near z = 0, is not evaluated.
+        """
+        return np.sqrt(k).real / (self.c * np.pi)
 
 
 def _residual(value, noise, z):
@@ -531,7 +527,7 @@ def _solve_companion_grid(law, z: np.ndarray):
 
 
 def stieltjes(c: float, h: PopulationSpectrum, z: complex) -> StieltjesEval:
-    """Solve the fixed-point equation at one complex z with Im z > 0."""
+    """Solve the fixed-point equation at one complex z with Im z > 0: m_comp, then m from it."""
     c = _check_ratio(c)
     z = complex(z)
     if not (np.isfinite(z) and z.imag > 0.0):
@@ -539,7 +535,10 @@ def stieltjes(c: float, h: PopulationSpectrum, z: complex) -> StieltjesEval:
     law = _SampleMap(c, h)
     m_comp, resid = _solve_companion_grid(law, np.array([z]))
     m_comp = complex(m_comp[0])
-    m = complex(_m_from_comp(c, law.t, law.w, z, m_comp))
+    # with S = sum w t/(1 + t m_comp) the fixed point gives m = (z + (1-c) S)/(z (c S - z)),
+    # which stays accurate as c -> 0, where the naive (m_comp - (c-1)/z)/c loses digits
+    s = (law.w * law.t / (1.0 + m_comp * law.t)).sum()
+    m = complex((z + (1.0 - c) * s) / (z * (c * s - z)))
     return StieltjesEval(z=z, m=m, m_under=m_comp, residual=float(resid[0]))
 
 
@@ -547,8 +546,8 @@ def _density(law, t: np.ndarray) -> np.ndarray:
     """Density of law at points t inside its support.
 
     The root solved at x + 1e-6 x i (x = law.point(t)) is polished by Newton
-    on the real axis, where law.density holds exactly, with no pole term
-    from a point mass at zero.
+    on the real axis, where law.density reads the density from the root
+    alone, exactly and with no pole term from a point mass at zero.
     """
     x = law.point(t)
     m, _ = _solve_companion_grid(law, x + 1e-6j * x)
@@ -556,7 +555,7 @@ def _density(law, t: np.ndarray) -> np.ndarray:
     worst = float(resid.max()) if resid.size else 0.0
     if worst > SOLVER_TOL:
         raise SolverError("real-axis polish did not converge", residual=worst)
-    return law.density(m, t)
+    return law.density(m)
 
 
 _Law = namedtuple("_Law", "companion threshold support pieces mass0")
@@ -797,8 +796,8 @@ def ssm_g_pdf(params: SsmParams, t) -> float | np.ndarray:
     shift = (9.0 * (c + 1.0) * s2 * x + w**3) / (3.0 * np.sqrt(3.0))
     # real cube roots: cbrt keeps the sign of a negative argument
     kappa = np.cbrt(disc + shift) ** 2 + np.cbrt(disc - shift) ** 2 + (3.0 * x + w * w) / 3.0
-    if np.any(kappa[inside] <= 0.0):
-        raise SolverError("cube-root branch failure: kappa <= 0 inside the support")
+    if np.any(kappa[inside] <= 0.0):  # c = 1/2 and x underflowed to 0
+        raise ValueError(f"ssm_g_pdf at c = 1/2 needs a nonzero square of t/{unit!r}")
     with np.errstate(all="ignore"):
         out = np.where(inside, np.sqrt(prod) / (kappa * np.pi * c * params.sigma2), 0.0)
     if not np.all(np.isfinite(out)):

@@ -188,6 +188,15 @@ class TestDensity:
         assert np.all(pdf > 0.0)
         assert pdf == pytest.approx(rmt.ppca_lsd_pdf(0.6, unit, t / 256.0) / 256.0, rel=1e-9)
 
+    def test_ppca_law_at_its_zero_edge(self, capsys):
+        # the white law at c = 2 keeps the density 1/(2 pi sqrt(3)) down to 0+
+        code, out, _ = run_cli(
+            capsys, "density", "--law", "ppca", "--c", "2", "--grid", "1e-30:1e-20:3"
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row[1] for row in rows] == ["0.09188814924"] * 3
+
     def test_spectrum_file_bulk(self, capsys, tmp_path):
         spec_file = tmp_path / "bulk.txt"
         spec_file.write_text("atom 0.5 0.4\natom 1.5 0.6\n")
@@ -876,6 +885,14 @@ class TestErrorChannel:
         rec = json.loads(err)
         assert "message" in rec
         assert "width" in rec["message"]
+
+    def test_broken_pipe_exits_one_without_a_record(self, capsys, monkeypatch):
+        # a reader that closed stdout gets the exit code only, no JSON record
+        def closed_stdout(path, text):
+            raise BrokenPipeError
+
+        monkeypatch.setattr(cli, "_emit", closed_stdout)
+        assert run_cli(capsys, "rho", "--grid", "0:1:3") == (1, "", "")
 
     def test_domain_error_from_engine(self, capsys):
         code, _, err = run_cli(capsys, "constants", "--c", "-1")

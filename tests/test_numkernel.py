@@ -1,3 +1,5 @@
+import _ctypes
+import ctypes
 import os
 import pathlib
 import subprocess
@@ -355,6 +357,31 @@ class TestMapReplicates:
 
     def test_no_handle_runs_the_plain_loop(self, monkeypatch):
         monkeypatch.setattr(numkernel, "_blas_threads", lambda: None)
+        idents = []
+        out = numkernel._map_replicates(lambda i: idents.append(threading.get_ident()) or i, 3)
+        assert out == [0, 1, 2]
+        assert idents == [threading.get_ident()] * 3
+
+    @pytest.mark.parametrize("case", ["no_noload_flag", "no_openblas_file", "no_symbols"])
+    def test_lookup_finding_nothing_runs_the_plain_loop(self, monkeypatch, tmp_path, case):
+        # the uncached lookup returns None on a platform without RTLD_NOLOAD,
+        # with no OpenBLAS file in numpy.libs, and when the only OpenBLAS
+        # files are one not loaded and a loaded library without the symbols
+        lookup = numkernel._blas_threads.__wrapped__
+        if case == "no_noload_flag":
+            monkeypatch.delattr(os, "RTLD_NOLOAD")
+        else:
+            libs = tmp_path / "numpy.libs"
+            libs.mkdir()
+            (libs / "libgfortran.so").write_bytes(b"")
+            monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        if case == "no_symbols":
+            (libs / "libopenblas_unloaded.so").write_bytes(b"")
+            (libs / "libopenblas_without_symbols.so").symlink_to(_ctypes.__file__)
+            mode = os.RTLD_NOLOAD | os.RTLD_LAZY
+            assert ctypes.CDLL(str(libs / "libopenblas_without_symbols.so"), mode=mode)
+        assert lookup() is None
+        monkeypatch.setattr(numkernel, "_blas_threads", lookup)
         idents = []
         out = numkernel._map_replicates(lambda i: idents.append(threading.get_ident()) or i, 3)
         assert out == [0, 1, 2]

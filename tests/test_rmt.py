@@ -179,6 +179,23 @@ class TestSolverSchedule:
                 rmt._newton(law, start, z)
                 assert sizes == [z.size] * (iterations + 1)
 
+    @pytest.mark.parametrize("c, h", LAWS)
+    def test_density_read_costs_no_map_evaluation(self, monkeypatch, c, h):
+        # the product density is read from the root k alone: the inner map
+        # runs once inside each product-map evaluation and never on its own
+        law = rmt._law(c, h, product=True).companion
+        calls = []
+
+        def counting(name, evaluate):
+            return lambda m: calls.append(name) or evaluate(m)
+
+        monkeypatch.setattr(law, "evaluate", counting("outer", law.evaluate))
+        monkeypatch.setattr(law.inner, "evaluate", counting("inner", law.inner.evaluate))
+        support = rmt.ppca_support_edges(c, h)
+        pdf = rmt.ppca_lsd_pdf(c, h, np.linspace(*support, 9)[1:-1])
+        assert np.all(pdf > 0.0)
+        assert calls.count("inner") == calls.count("outer") > 0
+
 
 class TestMpDensity:
     def test_flat_bulk_value(self):
@@ -324,6 +341,19 @@ class TestSupportAndMass:
             plo, phi = rmt.ppca_support_edges(c, close)
             flat = rmt.ppca_support_edges(c, FLAT)
             assert (plo, phi) == pytest.approx(flat, rel=1e-9, abs=1e-12)
+
+    def test_atoms_at_neighbouring_floats_bound_no_gap(self):
+        # no float lies between the atoms (nor between their squares, 2 ulp
+        # apart), so no critical point is sought there: each law has the
+        # white bulk's one support interval and CDF
+        close = spectra.make_spectrum(atoms=[(1.0, 0.5), (math.nextafter(1.0, 2.0), 0.5)])
+        grid = np.linspace(0.0, 4.0, 81)
+        for product, cdf in ((False, rmt.mp_cdf), (True, rmt.ppca_lsd_cdf)):
+            ((lower, upper),) = rmt._law(0.4, close, product=product).support
+            ((want_lower, want_upper),) = rmt._law(0.4, FLAT, product=product).support
+            assert abs(lower - want_lower) <= 2.0 * math.ulp(want_lower)
+            assert abs(upper - want_upper) <= 2.0 * math.ulp(want_upper)
+            assert np.max(np.abs(cdf(0.4, close, grid) - cdf(0.4, FLAT, grid))) <= 1e-15
 
     @pytest.mark.parametrize("c", [0.0, -1.0, np.nan, np.inf])
     @pytest.mark.parametrize(
@@ -593,6 +623,103 @@ class TestProductLawTable:
         lo, hi = rmt.ppca_support_edges(0.4, FLAT)
         assert lo == pytest.approx(consts.a, abs=1e-8)
         assert hi == pytest.approx(consts.b, abs=1e-8)
+
+
+def zero_edge_density(c, h):
+    """sqrt(k0)/(c pi), k0 the positive root of 2c sum w t^2 k/(1 + t^2 k) = 1, in mpmath.
+
+    Found by 200 geometric bisection steps at 40 digits.  With r = 2c (1 - w0)
+    > 1 and every positive t^2 bounded by the smallest and the largest, the
+    root lies between 1/(t_max^2 (r - 1)) and 1/(t_min^2 (r - 1)).
+    """
+    with mpmath.workdps(40):
+        c = mpmath.mpf(c)
+        squares = [(mpmath.mpf(t) ** 2, mpmath.mpf(w)) for t, w in h.atoms if t > 0.0]
+        excess = 2 * c * sum(w for _, w in squares) - 1
+        lo, hi = 1 / (squares[-1][0] * excess), 1 / (squares[0][0] * excess)
+        for _ in range(200):
+            mid = mpmath.sqrt(lo * hi)
+            if 2 * c * sum(w * s * mid / (1 + s * mid) for s, w in squares) > 1:
+                hi = mid
+            else:
+                lo = mid
+        return float(mpmath.sqrt(lo) / (c * mpmath.pi))
+
+
+class TestProductZeroEdge:
+    """The product density for 2c (1 - w0) > 1 down to its zero edge.
+
+    It is finite at 0+, where the root k of the product map tends to the
+    positive root k0 of U(k0) = 0 and the density to sqrt(k0)/(c pi): for the
+    white bulk 1/(c pi sigma2 sqrt(2c - 1)).
+    """
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        atoms=st.integers(1, 4),
+        k=st.integers(-60, 60),
+        ratio=st.floats(np.log(1.1), np.log(50.0)),
+        zero=st.booleans(),
+        w0=st.floats(0.05, 0.5),
+    )
+    @example(seed=0, atoms=1, k=0, ratio=np.log(1.1), zero=False, w0=0.05)
+    @example(seed=1, atoms=4, k=-60, ratio=np.log(50.0), zero=True, w0=0.5)
+    @example(seed=2, atoms=2, k=60, ratio=np.log(2.0), zero=True, w0=0.05)
+    def test_matches_the_root_of_the_inner_map(self, seed, atoms, k, ratio, zero, w0):
+        bulk = random_bulk(np.random.default_rng(seed), atoms)
+        if zero:
+            bulk = spectra.make_spectrum([(0.0, w0)] + [(t, (1.0 - w0) * w) for t, w in bulk.atoms])
+            w0 = bulk.atoms[0][1]
+        else:
+            w0 = 0.0
+        h = scaled(bulk, k)
+        c = float(np.exp(ratio)) / (2.0 * (1.0 - w0))
+        assume(2.0 * c * (1.0 - w0) >= 1.1)
+        got = rmt.ppca_lsd_pdf(c, h, h.values[-1] * np.array([1e-20, 1e-60, 1e-120]))
+        assert got == pytest.approx([zero_edge_density(c, h)] * 3, rel=1e-10, abs=0.0)
+
+    def test_two_atom_bulk_holds_its_limit(self):
+        # k0 = 4/15 solves 4 (0.4 * 0.25 k/(1 + 0.25 k) + 0.6 * 2.25 k/(1 + 2.25 k)) = 1
+        t = np.geomspace(1e-100, 1e-14, 30)
+        want = math.sqrt(4.0 / 15.0) / (2.0 * math.pi)
+        assert zero_edge_density(2.0, TWO_ATOM) == pytest.approx(want, rel=1e-15)
+        assert rmt.ppca_lsd_pdf(2.0, TWO_ATOM, t) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("c", [0.6, 1.0, 2.0, 5.0])
+    def test_white_bulk_matches_closed_form(self, c):
+        t = np.geomspace(1e-120, 1e-3, 60)
+        want = rmt.ssm_g_pdf(rmt.SsmParams(c=c), t)
+        assert want[0] == pytest.approx(1.0 / (c * math.pi * math.sqrt(2.0 * c - 1.0)), rel=1e-14)
+        assert rmt.ppca_lsd_pdf(c, FLAT, t) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    def test_point_whose_square_underflows_is_value_error(self, c):
+        # 1e-170 squares to 1e-340, below the smallest float: rejected before
+        # any solve, as an atom of the bulk would be, and with no warning
+        message = "^product-law points must square to at least the smallest normal float$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (rmt.ppca_lsd_pdf, rmt.ppca_lsd_cdf):
+                with pytest.raises(ValueError, match=message):
+                    call(c, FLAT, 1e-170)
+
+    def test_closed_form_point_whose_square_underflows(self):
+        # at c = 1/2 the density diverges like t^(-1/3) and its closed form
+        # needs (t/unit)^2 > 0, unit = 4 the power of two above the upper
+        # edge; above 1/2 the closed form at (t/unit)^2 = 0 is the 0+ limit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params = rmt.SsmParams(c=0.5)
+            message = r"^ssm_g_pdf at c = 1/2 needs a nonzero square of t/4\.0$"
+            assert rmt.ssm_g_pdf(params, 1e-160) == pytest.approx(1.19e53, rel=1e-2)
+            for call in (rmt.ssm_g_pdf, rmt.ssm_g_cdf):
+                with pytest.raises(ValueError, match=message):
+                    call(params, 1e-170)
+            params = rmt.SsmParams(c=2.0)
+            want = 1.0 / (2.0 * math.pi * math.sqrt(3.0))
+            assert rmt.ssm_g_pdf(params, 1e-170) == pytest.approx(want, rel=1e-15)
+            assert rmt.ssm_g_cdf(params, 1e-170) == 0.75
 
 
 class TestSwitchPoints:

@@ -171,8 +171,10 @@ LAWS = (
 # defaults; the product density of the white bulk at 256 down to t = 1e-6,
 # the white bulk's thresholds at c = 1e-25 (critical points 3e-13 above the
 # atom) and its classical density at c = 1 - 1.5e-12 (a lower edge near
-# 6e-25), and the spike limits of the white bulk at 1e160, a spike whose
-# square overflows
+# 6e-25), the spike limits of the white bulk at 1e160, a spike whose
+# square overflows, and the product densities of the white and two-atom
+# bulks at c = 2 from t = 1e-30 to 1e-18, next to the zero edge where they
+# hold 1/(2 pi sqrt(3)) and sqrt(4/15)/(2 pi)
 SCENARIO = {"epsilon": 0.01, "k1": 1, "lambda1": 3.0, "c": 0.4, "assignment": [1]}
 DESIGN_CONFIG = (
     "# design spikes over a bulk at level 2\n"
@@ -228,6 +230,8 @@ PANEL = (
     + bulk_json("thresholds_white_c1e-25", "thresholds", 1e-25, "atom 1 1\n")
     + density("pca_white_c1-1.5e-12", "pca", 1.0 - 1.5e-12, "1e-12:4:200")
     + bulk_json("limits_white_lam1e160", "limits", 0.4, "atom 1 1\n", "--lam", "1e160")
+    + density("ppca_white_zero_edge_c2", "ppca", 2.0, "1e-30:1e-18:5")
+    + density("ppca_two_atom_zero_edge_c2", "ppca", 2.0, "1e-30:1e-18:5", TWO_ATOM)
     + robust_analytic("robust_worked", dict(SCENARIO, etas=[70.0, 70.0]))
     + robust_analytic("robust_loud", dict(SCENARIO, etas=[200.0, 200.0]))
 )

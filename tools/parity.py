@@ -130,6 +130,10 @@ SIX_ATOM = "".join(
     f"atom {t} {w}\n"
     for t, w in ((0.1, 0.15), (0.4, 0.2), (1, 0.25), (1.6, 0.15), (4, 0.15), (9, 0.1))
 )
+# bulks with a zero atom: half of it, 30% of it, and 20% of it below two atoms
+HALF_ZERO = "atom 0 0.5\natom 1 0.5\n"
+ZERO_ATOM = "atom 0 0.3\natom 1 0.7\n"
+ZERO_THREE_ATOM = "atom 0 0.2\natom 0.5 0.3\natom 1.5 0.5\n"
 
 # (name, c, grid, spectrum): the white bulk at three ratios (c = 1/2 is the
 # product law's switch point), two atoms, a zero atom and well-separated atoms,
@@ -142,10 +146,10 @@ LAWS = (
     ("white_c0.5", 0.5, "0.01:3.2:160", None),
     ("white_c5", 5.0, "0.01:11:200", None),
     ("two_atom_c2", 2.0, "0.01:8:160", TWO_ATOM),
-    ("zero_atom_c0.7", 0.7, "0.01:3.2:160", "atom 0 0.3\natom 1 0.7\n"),
+    ("zero_atom_c0.7", 0.7, "0.01:3.2:160", ZERO_ATOM),
     ("split_c0.01", 0.01, "0.01:6:200", "atom 0.2 0.5\natom 5 0.5\n"),
     ("white_c1", 1.0, "1e-12:4:200", None),
-    ("half_zero_c2", 2.0, "1e-12:4:200", "atom 0 0.5\natom 1 0.5\n"),
+    ("half_zero_c2", 2.0, "1e-12:4:200", HALF_ZERO),
     ("six_atom_c0.1", 0.1, "0.01:12:240", SIX_ATOM),
     ("six_atom_c0.5", 0.5, "0.01:15:300", SIX_ATOM),
 )
@@ -174,7 +178,11 @@ LAWS = (
 # 6e-25), the spike limits of the white bulk at 1e160, a spike whose
 # square overflows, and the product densities of the white and two-atom
 # bulks at c = 2 from t = 1e-30 to 1e-18, next to the zero edge where they
-# hold 1/(2 pi sqrt(3)) and sqrt(4/15)/(2 pi)
+# hold 1/(2 pi sqrt(3)) and sqrt(4/15)/(2 pi); the product density of the
+# half-zero bulk at its switch point 2c (1 - w0) = 1 over the same grid, half
+# the white closed form at c = 1/2, and the thresholds (c = 0.7) and spike
+# limits (c = 2) of two bulks with a zero atom, which equal those of their
+# positive atoms at ratio c (1 - w0)
 SCENARIO = {"epsilon": 0.01, "k1": 1, "lambda1": 3.0, "c": 0.4, "assignment": [1]}
 DESIGN_CONFIG = (
     "# design spikes over a bulk at level 2\n"
@@ -232,6 +240,11 @@ PANEL = (
     + bulk_json("limits_white_lam1e160", "limits", 0.4, "atom 1 1\n", "--lam", "1e160")
     + density("ppca_white_zero_edge_c2", "ppca", 2.0, "1e-30:1e-18:5")
     + density("ppca_two_atom_zero_edge_c2", "ppca", 2.0, "1e-30:1e-18:5", TWO_ATOM)
+    + density("ppca_half_zero_switch_c1", "ppca", 1.0, "1e-30:1e-18:5", HALF_ZERO)
+    + sum((bulk_json(f"thresholds_{name}_c0.7", "thresholds", 0.7, spectrum)
+           + bulk_json(f"limits_{name}_c2", "limits", 2.0, spectrum, "--lam", "2,6")
+           for name, spectrum in (("zero_atom", ZERO_ATOM), ("zero_three_atom", ZERO_THREE_ATOM))),
+          ())
     + robust_analytic("robust_worked", dict(SCENARIO, etas=[70.0, 70.0]))
     + robust_analytic("robust_loud", dict(SCENARIO, etas=[200.0, 200.0]))
 )

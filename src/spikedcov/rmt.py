@@ -11,6 +11,11 @@ the population spike as its own argument lam.  The two laws are:
   which is a composition: G(t) = F_outer(t^2), where the outer law has
   aspect ratio 2c and its bulk is itself the law F_{2c, H^2}.
 
+A zero atom of weight w0 only removes coordinates (Silverstein & Choi 1995):
+F_{c,H} = w0 delta_0 + (1 - w0) F_{c(1-w0),H+}, H+ the positive atoms
+reweighted.  So each map holds H+ alone at its own ratio c(1 - w0), or
+2c(1 - w0) inside the product law, and only densities and zero masses read c.
+
 Real-axis work uses the change of variables lam = -1/m_comp, where m_comp is
 the companion transform of the dual Gram matrix (m_comp = c*m + (c-1)/z).
 In that coordinate the inverse of the fixed-point equation is explicit:
@@ -36,26 +41,21 @@ tolerance or scale enters: the thresholds, edges, spike limits, densities
 and CDFs of sH are those of H scaled by s, to within roundoff.  Two limits
 are left, each a SolverError: a critical point nearer an atom than the
 float grid resolves (c w_top below about 1e-31 for the upper one), and a
-companion solve on bulks below about 1e-154, where Newton's slope, of order
-1/m^2, falls below the smallest normal float.
+companion solve on bulks below about 1e-154 (Newton's slope is subnormal).
 
-One routine (_law) describes either law: its companion map, spike
-threshold, support, sorted CDF pieces and zero mass; one top critical point
-gives the threshold and the upper edge, where a spike at or below it sticks.
-It builds each (c, H, estimator) once, a cached value that every threshold,
-edge, limit, density and CDF reads (_law.cache_info() counts the builds).
-Both laws share its density routine (_density: a complex solve just above
-the real axis, polished by Newton on it, whose root alone gives the density,
-Im m_comp/(c pi) or Re sqrt(k)/(c pi)), one CDF routine (_cdf) and one
-residual rule (_residual).  Each map has one evaluation, evaluate(m) ->
-(z(m), z'(m), the rounding scale of z(m)), made once per Newton iterate;
-the product map's scale is NaN on its wrong branch (Im U(k) <= 0), which
-_residual reads as an infinite residual.
+One cached routine (_law) builds each (c, H, estimator) once: its companion
+map, spike threshold, support, sorted CDF pieces and zero mass; one top
+critical point gives the threshold and the upper edge, where a spike at or
+below it sticks.  Both laws share one density routine (_density: a complex
+solve just above the real axis, polished by Newton on it, whose root alone
+gives Im m_comp/(c pi) or Re sqrt(k)/(c pi)), one CDF routine (_cdf) and one
+residual rule (_residual).  Each map has one evaluate(m) -> (z(m), z'(m),
+the rounding scale of z(m)) per Newton iterate, the scale NaN (an infinite
+residual) on the product map's wrong branch, Im U(k) <= 0.
 
 The single-atom closed forms and rho avoid cancellation and never square or
-cube c, and the product-law closed-form density works in units of its upper
-edge; a closed-form constant or density that would overflow raises
-ValueError.
+cube c; the product-law closed-form density works in units of its upper edge,
+and a closed-form constant or density that would overflow raises ValueError.
 """
 from __future__ import annotations
 
@@ -300,7 +300,7 @@ def _q_raw(c: float, t: np.ndarray, w: np.ndarray, y: float, slope: bool = False
     """c*sum w r^2 with r = t/(t-y), which is 1 where psi'(y) = 0, or y times its slope.
 
     The slope is c*sum w 2 r^2/(t-y), and y/(t-y) = r - 1.  Each term is a
-    ratio of lengths that cannot overflow or underflow; r = 0 at a zero atom.
+    ratio of lengths that cannot overflow or underflow.
     """
     r = t / (t - y)
     return c * float(np.dot(w, 2.0 * r * r * (r - 1.0) if slope else r * r))
@@ -318,16 +318,16 @@ def _g_raw(c: float, t: np.ndarray, w: np.ndarray, y: float, slope: bool = False
 def _lower_critical(crit, c: float, t: np.ndarray, w: np.ndarray) -> float | None:
     """Root of crit(c, t, w, .) = 1 below the bulk, or None when the lower edge is 0.
 
-    Both criteria equal the effective ratio c*(1-w0) at zero (w0 the weight
-    at zero), read at the smallest float as the criterion computes it.  Below
-    1 the root lies above that float and below t_min; above 1 on the negative
-    axis; at exactly 1 the continuous support touches zero and there is none.
+    Both criteria equal the map's ratio c at zero, read at the smallest float
+    as the criterion computes it.  Below 1 the root lies above that float and
+    below t_min; above 1 on the negative axis; at exactly 1 the continuous
+    support touches zero and there is none.
     """
     tiny = math.ulp(0.0)
     c_pos = crit(c, t, w, tiny)
     crit_minus_one = lambda x: crit(c, t, w, x) - 1.0
     if c_pos < 1.0:
-        return _root(crit_minus_one, tiny, math.nextafter(t[t > 0.0][0], 0.0))
+        return _root(crit_minus_one, tiny, math.nextafter(t[0], 0.0))
     if c_pos > 1.0:
         return _root(crit_minus_one, -sys.float_info.max, -tiny)
     return None
@@ -340,9 +340,8 @@ def _between_atoms(crit, c: float, t: np.ndarray, w: np.ndarray) -> tuple[list[f
     the minimum is below 1, two roots bound a gap of the law; where it stays
     above, the minimum (a dip) maps near a sharp bend of the density.
     """
-    pos = t[t > 0.0]
     roots, dips = [], []
-    for left, right in zip(pos[:-1], pos[1:]):
+    for left, right in zip(t[:-1], t[1:]):
         lo, hi = math.nextafter(left, right), math.nextafter(right, left)
         if not lo < hi:
             continue
@@ -363,13 +362,16 @@ def _between_atoms(crit, c: float, t: np.ndarray, w: np.ndarray) -> tuple[list[f
 class _SampleMap:
     """Explicit inverse z(m) = -1/m + c S(m), S(m) = sum w t/(1+tm), of the classical law.
 
+    It drops a zero atom of weight w0: t, w are the positive atoms, weights
+    over s = 1 - w0, and c is s times the law's ratio, kept as ratio.
     z(m) is evaluated as (c - 1 - c sum w/(1+tm))/m, whose terms do not
-    cancel where those of -1/m + c S(m) do (|m| large at an effective ratio
-    of one).
+    cancel where those of -1/m + c S(m) do (|m| large at c = 1).
     """
 
     def __init__(self, c: float, h: PopulationSpectrum):
-        self.c, self.t, self.w = float(c), h.values, h.weights
+        s = 1.0 - float(h.weights[0]) if h.values[0] == 0.0 else 1.0
+        self.ratio, self.c = float(c), float(c) * s
+        self.t, self.w = h.values[h.values > 0.0], h.weights[h.values > 0.0] / s
 
     def evaluate(self, m):
         """(z(m), z'(m), the rounding scale (|c - 1| + |s|)/|m| of z(m)), s = c sum w/(1+tm)."""
@@ -389,8 +391,8 @@ class _SampleMap:
         return t
 
     def density(self, m):
-        """Density Im m_comp/(c pi) from the root m_comp at real z, where (c - 1)/z is real."""
-        return m.imag / (self.c * np.pi)
+        """Density Im m_comp/(ratio pi) from the root m_comp at real z: Im m_comp = ratio Im m."""
+        return m.imag / (self.ratio * np.pi)
 
 
 class _ProductMap:
@@ -401,6 +403,8 @@ class _ProductMap:
     wanted has k and U(k) in the upper half-plane, not the mirror U -> -U.
     """
 
+    floor = math.sqrt(np.finfo(float).tiny)  # smallest t whose square is normal
+
     def __init__(self, c: float, h: PopulationSpectrum):
         self.c = float(c)
         self.inner = _SampleMap(2.0 * c, square_spectrum(h))
@@ -408,8 +412,8 @@ class _ProductMap:
     def evaluate(self, k):
         """(z(k), z'(k), the rounding scale of z(k)), the scale NaN where Im U(k) <= 0.
 
-        Near z = 0 with 2c >= 1, U(k) is a small difference of order-one
-        terms, and the rounding scale of z(k) is |U| (|2c - 1| + |2c - 1 - kU|).
+        Near z = 0 at an inner ratio c' >= 1, U(k) is a small difference of
+        order-one terms; the rounding scale of z(k) is |U| (|c' - 1| + |c' - 1 - kU|).
         """
         u, u_prime, _ = self.inner.evaluate(k)
         noise = np.abs(u) * (abs(self.inner.c - 1.0) + np.abs(self.inner.c - 1.0 - k * u))
@@ -422,7 +426,7 @@ class _ProductMap:
 
     def point(self, t):
         """Real point x = t^2 of singular value t; ValueError below the smallest normal float."""
-        if np.any(t * t < np.finfo(float).tiny):
+        if np.any(t < self.floor):
             raise ValueError("product-law points must square to at least the smallest normal float")
         return t * t
 
@@ -537,7 +541,7 @@ def stieltjes(c: float, h: PopulationSpectrum, z: complex) -> StieltjesEval:
     m_comp = complex(m_comp[0])
     # with S = sum w t/(1 + t m_comp) the fixed point gives m = (z + (1-c) S)/(z (c S - z)),
     # which stays accurate as c -> 0, where the naive (m_comp - (c-1)/z)/c loses digits
-    s = (law.w * law.t / (1.0 + m_comp * law.t)).sum()
+    s = (h.weights * h.values / (1.0 + m_comp * h.values)).sum()
     m = complex((z + (1.0 - c) * s) / (z * (c * s - z)))
     return StieltjesEval(z=z, m=m, m_under=m_comp, residual=float(resid[0]))
 
@@ -565,21 +569,16 @@ _Law = namedtuple("_Law", "companion threshold support pieces mass0")
 def _law(c: float, h: PopulationSpectrum, *, product: bool) -> _Law:
     """Companion map, Threshold, support intervals, CDF pieces and zero mass of one law.
 
-    The law is the classical one, or the product one if product is true.
-    Its support ends are images of the roots of crit(c', t, w, .) = 1, with
-    (c', t, w) its sample map's ratio and bulk (2c and H^2 for the product
-    law): one above the bulk, pairs between atoms, and one below the bulk,
-    or zero at an effective ratio of one; the root y* above it also gives the
-    spike threshold, y* or sqrt(y*) for the product law, whose bulk edge is
-    the support's upper edge.  Classical ends are psi values at q(lam) = 1,
-    clipped at zero against rounding; product ends are sqrt(x(y)) at the
-    critical points y of x(y) = psi(y)^2/y, and zero for y <= 0.
-    The pieces tile each support interval in increasing order, cut at the
-    distinct dip images inside it, which need not follow the atoms' order as
-    the ends do; one rule across a dip's sharp bend is off by up to 1e-3.
-    Each (c, H, estimator) is built once and cached, with tuples no caller
-    can change; product is keyword-only, as the cache keys a positional flag
-    apart.  A build that raises is not cached; _law.cache_info() counts builds.
+    The law is the product one if product is true, else the classical one.
+    Its support ends are images of the roots of crit(c', t, w, .) = 1 for
+    its sample map (c', t, w), of H^2 for the product law: one above the
+    bulk, pairs between atoms, one below it or zero at c' = 1.  The top root
+    y* also gives the spike threshold (sqrt(y*) for the product law), whose
+    bulk edge is the upper end.  Classical ends are psi values at q = 1,
+    clipped at zero; product ends are sqrt(x(y)) at the critical points y
+    of x(y) = psi(y)^2/y, zero for y <= 0.  Pieces tile each interval in
+    increasing order, cut at its dip images (off by up to 1e-3 across a
+    bend).  Builds are cached as tuples, keyed on a keyword-only product.
     """
     c = _check_ratio(c)
     companion = _ProductMap(c, h) if product else _SampleMap(c, h)
@@ -600,7 +599,7 @@ def _law(c: float, h: PopulationSpectrum, *, product: bool) -> _Law:
     cuts = [[lower, *(d for d in dips if lower < d < upper), upper] for lower, upper in support]
     pieces = tuple(piece for cut in cuts for piece in itertools.pairwise(cut))
     spike = Threshold(threshold=threshold(top), bulk_edge=edges[-1])
-    return _Law(companion, spike, support, pieces, mass_at_zero(sample.c, h))
+    return _Law(companion, spike, support, pieces, mass_at_zero(sample.ratio, h))
 
 
 def _pdf(name: str, law: _Law, t) -> float | np.ndarray:
@@ -613,8 +612,23 @@ def _pdf(name: str, law: _Law, t) -> float | np.ndarray:
 
 
 def _cdf(name: str, law: _Law, t) -> float | np.ndarray:
-    """CDF of law at t >= 0: its zero mass plus _cdf_from_pdf over its pieces."""
-    return _cdf_from_pdf(name, functools.partial(_density, law.companion), law.pieces, law.mass0, t)
+    """CDF of law at t >= 0: its zero mass plus _cdf_from_pdf over its pieces.
+
+    The map must place each query point above the lower edge.  Nodes below
+    its floor count as zero density if the floor times the density there
+    is below half an ulp of the zero mass; else ValueError.
+    """
+    pts = _points(name, t, positive=False)
+    law.companion.point(pts[pts > law.support[0][0]])
+    floor = getattr(law.companion, "floor", 0.0)
+
+    def pdf(x):
+        dens = _density(law.companion, np.maximum(x, floor))
+        if np.any(x < floor) and floor * dens[x < floor].max() >= 0.5 * math.ulp(law.mass0):
+            raise ValueError(f"{name} cannot neglect its density below t = {floor!r}")
+        return np.where(x < floor, 0.0, dens)
+
+    return _cdf_from_pdf(name, pdf, law.pieces, law.mass0, t)
 
 
 def mp_density(c: float, h: PopulationSpectrum, t) -> float | np.ndarray:
@@ -872,25 +886,15 @@ def _cdf_from_pdf(name: str, pdf, support, mass0: float, t) -> float | np.ndarra
 def ssm_g_cdf(params: SsmParams, t) -> float | np.ndarray:
     """Closed-form CDF of the product law (point mass at zero included)."""
     consts = ssm_closed_forms(params)
-    return _cdf_from_pdf(
-        "ssm_g_cdf",
-        functools.partial(ssm_g_pdf, params),
-        [(consts.a, consts.b)],
-        consts.mass0_ppca,
-        t,
-    )
+    pdf = functools.partial(ssm_g_pdf, params)
+    return _cdf_from_pdf("ssm_g_cdf", pdf, [(consts.a, consts.b)], consts.mass0_ppca, t)
 
 
 def ssm_f_cdf(params: SsmParams, t) -> float | np.ndarray:
     """Closed-form CDF of the classical law (point mass at zero included)."""
     consts = ssm_closed_forms(params)
-    return _cdf_from_pdf(
-        "ssm_f_cdf",
-        functools.partial(ssm_f_pdf, params),
-        [(consts.a_prime, consts.b_prime)],
-        consts.mass0_pca,
-        t,
-    )
+    pdf = functools.partial(ssm_f_pdf, params)
+    return _cdf_from_pdf("ssm_f_cdf", pdf, [(consts.a_prime, consts.b_prime)], consts.mass0_pca, t)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,21 @@ class TestStieltjes:
         ev = rmt.stieltjes(1e-7, two_atom_bulk, z)
         assert abs(ev.m - target) < 1e-5
 
+    def test_zero_atom_removes_coordinates(self):
+        # m of (c, H) is -w0/z plus (1 - w0) times m of (c (1 - w0), H+), H+
+        # the positive atoms; both laws have one companion (n x n Gram) law
+        h = spectra.make_spectrum(atoms=[(0.0, 0.3), (0.5, 0.28), (1.5, 0.42)])
+        w0 = h.weights[0]
+        for c in C_GRID:
+            for x in Z_REALS:
+                for y in Z_IMAGS:
+                    z = complex(x, y)
+                    ev = rmt.stieltjes(c, h, z)
+                    plus = rmt.stieltjes(c * (1.0 - w0), TWO_ATOM, z)
+                    want = -w0 / z + (1.0 - w0) * plus.m
+                    assert abs(ev.m - want) <= 1e-10 * max(1.0, abs(want))
+                    assert abs(ev.m_under - plus.m_under) <= 1e-10 * max(1.0, abs(plus.m_under))
+
     def test_rejects_real_axis(self):
         with pytest.raises(ValueError):
             rmt.stieltjes(0.4, FLAT, complex(1.0, 0.0))
@@ -579,10 +594,12 @@ class TestProductLawTable:
         pdf = rmt.ppca_lsd_pdf(c, FLAT, grid)
         assert np.max(np.abs(pdf - rmt.ssm_g_pdf(params, grid))) < 1e-8
 
-    @pytest.mark.parametrize("c", [0.5, 0.7, 2.0])
+    @pytest.mark.parametrize("c", [0.5, 0.7, 2.0, 0.5 / 0.7])
     def test_zero_atom_reduces_to_white(self, c):
         # a zero atom of weight w0 only removes coordinates: the law is
-        # w0 at zero plus (1 - w0) times the white law at ratio c (1 - w0)
+        # w0 at zero plus (1 - w0) times the white law at ratio c (1 - w0);
+        # at c = 1/(2 (1 - w0)) that is the switch point c (1 - w0) = 1/2,
+        # where the density goes like t^(-1/3) down to zero
         w0 = 0.3
         h = spectra.make_spectrum(atoms=[(0.0, w0), (1.0, 1.0 - w0)])
         params = rmt.SsmParams(c=c * (1.0 - w0), sigma2=1.0)
@@ -596,6 +613,9 @@ class TestProductLawTable:
         pdf = rmt.ppca_lsd_pdf(c, h, grid[grid < 0.98 * consts.b])
         want = (1.0 - w0) * rmt.ssm_g_pdf(params, grid[grid < 0.98 * consts.b])
         assert np.max(np.abs(pdf - want)) < 1e-8
+        tiny = np.geomspace(1e-30, 1e-6, 25)
+        want = (1.0 - w0) * rmt.ssm_g_pdf(params, tiny)
+        assert rmt.ppca_lsd_pdf(c, h, tiny) == pytest.approx(want, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("c", [0.01, 0.05])
     def test_split_support_against_dense_reference(self, c):
@@ -703,6 +723,26 @@ class TestProductZeroEdge:
             for call in (rmt.ppca_lsd_pdf, rmt.ppca_lsd_cdf):
                 with pytest.raises(ValueError, match=message):
                     call(c, FLAT, 1e-170)
+
+    def test_cdf_whose_nodes_square_below_the_smallest_normal(self):
+        # t^2 is normal, but the Gauss-Legendre nodes under t reach 1.2e-5 t
+        # and their squares are not: below 2^-511 they count as zero density,
+        # as 2^-511 times the density there (0.092) is far below half an ulp
+        # of the zero mass 0.75
+        t = [2e-154, 1e-151, 1e-149]
+        assert rmt.ppca_lsd_cdf(2.0, FLAT, t).tolist() == [0.75, 0.75, 0.75]
+        message = "^product-law points must square to at least the smallest normal float$"
+        with pytest.raises(ValueError, match=message):
+            rmt.ppca_lsd_cdf(2.0, FLAT, 1e-160)
+        # against a zero mass of 0 the same sliver is not negligible
+        law = rmt._law(2.0, FLAT, product=True)._replace(mass0=0.0)
+        message = "^ppca_lsd_cdf cannot neglect its density below t = "
+        with pytest.raises(ValueError, match=message):
+            rmt._cdf("ppca_lsd_cdf", law, 2e-154)
+        # at c = 1/2 there is no zero mass, and the companion solve at 2^-511,
+        # where the density goes like t^(-1/3), fails first
+        with pytest.raises(rmt.SolverError):
+            rmt.ppca_lsd_cdf(0.5, FLAT, 1e-150)
 
     def test_closed_form_point_whose_square_underflows(self):
         # at c = 1/2 the density diverges like t^(-1/3) and its closed form
@@ -1253,6 +1293,51 @@ class TestEngineProperties:
             (rmt.ppca_support_edges(c, FLAT), (consts.a, consts.b)),
         ):
             assert np.max(np.abs(np.subtract(edges, want))) <= 1e-12 * want[1]
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        c=RATIOS,
+        seed=st.integers(0, 2**32 - 1),
+        atoms=st.integers(1, 4),
+        w0=st.floats(0.05, 0.6),
+    )
+    @example(c=1.0, seed=0, atoms=1, w0=0.5)
+    @example(c=0.5 / 0.7, seed=1, atoms=3, w0=0.3)
+    @example(c=2.5, seed=2, atoms=2, w0=0.6)
+    def test_zero_atom_is_the_positive_law_at_the_reduced_ratio(self, c, seed, atoms, w0):
+        # a zero atom only removes coordinates: each law of (c, H) is w0 at
+        # zero plus (1 - w0) times that of (c (1 - w0), H+), H+ the positive
+        # atoms, with the same thresholds, edges and spike limits; the first
+        # two examples sit on the product and classical switch points
+        plus = random_bulk(np.random.default_rng(seed), atoms)
+        h = spectra.make_spectrum([(0.0, w0)] + [(t, (1.0 - w0) * w) for t, w in plus.atoms])
+        w0 = h.weights[0]
+        ratio = c * (1.0 - w0)
+        for edges, pdf, cdf, threshold, limit in (
+            (rmt.support_edges, rmt.mp_density, rmt.mp_cdf, rmt.pca_threshold, rmt.pca_limit),
+            (
+                rmt.ppca_support_edges,
+                rmt.ppca_lsd_pdf,
+                rmt.ppca_lsd_cdf,
+                rmt.ppca_threshold,
+                rmt.ppca_limit,
+            ),
+        ):
+            want_edges = edges(ratio, plus)
+            assert edges(c, h) == pytest.approx(want_edges, rel=1e-12, abs=1e-15 * want_edges[1])
+            got, want = threshold(c, h), threshold(ratio, plus)
+            assert got.threshold == pytest.approx(want.threshold, rel=1e-12, abs=0.0)
+            assert got.bulk_edge == pytest.approx(want.bulk_edge, rel=1e-12, abs=0.0)
+            for lam in (math.nextafter(plus.bulk_upper, math.inf), 1.5 * want.threshold):
+                got_limit, want_limit = limit(c, h, lam), limit(ratio, plus, lam)
+                assert got_limit.tag == want_limit.tag
+                assert got_limit.value == pytest.approx(want_limit.value, rel=1e-12, abs=0.0)
+            x = want_edges[1] * np.array([1e-9, 1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.05])
+            want_pdf = (1.0 - w0) * pdf(ratio, plus, x)
+            assert pdf(c, h, x) == pytest.approx(want_pdf, rel=1e-10, abs=0.0)
+            x = np.concatenate(([0.0], x))
+            want_cdf = w0 + (1.0 - w0) * cdf(ratio, plus, x)
+            assert cdf(c, h, x) == pytest.approx(want_cdf, rel=0.0, abs=1e-12)
 
     @PROPERTY
     @given(c=RATIOS, h=two_atom_bulks(), u=st.floats(0.0, 1.0), v=st.floats(np.log(1e-9), 0.0))

@@ -319,6 +319,15 @@ class TestKsPair:
             assert cond == pytest.approx(want, abs=1e-15)
 
 
+    def test_spectrum_of_exact_zeros(self):
+        # no positive value to score: the full statistic is the jump at 0
+        # alone, the conditional one is 0, and the law is never evaluated
+        def unused(t):
+            raise AssertionError("the law must not be evaluated")
+
+        assert simlab._ks_pair(np.zeros(8), unused, 0.75) == (0.25, 0.0)
+        assert simlab._ks_pair(np.zeros(3), unused, 1.0) == (0.0, 0.0)
+
     @pytest.mark.parametrize("n, p", [(60, 24), (30, 60)])
     def test_law_evaluated_once_per_pair(self, n, p):
         # both statistics read one CDF evaluation on the grid, and each equals

@@ -734,6 +734,8 @@ class TestProductZeroEdge:
         message = "^product-law points must square to at least the smallest normal float$"
         with pytest.raises(ValueError, match=message):
             rmt.ppca_lsd_cdf(2.0, FLAT, 1e-160)
+        # below a positive lower edge no node is placed, and the CDF is its zero mass
+        assert rmt.ppca_lsd_cdf(0.4, FLAT, 1e-170) == 0.0
         # against a zero mass of 0 the same sliver is not negligible
         law = rmt._law(2.0, FLAT, product=True)._replace(mass0=0.0)
         message = "^ppca_lsd_cdf cannot neglect its density below t = "
